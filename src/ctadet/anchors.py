@@ -14,11 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Optional, Sequence
 
-DEFAULT_PATCH_SIZE = 96
-DEFAULT_GRID_SIZE = 24
-DEFAULT_ANCHOR_SIZES = (5.0, 10.0, 20.0)
-DEFAULT_POS_IOU = 0.5
-DEFAULT_NEG_IOU = 0.02
+from .config import RunConfig
 
 
 @dataclass(frozen=True)
@@ -67,6 +63,11 @@ class Lesion:
 
     box: BoundingBox
     labels: Mapping[str, str] = field(default_factory=dict)
+
+
+def _as_boxes(lesions: Sequence) -> list[BoundingBox]:
+    """Boxes of a mixed list of :class:`Lesion` and :class:`BoundingBox`."""
+    return [l.box if isinstance(l, Lesion) else l for l in lesions]
 
 
 @dataclass(frozen=True)
@@ -136,9 +137,9 @@ class AnchorLabel:
 
 
 def anchor_grid(
-    patch_size: int = DEFAULT_PATCH_SIZE,
-    grid_size: int = DEFAULT_GRID_SIZE,
-    anchor_sizes: Sequence[float] = DEFAULT_ANCHOR_SIZES,
+    patch_size: int = RunConfig.patch_size[0],
+    grid_size: int = RunConfig.grid_size,
+    anchor_sizes: Sequence[float] = RunConfig.anchor_sizes,
 ) -> list[Anchor]:
     """Build the full anchor list for one patch.
 
@@ -218,8 +219,8 @@ def decode(t: TargetVector, anchor: Anchor) -> tuple[BoundingBox, float]:
 def assign_labels(
     anchors: Sequence[Anchor],
     lesions: Sequence[BoundingBox],
-    pos_iou: float = DEFAULT_POS_IOU,
-    neg_iou: float = DEFAULT_NEG_IOU,
+    pos_iou: float = RunConfig.pos_iou,
+    neg_iou: float = RunConfig.neg_iou,
 ) -> list[AnchorLabel]:
     """Label each anchor by its best IoU against the ground-truth boxes.
 

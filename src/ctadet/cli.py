@@ -2,7 +2,8 @@
 evaluation, and two-run comparison.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 data error
-(missing or corrupt files), 4 consistency error (mismatched volume sets).
+(missing or corrupt files, including malformed manifest, annotation and
+candidate records), 4 consistency error (mismatched volume sets).
 Every command is deterministic given its config (seeds included); reruns
 produce byte-identical outputs, independent of ``--jobs``.
 """
@@ -10,6 +11,7 @@ produce byte-identical outputs, independent of ``--jobs``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib
 import json
 import sys
@@ -19,8 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .evaluation import EvalVolume, build_report, fisher_exact
+from .evaluation import EvalVolume, build_report, confusion_at_threshold, fisher_exact
 from .formats import (
+    FormatError,
     Manifest,
     ManifestVolume,
     read_annotations,
@@ -59,15 +62,15 @@ def _load_config(args) -> RunConfig:
             raise ConfigError(f"invalid config {args.config}: {e}") from e
     else:
         cfg = RunConfig()
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.jobs is not None:
-        overrides["jobs"] = args.jobs
-    if overrides:
-        cfg = RunConfig.from_dict({**cfg.to_dict(), **overrides})
+    for name in ("seed", "jobs"):  # command-line overrides
+        if getattr(args, name) is not None:
+            cfg = dataclasses.replace(cfg, **{name: getattr(args, name)})
     if cfg.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {cfg.jobs}")
+    if cfg.grid_size < 1 or cfg.patch_size[0] % cfg.grid_size:
+        raise ConfigError(
+            f"patch size {cfg.patch_size[0]} not divisible by grid size {cfg.grid_size}"
+        )
     return cfg
 
 
@@ -180,12 +183,16 @@ def _load_dataset(manifest_path) -> tuple[Manifest, Path, dict]:
     return manifest, base, annotations
 
 
+def _read_task_volume(vid, path):
+    try:
+        return read_volume(path)
+    except (FileNotFoundError, ValueError, KeyError, TypeError) as e:
+        raise DataError(f"cannot read volume {vid!r}: {e}") from e
+
+
 def _detect_worker(task):
     vid, volume_path, boxes, cfg, seed, detector = task
-    try:
-        volume = read_volume(volume_path)
-    except (FileNotFoundError, ValueError) as e:
-        raise DataError(f"cannot read volume {vid!r}: {e}") from e
+    volume = _read_task_volume(vid, volume_path)
     factory = (
         oracle_scorer_factory if detector == "oracle" else _resolve_plugin(detector)
     )
@@ -219,21 +226,9 @@ def cmd_detect(args) -> int:
 # reduce
 # ---------------------------------------------------------------------------
 
-def _read_volume_candidates(path, vid):
-    # records for other manifest volumes are legal and ignored here; the
-    # parent already rejected ids outside the manifest
-    if not Path(path).exists():
-        raise DataError(f"candidate file not found for volume {vid!r}: {path}")
-    return [cand for rec_vid, cand in read_candidates(path) if rec_vid == vid]
-
-
 def _reduce_worker(task):
-    vid, volume_path, cand_path, lesions, cfg, classifier = task
-    try:
-        volume = read_volume(volume_path)
-    except (FileNotFoundError, ValueError) as e:
-        raise DataError(f"cannot read volume {vid!r}: {e}") from e
-    cands = _read_volume_candidates(cand_path, vid)
+    vid, volume_path, cands, lesions, cfg, classifier = task
+    volume = _read_task_volume(vid, volume_path)
     if classifier == "reference":
         clf = reference_classifier
     elif classifier == "perfect":
@@ -251,23 +246,26 @@ def cmd_reduce(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     known = set(manifest.volume_ids())
     # reject candidate files whose records point at ids outside the manifest
+    records = {}
     for path in sorted(cand_dir.glob("*.cand.jsonl")):
-        for rec_vid, _ in read_candidates(path):
+        records[path.name] = read_candidates(path)
+        for rec_vid, _ in records[path.name]:
             if rec_vid not in known:
                 raise DataError(
                     f"{path}: candidate references unknown volume id {rec_vid!r}"
                 )
-    tasks = [
-        (
-            entry.volume_id,
-            str(base / entry.volume),
-            str(cand_dir / f"{entry.volume_id}.cand.jsonl"),
-            annotations.get(entry.volume_id, []),
-            cfg,
-            args.classifier,
+    tasks = []
+    for entry in manifest.volumes:
+        vid = entry.volume_id
+        path = cand_dir / f"{vid}.cand.jsonl"
+        if path.name not in records:
+            raise DataError(f"candidate file not found for volume {vid!r}: {path}")
+        # records for other manifest volumes are legal and ignored here
+        cands = [cand for rec_vid, cand in records[path.name] if rec_vid == vid]
+        tasks.append(
+            (vid, str(base / entry.volume), cands, annotations.get(vid, []), cfg,
+             args.classifier)
         )
-        for entry in manifest.volumes
-    ]
     results = _run_tasks(_reduce_worker, tasks, cfg.jobs)
     for vid, cands in results:
         write_candidates(out_dir / f"{vid}.cand.jsonl", vid, cands)
@@ -346,10 +344,10 @@ def cmd_eval(args) -> int:
         json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
     )
     write_froc_csv(out_dir / "froc.csv", report.froc.thresholds, report.froc.points)
-    if report.roc is not None:
-        write_roc_csv(out_dir / "roc.csv", report.roc.thresholds, report.roc.points)
-    else:
-        write_roc_csv(out_dir / "roc.csv", (), ())
+    roc = report.roc
+    write_roc_csv(
+        out_dir / "roc.csv", roc.thresholds if roc else (), roc.points if roc else ()
+    )
     print(f"wrote report to {out_dir / 'report.json'}")
     return 0
 
@@ -358,15 +356,15 @@ def cmd_eval(args) -> int:
 # compare
 # ---------------------------------------------------------------------------
 
-def _predictions(report: dict, op: dict) -> dict[str, tuple[bool, bool]]:
-    """volume id -> (predicted, has_lesion) at one operating point."""
-    out = {}
-    for rec in report["volume_scores"]:
-        score = rec["score"]
-        threshold = op["threshold"]
-        predicted = score >= threshold if op["score_rule"] == "ge" else score > threshold
-        out[rec["volume_id"]] = (predicted, rec["has_lesion"])
-    return out
+def _confusion(report: dict, op: dict):
+    """Volume-level confusion counts of one report at one operating point."""
+    scores = {
+        rec["volume_id"]: (rec["score"], rec["has_lesion"])
+        for rec in report["volume_scores"]
+    }
+    return confusion_at_threshold(
+        list(scores.values()), op["threshold"], inclusive=op["score_rule"] == "ge"
+    )
 
 
 def _fisher_or_none(table) -> float | None:
@@ -392,31 +390,15 @@ def cmd_compare(args) -> int:
     ops_b = {op["name"]: op for op in report_b["operating_points"]}
     rows = []
     for name in [n for n in ops_a if n in ops_b]:
-        preds_a = _predictions(report_a, ops_a[name])
-        preds_b = _predictions(report_b, ops_b[name])
-        ids = sorted(ids_a)
-
-        def counts(preds, subset):
-            correct = sum(
-                preds[v][0] == preds[v][1] for v in ids if subset(preds[v][1])
-            )
-            total = sum(1 for v in ids if subset(preds[v][1]))
-            return [correct, total - correct]
-
-        acc = [counts(preds_a, lambda _: True), counts(preds_b, lambda _: True)]
-        sens = [counts(preds_a, lambda pos: pos), counts(preds_b, lambda pos: pos)]
-        spec = [
-            counts(preds_a, lambda pos: not pos),
-            counts(preds_b, lambda pos: not pos),
-        ]
+        ms = [_confusion(report_a, ops_a[name]), _confusion(report_b, ops_b[name])]
         rows.append(
             {
                 "name": name,
                 "a": ops_a[name]["metrics"],
                 "b": ops_b[name]["metrics"],
-                "p_accuracy": _fisher_or_none(acc),
-                "p_sensitivity": _fisher_or_none(sens),
-                "p_specificity": _fisher_or_none(spec),
+                "p_accuracy": _fisher_or_none([[m.tp + m.tn, m.fp + m.fn] for m in ms]),
+                "p_sensitivity": _fisher_or_none([[m.tp, m.fn] for m in ms]),
+                "p_specificity": _fisher_or_none([[m.tn, m.fp] for m in ms]),
             }
         )
     comparison = {
@@ -498,9 +480,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DataError, ConsistencyError) as e:
+    except (ConfigError, DataError, ConsistencyError, FormatError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return e.exit_code
+        # a malformed input file is a data error
+        return getattr(e, "exit_code", DataError.exit_code)
 
 
 def entry() -> None:

@@ -17,23 +17,15 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .anchors import BoundingBox, Lesion
+from .anchors import Lesion, _as_boxes
+from .config import RunConfig
 from .postproc import CandidateDetection
-
-DEFAULT_FPPV_GRID = (0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
-DEFAULT_OPERATING_FPPVS = (0.25, 1.0)
-DEFAULT_BOOTSTRAP_RESAMPLES = 1000
-DEFAULT_BOOTSTRAP_LEVEL = 0.95
 
 
 class StatisticUndefined(ValueError):
     """Raised when a statistic has no value on the given data (e.g. FROC
     with zero lesions, AUC with a single class).  Bootstrap resampling
     redraws on this error."""
-
-
-def _as_boxes(lesions: Sequence) -> list[BoundingBox]:
-    return [l.box if isinstance(l, Lesion) else l for l in lesions]
 
 
 @dataclass(frozen=True)
@@ -146,7 +138,7 @@ def sensitivity_at_fppv(curve: FrocCurve, fppv: float) -> float:
 
 
 def avg_sensitivity(
-    curve: FrocCurve, fppvs: Sequence[float] = DEFAULT_FPPV_GRID
+    curve: FrocCurve, fppvs: Sequence[float] = RunConfig.fppv_grid
 ) -> float:
     """Mean sensitivity over the reference FPPV grid."""
     return float(sum(sensitivity_at_fppv(curve, f) for f in fppvs) / len(fppvs))
@@ -275,8 +267,8 @@ def best_f1_threshold(
 def bootstrap_ci(
     statistic: Callable[[list], float],
     dataset: Sequence,
-    n_resamples: int = DEFAULT_BOOTSTRAP_RESAMPLES,
-    level: float = DEFAULT_BOOTSTRAP_LEVEL,
+    n_resamples: int = RunConfig.bootstrap_resamples,
+    level: float = RunConfig.bootstrap_level,
     seed: int = 0,
     max_retries: int = 100,
 ) -> tuple[float, float]:
@@ -457,7 +449,7 @@ def stratified_sensitivities(
     matches: Sequence[MatchResult],
     curve: FrocCurve,
     strata_keys: Sequence[str],
-    operating_fppvs: Sequence[float] = DEFAULT_OPERATING_FPPVS,
+    operating_fppvs: Sequence[float] = RunConfig.operating_fppvs,
 ) -> dict[str, dict[str, dict]]:
     """Per-stratum lesion sensitivity at thresholds fixed from the global
     FROC curve.  Every lesion must carry every requested label key."""
@@ -493,11 +485,11 @@ def _fppv_key(fppv: float) -> str:
 
 def build_report(
     volumes: Sequence[EvalVolume],
-    fppv_grid: Sequence[float] = DEFAULT_FPPV_GRID,
-    operating_fppvs: Sequence[float] = DEFAULT_OPERATING_FPPVS,
+    fppv_grid: Sequence[float] = RunConfig.fppv_grid,
+    operating_fppvs: Sequence[float] = RunConfig.operating_fppvs,
     strata_keys: Sequence[str] = (),
-    n_resamples: int = DEFAULT_BOOTSTRAP_RESAMPLES,
-    level: float = DEFAULT_BOOTSTRAP_LEVEL,
+    n_resamples: int = RunConfig.bootstrap_resamples,
+    level: float = RunConfig.bootstrap_level,
     seed: int = 0,
     provenance: Optional[Mapping[str, object]] = None,
 ) -> EvaluationReport:

@@ -9,7 +9,9 @@ Candidate record (one detection per line):
     {"volume_id": "...", "center_vox": [x, y, z], "diameter_vox": s,
      "prob": p, "stage": "detector" | "reduced"}
 
-All writers emit sorted-key JSON so reruns are byte-identical.
+All writers emit sorted-key JSON so reruns are byte-identical.  Readers
+raise :class:`FormatError`, naming the file and line, on a record that
+does not parse.
 """
 
 from __future__ import annotations
@@ -17,124 +19,132 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .anchors import BoundingBox, Lesion
 from .fpr import FprLabel, FprTrainingRecord
 from .postproc import CandidateDetection, Stage
 
+# what a malformed record raises: bad JSON or values (ValueError), a
+# missing key (KeyError), or a value of the wrong JSON type
+_RECORD_ERRORS = (ValueError, KeyError, TypeError, AttributeError)
 
-def _dump_line(obj) -> str:
-    return json.dumps(obj, sort_keys=True) + "\n"
+
+class FormatError(ValueError):
+    """An input file that does not parse; the message names the file and,
+    for JSON Lines, the line."""
+
+
+def _write_jsonl(path, records) -> None:
+    with open(path, "w") as f:
+        f.writelines(json.dumps(r, sort_keys=True) + "\n" for r in records)
+
+
+def _read_jsonl(path, parse: Callable[[dict], object]) -> Iterator:
+    """Parse each non-blank line of a JSON Lines file with ``parse``."""
+    with open(path) as f:
+        for lineno, line in enumerate(f, 1):
+            if not line.strip():
+                continue
+            try:
+                record = parse(json.loads(line))
+            except _RECORD_ERRORS as e:
+                raise FormatError(f"{path}:{lineno}: invalid record: {e!r}") from e
+            yield record
 
 
 def write_annotations(path, lesions_by_volume: Mapping[str, Sequence[Lesion]]) -> None:
-    with open(path, "w") as f:
-        for volume_id, lesions in lesions_by_volume.items():
-            for lesion in lesions:
-                f.write(
-                    _dump_line(
-                        {
-                            "volume_id": volume_id,
-                            "center_vox": list(lesion.box.center),
-                            "diameter_vox": lesion.box.diameter,
-                            "labels": dict(lesion.labels),
-                        }
-                    )
-                )
+    _write_jsonl(
+        path,
+        (
+            {
+                "volume_id": volume_id,
+                "center_vox": list(lesion.box.center),
+                "diameter_vox": lesion.box.diameter,
+                "labels": dict(lesion.labels),
+            }
+            for volume_id, lesions in lesions_by_volume.items()
+            for lesion in lesions
+        ),
+    )
+
+
+def _lesion(rec) -> tuple[str, Lesion]:
+    lesion = Lesion(
+        BoundingBox(tuple(rec["center_vox"]), rec["diameter_vox"]),
+        {str(k): str(v) for k, v in rec.get("labels", {}).items()},
+    )
+    return str(rec["volume_id"]), lesion
 
 
 def read_annotations(path) -> dict[str, list[Lesion]]:
     """Lesions grouped by volume id; volumes without lesions do not appear."""
     out: dict[str, list[Lesion]] = {}
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            lesion = Lesion(
-                BoundingBox(tuple(rec["center_vox"]), rec["diameter_vox"]),
-                {str(k): str(v) for k, v in rec.get("labels", {}).items()},
-            )
-            out.setdefault(str(rec["volume_id"]), []).append(lesion)
+    for volume_id, lesion in _read_jsonl(path, _lesion):
+        out.setdefault(volume_id, []).append(lesion)
     return out
 
 
 def write_candidates(
     path, volume_id: str, candidates: Sequence[CandidateDetection]
 ) -> None:
-    with open(path, "w") as f:
-        for c in candidates:
-            f.write(
-                _dump_line(
-                    {
-                        "volume_id": volume_id,
-                        "center_vox": list(c.box.center),
-                        "diameter_vox": c.box.diameter,
-                        "prob": c.probability,
-                        "stage": c.stage.value,
-                    }
-                )
-            )
+    _write_jsonl(
+        path,
+        (
+            {
+                "volume_id": volume_id,
+                "center_vox": list(c.box.center),
+                "diameter_vox": c.box.diameter,
+                "prob": c.probability,
+                "stage": c.stage.value,
+            }
+            for c in candidates
+        ),
+    )
+
+
+def _candidate(rec) -> tuple[str, CandidateDetection]:
+    cand = CandidateDetection(
+        BoundingBox(tuple(rec["center_vox"]), rec["diameter_vox"]),
+        float(rec["prob"]),
+        Stage(rec["stage"]),
+    )
+    return str(rec["volume_id"]), cand
 
 
 def read_candidates(path) -> list[tuple[str, CandidateDetection]]:
-    out = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            out.append(
-                (
-                    str(rec["volume_id"]),
-                    CandidateDetection(
-                        BoundingBox(tuple(rec["center_vox"]), rec["diameter_vox"]),
-                        float(rec["prob"]),
-                        Stage(rec["stage"]),
-                    ),
-                )
-            )
-    return out
+    return list(_read_jsonl(path, _candidate))
 
 
 def write_fpr_manifest(path, records: Sequence[FprTrainingRecord]) -> None:
     """Training-patch manifest: one line per (candidate, scale) patch."""
-    with open(path, "w") as f:
-        for r in records:
-            f.write(
-                _dump_line(
-                    {
-                        "volume_id": r.volume_id,
-                        "center_vox": list(r.center_vox),
-                        "label": r.label.value,
-                        "scale": r.scale,
-                        "patch_file": r.patch_file,
-                    }
-                )
-            )
+    _write_jsonl(
+        path,
+        (
+            {
+                "volume_id": r.volume_id,
+                "center_vox": list(r.center_vox),
+                "label": r.label.value,
+                "scale": r.scale,
+                "patch_file": r.patch_file,
+            }
+            for r in records
+        ),
+    )
+
+
+def _fpr_record(rec) -> FprTrainingRecord:
+    return FprTrainingRecord(
+        volume_id=str(rec["volume_id"]),
+        center_vox=tuple(float(c) for c in rec["center_vox"]),
+        label=FprLabel(rec["label"]),
+        scale=int(rec["scale"]),
+        patch_file=str(rec["patch_file"]),
+    )
 
 
 def read_fpr_manifest(path) -> list[FprTrainingRecord]:
-    out = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            out.append(
-                FprTrainingRecord(
-                    volume_id=str(rec["volume_id"]),
-                    center_vox=tuple(float(c) for c in rec["center_vox"]),
-                    label=FprLabel(rec["label"]),
-                    scale=int(rec["scale"]),
-                    patch_file=str(rec["patch_file"]),
-                )
-            )
-    return out
+    return list(_read_jsonl(path, _fpr_record))
 
 
 @dataclass(frozen=True)
@@ -171,26 +181,30 @@ def write_manifest(path, manifest: Manifest) -> None:
 
 
 def read_manifest(path) -> Manifest:
-    doc = json.loads(Path(path).read_text())
-    return Manifest(
-        volumes=tuple(
-            ManifestVolume(
-                str(v["volume_id"]), str(v["volume"]), int(v.get("n_lesions", 0))
-            )
-            for v in doc["volumes"]
-        ),
-        annotations=str(doc["annotations"]),
-        seed=doc.get("seed"),
-    )
+    try:
+        doc = json.loads(Path(path).read_text())
+        return Manifest(
+            volumes=tuple(
+                ManifestVolume(
+                    str(v["volume_id"]), str(v["volume"]), int(v.get("n_lesions", 0))
+                )
+                for v in doc["volumes"]
+            ),
+            annotations=str(doc["annotations"]),
+            seed=doc.get("seed"),
+        )
+    except _RECORD_ERRORS as e:
+        raise FormatError(f"{path}: invalid manifest: {e!r}") from e
+
+
+def _write_curve_csv(path, header: str, thresholds, points) -> None:
+    lines = [header] + [f"{t},{f},{s}" for t, (f, s) in zip(thresholds, points)]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_froc_csv(path, thresholds, points) -> None:
-    lines = ["threshold,fppv,sensitivity"]
-    lines += [f"{t},{f},{s}" for t, (f, s) in zip(thresholds, points)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_curve_csv(path, "threshold,fppv,sensitivity", thresholds, points)
 
 
 def write_roc_csv(path, thresholds, points) -> None:
-    lines = ["threshold,fpr,tpr"]
-    lines += [f"{t},{f},{s}" for t, (f, s) in zip(thresholds, points)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_curve_csv(path, "threshold,fpr,tpr", thresholds, points)

@@ -9,25 +9,15 @@ probabilities, one per patch scale; reference implementations live in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 from .anchors import BoundingBox
+from .config import RunConfig
 from .postproc import CandidateDetection, Stage, nms
-from .volume import (
-    AIR_HU,
-    HU_WINDOW,
-    PatchSpec,
-    Volume,
-    extract_patch,
-    normalize_hu,
-    write_volume,
-)
-
-FPR_PATCH_SIZES = ((20, 20, 10), (32, 32, 16), (48, 48, 32))
-DEFAULT_SENSITIVITY_FLOOR = 0.05
+from .volume import AIR_HU, PatchSpec, Volume, extract_patch, normalize_hu, write_volume
 
 Classifier = Callable[["FprPatchSet"], Sequence[float]]
 
@@ -58,9 +48,9 @@ class FprLabel(Enum):
 def select_candidates(
     cands: Sequence[CandidateDetection],
     sensitivity_mode: bool = True,
-    floor: float = DEFAULT_SENSITIVITY_FLOOR,
-    iou_thresh: float = 0.25,
-    prob_thresh: float = 0.25,
+    floor: float = RunConfig.sensitivity_floor,
+    iou_thresh: float = RunConfig.nms_iou,
+    prob_thresh: float = RunConfig.nms_prob,
 ) -> list[CandidateDetection]:
     """Pick the locations to rescore.
 
@@ -72,29 +62,44 @@ def select_candidates(
                prob_thresh=floor if sensitivity_mode else prob_thresh)
 
 
+def patch_origins(
+    center: Sequence[float],
+    dims: Sequence[int],
+    patch_sizes: Sequence[tuple[int, int, int]],
+) -> Optional[list[tuple[int, int, int]]]:
+    """Origins of the patches centered on ``center``, one per size, or None
+    when the center lies outside the volume.
+
+    For even sizes the center maps to patch index size/2.
+    """
+    if not all(0 <= c < d for c, d in zip(center, dims)):
+        return None
+    center_idx = [int(math.floor(c + 0.5)) for c in center]
+    return [
+        tuple(ci - s // 2 for ci, s in zip(center_idx, size)) for size in patch_sizes
+    ]
+
+
 def extract_fpr_patches(
     v: Volume,
     cand: CandidateDetection,
-    patch_sizes: Sequence[tuple[int, int, int]] = FPR_PATCH_SIZES,
+    patch_sizes: Sequence[tuple[int, int, int]] = RunConfig.fpr_patch_sizes,
     pad_value: float = AIR_HU,
-    window: tuple[float, float] = HU_WINDOW,
+    window: tuple[float, float] = RunConfig.hu_window,
 ) -> FprPatchSet:
     """Extract the three candidate-centered patches, padded and normalized.
 
-    For even sizes the candidate center maps to patch index size/2.  The
-    candidate center must lie inside the volume.
+    The candidate center must lie inside the volume.
     """
-    center = cand.box.center
-    if not all(0 <= c < d for c, d in zip(center, v.dims)):
+    origins = patch_origins(cand.box.center, v.dims, patch_sizes)
+    if origins is None:
         raise ValueError(
-            f"candidate center {center} outside volume bounds {v.dims}"
+            f"candidate center {cand.box.center} outside volume bounds {v.dims}"
         )
-    center_idx = tuple(int(math.floor(c + 0.5)) for c in center)
-    patches = []
-    for size in patch_sizes:
-        origin = tuple(ci - s // 2 for ci, s in zip(center_idx, size))
-        patch = extract_patch(v, PatchSpec(origin, size, pad_value))
-        patches.append(normalize_hu(patch, window))
+    patches = [
+        normalize_hu(extract_patch(v, PatchSpec(origin, size, pad_value)), window)
+        for origin, size in zip(origins, patch_sizes)
+    ]
     return FprPatchSet(cand, tuple(patches))
 
 
@@ -139,7 +144,7 @@ def export_training_patches(
     candidates: Sequence[CandidateDetection],
     lesions: Sequence[BoundingBox],
     out_dir,
-    patch_sizes: Sequence[tuple[int, int, int]] = FPR_PATCH_SIZES,
+    patch_sizes: Sequence[tuple[int, int, int]] = RunConfig.fpr_patch_sizes,
     pad_value: float = AIR_HU,
 ) -> list[FprTrainingRecord]:
     """Extract candidate-centered patches to disk for classifier training.
@@ -153,19 +158,17 @@ def export_training_patches(
     out_dir.mkdir(parents=True, exist_ok=True)
     records = []
     for idx, cand in enumerate(candidates):
-        center = cand.box.center
-        if not all(0 <= c < d for c, d in zip(center, volume.dims)):
+        origins = patch_origins(cand.box.center, volume.dims, patch_sizes)
+        if origins is None:
             continue
-        center_idx = tuple(int(math.floor(c + 0.5)) for c in center)
-        for scale, size in enumerate(patch_sizes):
-            origin = tuple(ci - s // 2 for ci, s in zip(center_idx, size))
+        for scale, (origin, size) in enumerate(zip(origins, patch_sizes)):
             patch = extract_patch(volume, PatchSpec(origin, size, pad_value))
             name = f"{volume.volume_id}-c{idx:04d}-s{scale}"
             write_volume(patch, out_dir / name)
             records.append(
                 FprTrainingRecord(
                     volume_id=volume.volume_id,
-                    center_vox=center,
+                    center_vox=cand.box.center,
                     label=label_candidate(cand, lesions, size),
                     scale=scale,
                     patch_file=f"{name}.vol.json",
@@ -182,10 +185,5 @@ def rescore(cand: CandidateDetection, probs: Sequence[float]) -> CandidateDetect
     for p in probs:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"probability {p} outside [0, 1]")
-    return CandidateDetection(
-        box=cand.box,
-        probability=sum(float(p) for p in probs) / 3.0,
-        stage=Stage.REDUCED,
-        source_tile=cand.source_tile,
-        scale_index=cand.scale_index,
-    )
+    mean = sum(float(p) for p in probs) / 3.0
+    return replace(cand, probability=mean, stage=Stage.REDUCED)

@@ -14,16 +14,14 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .anchors import Anchor, AnchorLabel, AnchorStatus, TargetVector
-
-DEFAULT_LAMBDA_REG = 0.5
-DEFAULT_HARD_NEG_K = 2
+from .config import RunConfig
 
 
 @dataclass(frozen=True)
 class LossParams:
-    lambda_reg: float = DEFAULT_LAMBDA_REG
+    lambda_reg: float = RunConfig.lambda_reg
     eps: float = 1e-7  # probability clamp before logs
-    hard_neg_k: int = DEFAULT_HARD_NEG_K
+    hard_neg_k: int = RunConfig.hard_neg_k
 
     def __post_init__(self):
         if self.lambda_reg < 0:

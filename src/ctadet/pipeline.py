@@ -11,6 +11,7 @@ network.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
@@ -26,7 +27,7 @@ from .anchors import (
     iou3d,
 )
 from .config import RunConfig
-from .fpr import extract_fpr_patches, rescore, select_candidates
+from .fpr import extract_fpr_patches, patch_origins, rescore, select_candidates
 from .postproc import CandidateDetection, Stage, merge_tiles
 from .synth import OracleDetectorSpec, oracle_detect
 from .volume import (
@@ -110,10 +111,6 @@ def oracle_scorer_factory(
         seed=seed,
     )
     candidates = oracle_detect(lesions, spec, volume.dims)
-    if cfg.patch_size[0] % cfg.grid_size != 0:
-        raise ValueError(
-            f"patch size {cfg.patch_size[0]} not divisible by grid {cfg.grid_size}"
-        )
     return OracleTileScorer(
         candidates,
         grid_size=cfg.grid_size,
@@ -168,12 +165,7 @@ def detect_volume(
             f"volume {v.volume_id!r} exceeds the {cfg.cranial_max_extent_mm} mm "
             "extent limit but lacks the cranial-direction flag"
         )
-    shifted = [
-        BoundingBox(
-            (b.center[0], b.center[1], b.center[2] - z_offset), b.diameter
-        )
-        for b in lesions
-    ]
+    shifted = [b.translated((0, 0, -z_offset)) for b in lesions]
     scorer = scorer_factory(v, shifted, cfg, seed)
     anchors = anchor_grid(cfg.patch_size[0], cfg.grid_size, cfg.anchor_sizes)
     tiles = tile_volume(v, cfg.patch_size, cfg.tile_overlap)
@@ -184,19 +176,7 @@ def detect_volume(
         per_tile.append((tile, _decode_grid(preds, anchors, cfg.sensitivity_floor, tile)))
     merged = merge_tiles(per_tile, cfg.nms_iou, cfg.sensitivity_floor)
     if z_offset:
-        merged = [
-            CandidateDetection(
-                BoundingBox(
-                    (c.box.center[0], c.box.center[1], c.box.center[2] + z_offset),
-                    c.box.diameter,
-                ),
-                c.probability,
-                c.stage,
-                c.source_tile,
-                c.scale_index,
-            )
-            for c in merged
-        ]
+        merged = [replace(c, box=c.box.translated((0, 0, z_offset))) for c in merged]
     return merged
 
 
@@ -218,11 +198,10 @@ def reduce_volume(
         sensitivity_mode=True,
         floor=cfg.sensitivity_floor,
         iou_thresh=cfg.nms_iou,
-        prob_thresh=cfg.nms_prob,
     )
     out = []
     for cand in selected:
-        if not all(0 <= c < d for c, d in zip(cand.box.center, volume.dims)):
+        if patch_origins(cand.box.center, volume.dims, cfg.fpr_patch_sizes) is None:
             continue
         patch_set = extract_fpr_patches(
             volume, cand, cfg.fpr_patch_sizes, window=cfg.hu_window

@@ -7,10 +7,8 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .anchors import BoundingBox, iou3d
+from .config import RunConfig
 from .volume import PatchSpec
-
-DEFAULT_NMS_IOU = 0.25
-DEFAULT_NMS_PROB = 0.25
 
 
 class Stage(Enum):
@@ -47,8 +45,8 @@ def _sort_key(c: CandidateDetection):
 
 def nms(
     cands: Sequence[CandidateDetection],
-    iou_thresh: float = DEFAULT_NMS_IOU,
-    prob_thresh: float = DEFAULT_NMS_PROB,
+    iou_thresh: float = RunConfig.nms_iou,
+    prob_thresh: float = RunConfig.nms_prob,
 ) -> list[CandidateDetection]:
     """Greedy non-maximum suppression.
 
@@ -79,8 +77,8 @@ def to_volume_coords(
 
 def merge_tiles(
     per_tile: Sequence[tuple[PatchSpec, Sequence[CandidateDetection]]],
-    iou_thresh: float = DEFAULT_NMS_IOU,
-    prob_thresh: float = DEFAULT_NMS_PROB,
+    iou_thresh: float = RunConfig.nms_iou,
+    prob_thresh: float = RunConfig.nms_prob,
 ) -> list[CandidateDetection]:
     """Globalize per-tile candidates, concatenate, and run one NMS pass.
 

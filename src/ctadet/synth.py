@@ -17,7 +17,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .anchors import BoundingBox, Lesion
+from .anchors import BoundingBox, Lesion, _as_boxes
+from .config import RunConfig
 from .fpr import FprPatchSet
 from .postproc import CandidateDetection, Stage
 from .volume import Volume
@@ -28,16 +29,16 @@ SIZE_CLASS_TOP = ">10mm"
 
 @dataclass(frozen=True)
 class PhantomSpec:
-    dims: tuple[int, int, int] = (128, 128, 96)
-    spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    n_vessels: int = 4
-    vessel_radius_range: tuple[float, float] = (2.0, 4.0)
-    n_aneurysms: int = 3
-    aneurysm_diameter_range: tuple[float, float] = (2.5, 20.0)
-    vessel_hu: float = 300.0
-    aneurysm_hu: float = 400.0
-    background_hu: float = 40.0
-    noise_sigma: float = 15.0
+    dims: tuple[int, int, int] = RunConfig.phantom_dims
+    spacing: tuple[float, float, float] = RunConfig.phantom_spacing
+    n_vessels: int = RunConfig.n_vessels
+    vessel_radius_range: tuple[float, float] = RunConfig.vessel_radius_range
+    n_aneurysms: int = RunConfig.n_aneurysms
+    aneurysm_diameter_range: tuple[float, float] = RunConfig.aneurysm_diameter_range
+    vessel_hu: float = RunConfig.vessel_hu
+    aneurysm_hu: float = RunConfig.aneurysm_hu
+    background_hu: float = RunConfig.background_hu
+    noise_sigma: float = RunConfig.phantom_noise_sigma
     seed: int = 0
 
     def __post_init__(self):
@@ -59,12 +60,12 @@ class PhantomSpec:
 class OracleDetectorSpec:
     """Controls for the ground-truth-backed stand-in detector."""
 
-    hit_prob: float = 1.0
-    center_jitter_sigma: float = 0.0
-    diameter_jitter_ratio: float = 0.0
-    fp_per_volume: float = 0.0
-    fp_prob_range: tuple[float, float] = (0.2, 0.8)
-    tp_prob_range: tuple[float, float] = (1.0, 1.0)
+    hit_prob: float = RunConfig.detector_hit_prob
+    center_jitter_sigma: float = RunConfig.detector_center_jitter
+    diameter_jitter_ratio: float = RunConfig.detector_diameter_jitter
+    fp_per_volume: float = RunConfig.detector_fp_per_volume
+    fp_prob_range: tuple[float, float] = RunConfig.detector_fp_prob_range
+    tp_prob_range: tuple[float, float] = RunConfig.detector_tp_prob_range
     fp_diameter_range: tuple[float, float] = (2.5, 10.0)
     seed: int = 0
 
@@ -217,8 +218,9 @@ def oracle_detect(
     derived from (seed, 0, lesion index) and the false-positive stream from
     (seed, 1), so results are independent of list-external state.
     """
+    boxes = _as_boxes(truth)
     cands: list[CandidateDetection] = []
-    for i, box in enumerate(_as_boxes(truth)):
+    for i, box in enumerate(boxes):
         r = np.random.default_rng([spec.seed, 0, i])
         if r.random() >= spec.hit_prob:
             continue
@@ -236,7 +238,6 @@ def oracle_detect(
         )
 
     r = np.random.default_rng([spec.seed, 1])
-    boxes = _as_boxes(truth)
     for _ in range(int(r.poisson(spec.fp_per_volume))):
         for _attempt in range(100):
             center = tuple(r.uniform(2.0, d - 3.0) for d in dims)
@@ -247,10 +248,6 @@ def oracle_detect(
                 cands.append(CandidateDetection(fp_box, prob, Stage.DETECTOR))
                 break
     return cands
-
-
-def _as_boxes(lesions: Sequence) -> list[BoundingBox]:
-    return [l.box if isinstance(l, Lesion) else l for l in lesions]
 
 
 def reference_classifier(

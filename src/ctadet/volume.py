@@ -19,12 +19,9 @@ import numpy as np
 from scipy import ndimage
 
 from .anchors import BoundingBox
+from .config import RunConfig
 
 AIR_HU = -1000.0
-HU_WINDOW = (-1000.0, 1000.0)
-CRANIAL_MAX_EXTENT_MM = 200.0
-DEFAULT_TILE_SIZE = (96, 96, 96)
-DEFAULT_TILE_OVERLAP = 16
 
 _RAW_SUFFIX = ".vol.raw"
 _JSON_SUFFIX = ".vol.json"
@@ -167,7 +164,7 @@ def read_volume(path) -> Volume:
     )
 
 
-def normalize_hu(v: Volume, window: tuple[float, float] = HU_WINDOW) -> Volume:
+def normalize_hu(v: Volume, window: tuple[float, float] = RunConfig.hu_window) -> Volume:
     """Clamp HU to the window and scale into [-1, 1]."""
     lo, hi = window
     scale = max(abs(lo), abs(hi))
@@ -175,7 +172,9 @@ def normalize_hu(v: Volume, window: tuple[float, float] = HU_WINDOW) -> Volume:
     return Volume(values, v.spacing, v.volume_id, v.cranial_axis)
 
 
-def truncate_cranial(v: Volume, max_extent_mm: float = CRANIAL_MAX_EXTENT_MM) -> Volume:
+def truncate_cranial(
+    v: Volume, max_extent_mm: float = RunConfig.cranial_max_extent_mm
+) -> Volume:
     """Keep only the cranial-most slices up to ``max_extent_mm`` of z extent.
 
     Volumes already within the limit are returned unchanged.  Requires the
@@ -213,8 +212,8 @@ def _axis_origins(dim: int, patch: int, overlap: int) -> list[int]:
 
 def tile_volume(
     v: Volume,
-    patch_size=DEFAULT_TILE_SIZE,
-    overlap: int = DEFAULT_TILE_OVERLAP,
+    patch_size=RunConfig.patch_size,
+    overlap: int = RunConfig.tile_overlap,
     pad_value: float = AIR_HU,
 ) -> list[PatchSpec]:
     """Cover the volume with overlapping patches.
@@ -343,7 +342,7 @@ def sample_training_patches(
     n: int,
     positive_fraction: float = 0.5,
     seed: int = 0,
-    patch_size=DEFAULT_TILE_SIZE,
+    patch_size=RunConfig.patch_size,
     pad_value: float = AIR_HU,
 ) -> list[PatchSpec]:
     """Draw patch locations, balanced between lesion-centered and uniform.

@@ -243,6 +243,17 @@ class TestReduceEvalCompare:
         ])
         assert rc == 3
 
+    def test_reduce_missing_candidates_exit_3(self, tmp_path, pipeline, capsys):
+        config, data, cand = pipeline
+        (cand / "vol-0002.cand.jsonl").unlink()
+        rc = main([
+            "reduce", "--config", str(config),
+            "--manifest", str(data / "manifest.json"),
+            "--candidates", str(cand), "--out", str(tmp_path / "r"),
+        ])
+        assert rc == 3
+        assert "vol-0002" in capsys.readouterr().err
+
     def test_compare_identical_reports_p_one(self, tmp_path, pipeline):
         config, data, cand = pipeline
         out = tmp_path / "eval"
@@ -362,3 +373,75 @@ class TestReduceEvalCompare:
             "--report-b", str(reports[1]), "--out", str(tmp_path / "c.json"),
         ])
         assert rc == 4
+
+
+def _append_truncated_record(path: Path) -> str:
+    """Append a record cut off mid-line; returns the ``name:line`` it sits on."""
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines) + '{"volume_id": "vol-0000", "center_vox": [1.0,\n')
+    return f"{path.name}:{len(lines) + 1}"
+
+
+def _corrupt(kind: str, data: Path, cand: Path) -> str:
+    """Damage one input file; returns the location the error must name."""
+    manifest = data / "manifest.json"
+    if kind == "candidates":
+        return _append_truncated_record(cand / "vol-0000.cand.jsonl")
+    if kind == "annotations":
+        return _append_truncated_record(data / "annotations.jsonl")
+    if kind == "manifest-json":
+        manifest.write_text(manifest.read_text()[:40])
+        return "manifest.json:"
+    if kind == "manifest-keys":
+        doc = json.loads(manifest.read_text())
+        del doc["volumes"]
+        manifest.write_text(json.dumps(doc))
+        return "manifest.json"
+    # a volume header without dims, read inside a --jobs 2 worker
+    header = data / "vol-0001.vol.json"
+    doc = json.loads(header.read_text())
+    del doc["dims"]
+    header.write_text(json.dumps(doc))
+    return "vol-0001"
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "kind,command",
+        [
+            ("candidates", "eval"),
+            ("candidates", "reduce"),
+            ("annotations", "detect"),
+            ("manifest-json", "detect"),
+            ("manifest-keys", "eval"),
+            ("volume-header", "detect"),
+        ],
+    )
+    def test_exit_3_names_the_file(self, tmp_path, capsys, kind, command):
+        config = small_config(tmp_path)
+        data = run_dataset(tmp_path, config)
+        cand = tmp_path / "cand"
+        assert main([
+            "detect", "--config", str(config),
+            "--manifest", str(data / "manifest.json"), "--out", str(cand),
+        ]) == 0
+        where = _corrupt(kind, data, cand)
+        capsys.readouterr()
+        args = [command, "--config", str(config), "--jobs", "2",
+                "--manifest", str(data / "manifest.json"),
+                "--out", str(tmp_path / "out")]
+        if command != "detect":
+            args += ["--candidates", str(cand)]
+        assert main(args) == 3
+        assert where in capsys.readouterr().err
+
+    def test_grid_not_dividing_patch_exit_2(self, tmp_path, capsys):
+        data = run_dataset(tmp_path, small_config(tmp_path))
+        (tmp_path / "bad").mkdir()
+        config = small_config(tmp_path / "bad", grid_size=25)
+        assert main([
+            "detect", "--config", str(config),
+            "--manifest", str(data / "manifest.json"),
+            "--out", str(tmp_path / "cand"),
+        ]) == 2
+        assert "grid size 25" in capsys.readouterr().err

@@ -1,0 +1,40 @@
+"""Guards for the single source of defaults: ``RunConfig`` declares each
+documented default once, and library code derives its defaults from it."""
+
+import dataclasses
+import importlib
+import pkgutil
+
+import numpy as np
+
+import ctadet
+from ctadet import cli, pipeline
+from ctadet.config import RunConfig
+from ctadet.synth import OracleDetectorSpec, PhantomSpec
+from ctadet.volume import Volume
+
+# names the defaults once had as module constants
+RETIRED = {"FPR_PATCH_SIZES", "HU_WINDOW", "CRANIAL_MAX_EXTENT_MM"}
+
+
+def test_no_module_redeclares_defaults():
+    for info in pkgutil.iter_modules(ctadet.__path__):
+        module = importlib.import_module(f"ctadet.{info.name}")
+        names = {n for n in vars(module) if n.startswith("DEFAULT_") or n in RETIRED}
+        assert not names, f"ctadet.{info.name} declares {sorted(names)}"
+
+
+def test_phantom_spec_defaults_match_run_config():
+    cfg = RunConfig()
+    built = cli._phantom_spec(cfg, seed=7, n_aneurysms=cfg.n_aneurysms)
+    assert dataclasses.replace(built, seed=0) == PhantomSpec()
+
+
+def test_oracle_spec_defaults_match_run_config(monkeypatch):
+    seen = []
+    monkeypatch.setattr(
+        pipeline, "oracle_detect", lambda truth, spec, dims: seen.append(spec) or []
+    )
+    volume = Volume(np.zeros((4, 4, 4), dtype=np.int16), (1.0, 1.0, 1.0))
+    pipeline.oracle_scorer_factory(volume, [], RunConfig(), seed=7)
+    assert dataclasses.replace(seen[0], seed=0) == OracleDetectorSpec()

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from ctadet.anchors import BoundingBox
+from ctadet.config import RunConfig
 from ctadet.evaluation import froc, sensitivity_at_fppv
 from ctadet.fpr import (
-    FPR_PATCH_SIZES,
     FprLabel,
     FprPatchSet,
     extract_fpr_patches,
@@ -51,7 +51,7 @@ class TestExtractFprPatches:
         v = Volume(rng.integers(-100, 100, (128, 128, 128)).astype(np.int16),
                    (1, 1, 1), "r", "+z")
         ps = extract_fpr_patches(v, cand((64.0, 64.0, 64.0)))
-        assert ps.sizes == FPR_PATCH_SIZES
+        assert ps.sizes == RunConfig.fpr_patch_sizes
         # no padding anywhere: every voxel comes from the volume interior
         for patch in ps.patches:
             assert patch.values.min() >= -100 / 1000.0
@@ -69,7 +69,7 @@ class TestExtractFprPatches:
         marked[30, 30, 30] = 1000
         v = Volume(marked, (1, 1, 1), "m", "+z")
         ps = extract_fpr_patches(v, cand((30.0, 30.0, 30.0)))
-        for patch, size in zip(ps.patches, FPR_PATCH_SIZES):
+        for patch, size in zip(ps.patches, RunConfig.fpr_patch_sizes):
             idx = tuple(s // 2 for s in size)
             assert patch.values[idx] == 1.0
 
@@ -179,9 +179,9 @@ class TestExportTrainingPatches:
         for r in records:
             assert r.scale in (0, 1, 2)
             patch = read_volume(tmp_path / r.patch_file)
-            assert patch.dims == FPR_PATCH_SIZES[r.scale]
+            assert patch.dims == RunConfig.fpr_patch_sizes[r.scale]
             expected = label_candidate(
-                cand(r.center_vox), boxes, FPR_PATCH_SIZES[r.scale]
+                cand(r.center_vox), boxes, RunConfig.fpr_patch_sizes[r.scale]
             )
             assert r.label is expected
         # true detections label positive, injected ones negative or excluded

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ctadet.anchors import BoundingBox, iou3d
-from ctadet.fpr import FPR_PATCH_SIZES, extract_fpr_patches
+from ctadet.fpr import extract_fpr_patches
 from ctadet.postproc import CandidateDetection
 from ctadet.synth import (
     OracleDetectorSpec,
