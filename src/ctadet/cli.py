@@ -373,12 +373,54 @@ def _fisher_or_none(table) -> float | None:
     return fisher_exact(table)
 
 
-def cmd_compare(args) -> int:
+# the records compare reads from a report, and the types it needs in them
+_REPORT_RECORDS = {
+    "volume_scores": {"volume_id": str, "score": (int, float), "has_lesion": bool},
+    "operating_points": {
+        "name": str,
+        "threshold": (int, float),
+        "score_rule": str,
+        "metrics": dict,
+    },
+}
+
+
+def _report_problem(report) -> str | None:
+    if not isinstance(report, dict):
+        return "not a JSON object"
+    for key, fields in _REPORT_RECORDS.items():
+        records = report.get(key)
+        if not isinstance(records, list):
+            return f"{key!r} is missing or not a list"
+        for i, rec in enumerate(records):
+            if not isinstance(rec, dict):
+                return f"{key}[{i}] is not an object"
+            for name, kind in fields.items():
+                if not isinstance(rec.get(name), kind):
+                    return f"{key}[{i}] lacks {name!r} or it has the wrong type"
+    froc = report.get("froc")
+    if not isinstance(froc, dict) or "points" not in froc:
+        return "'froc' is missing or lacks 'points'"
+    return None
+
+
+def _read_report(path) -> dict:
+    """A report.json holding every key compare reads; DataError otherwise."""
     try:
-        report_a = json.loads(Path(args.report_a).read_text())
-        report_b = json.loads(Path(args.report_b).read_text())
-    except FileNotFoundError as e:
+        report = json.loads(Path(path).read_text())
+    except OSError as e:
         raise DataError(str(e)) from e
+    except ValueError as e:  # JSON and UTF-8 decode errors
+        raise DataError(f"{path}: not a JSON report: {e}") from e
+    problem = _report_problem(report)
+    if problem:
+        raise DataError(f"{path}: malformed report: {problem}")
+    return report
+
+
+def cmd_compare(args) -> int:
+    report_a = _read_report(args.report_a)
+    report_b = _read_report(args.report_b)
     ids_a = {r["volume_id"] for r in report_a["volume_scores"]}
     ids_b = {r["volume_id"] for r in report_b["volume_scores"]}
     if ids_a != ids_b:

@@ -94,25 +94,73 @@ class FrocCurve:
     n_lesions: int
 
 
+def _pooled(per_volume: Sequence[Sequence[float]]) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities of all volumes sorted ascending, with their volume index."""
+    probs = np.array([p for ps in per_volume for p in ps], dtype=float)
+    vols = np.repeat(np.arange(len(per_volume)), [len(ps) for ps in per_volume])
+    order = np.argsort(probs, kind="stable")
+    return probs[order], vols[order]
+
+
+def _weighted_count_ge(
+    pooled: tuple[np.ndarray, np.ndarray], w: np.ndarray, thresholds: np.ndarray
+) -> np.ndarray:
+    """Per threshold t, the total weight of the pooled values >= t."""
+    probs, vols = pooled
+    tail = np.concatenate((np.cumsum(w[vols][::-1])[::-1], [0]))
+    return tail[np.searchsorted(probs, thresholds, side="left")]
+
+
+class _FrocPool:
+    """The matches of a dataset pooled once into ascending probability
+    arrays (finite lesion-hit, false-positive and candidate probabilities),
+    each with a parallel volume index.  A FROC over a multiset of the
+    volumes is then a per-volume weight vector ``w``: volume j counts
+    ``w[j]`` times, as it does in a bootstrap resample."""
+
+    def __init__(self, matches: Sequence[MatchResult]):
+        self.n_volumes = len(matches)
+        self.lesions = np.array([m.n_lesions for m in matches], dtype=np.int64)
+        self.hits = _pooled(
+            [[p for p in m.lesion_hit_probs if p > -math.inf] for m in matches]
+        )
+        self.fps = _pooled([m.fp_probs for m in matches])
+        self.cands = _pooled([m.candidate_probs for m in matches])
+
+    def counts(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """Descending thresholds (the distinct probabilities of candidates in
+        weighted volumes), false-positive and hit counts at each threshold,
+        and the weighted lesion total."""
+        n_lesions = int(w @ self.lesions)
+        if n_lesions == 0:
+            raise StatisticUndefined("FROC requires at least one lesion")
+        probs, vols = self.cands
+        thresholds = np.unique(probs[w[vols] > 0])[::-1]
+        fps = _weighted_count_ge(self.fps, w, thresholds)
+        hits = _weighted_count_ge(self.hits, w, thresholds)
+        return thresholds, fps, hits, n_lesions
+
+    def avg_sensitivity(self, w: np.ndarray, fppvs: Sequence[float]) -> float:
+        """:func:`avg_sensitivity` of the weighted FROC over ``n_volumes``
+        volumes.  Neither coordinate falls as the threshold falls, so the
+        best sensitivity within an FPPV budget is the one at the last point
+        inside it."""
+        _, fps, hits, n_lesions = self.counts(w)
+        inside = np.searchsorted(fps / self.n_volumes, fppvs, side="right")
+        sens = hits / n_lesions
+        return float(sum(sens[k - 1] if k else 0.0 for k in inside) / len(fppvs))
+
+    def curve(self, n_volumes: int) -> FrocCurve:
+        """The FROC of the pooled volumes, each counted once."""
+        thresholds, fps, hits, n_lesions = self.counts(
+            np.ones(self.n_volumes, dtype=np.int64)
+        )
+        points = tuple(zip((fps / n_volumes).tolist(), (hits / n_lesions).tolist()))
+        return FrocCurve(tuple(thresholds.tolist()), points, n_volumes, n_lesions)
+
+
 def _curve_from_matches(matches: Sequence[MatchResult], n_volumes: int) -> FrocCurve:
-    n_lesions = sum(m.n_lesions for m in matches)
-    if n_lesions == 0:
-        raise StatisticUndefined("FROC requires at least one lesion")
-    all_probs = sorted(
-        {p for m in matches for p in m.candidate_probs}, reverse=True
-    )
-    hit_sorted = np.sort(
-        [p for m in matches for p in m.lesion_hit_probs if p > -math.inf]
-    )
-    fp_sorted = np.sort([p for m in matches for p in m.fp_probs])
-    thresholds = np.asarray(all_probs)
-    # counts of values >= t via right-side search on the ascending arrays
-    hits = hit_sorted.size - np.searchsorted(hit_sorted, thresholds, side="left")
-    fps = fp_sorted.size - np.searchsorted(fp_sorted, thresholds, side="left")
-    points = tuple(
-        (float(f) / n_volumes, float(h) / n_lesions) for f, h in zip(fps, hits)
-    )
-    return FrocCurve(tuple(all_probs), points, n_volumes, n_lesions)
+    return _FrocPool(matches).curve(n_volumes)
 
 
 def froc(dataset: Sequence[tuple[Sequence, Sequence[CandidateDetection]]]) -> FrocCurve:
@@ -172,6 +220,25 @@ class RocCurve:
     points: tuple[tuple[float, float], ...]  # (fpr, tpr), score >= threshold
 
 
+def _rank_auc(scores: np.ndarray, flags: np.ndarray) -> float:
+    """Fraction of positive/negative pairs ordered correctly, ties counted
+    one-half."""
+    pos = scores[flags]
+    neg = np.sort(scores[~flags])
+    if pos.size == 0 or neg.size == 0:
+        raise StatisticUndefined("AUC requires both positive and negative volumes")
+    below = np.searchsorted(neg, pos, side="left")
+    equal = np.searchsorted(neg, pos, side="right") - below
+    return float((below.sum() + 0.5 * equal.sum()) / (pos.size * neg.size))
+
+
+def _score_arrays(scores: Sequence[tuple[float, bool]]) -> tuple[np.ndarray, np.ndarray]:
+    return (
+        np.array([s for s, _ in scores], dtype=float),
+        np.array([flag for _, flag in scores], dtype=bool),
+    )
+
+
 def roc_auc(scores: Sequence[tuple[float, bool]]) -> tuple[RocCurve, float]:
     """Volume-level ROC and AUC.
 
@@ -179,22 +246,15 @@ def roc_auc(scores: Sequence[tuple[float, bool]]) -> tuple[RocCurve, float]:
     correctly, ties counted one-half), equivalent to trapezoidal
     integration of the ROC curve.
     """
-    pos = np.sort([s for s, flag in scores if flag])
-    neg = np.sort([s for s, flag in scores if not flag])
-    if pos.size == 0 or neg.size == 0:
-        raise StatisticUndefined("AUC requires both positive and negative volumes")
-    below = np.searchsorted(neg, pos, side="left")
-    equal = np.searchsorted(neg, pos, side="right") - below
-    auc = float((below.sum() + 0.5 * equal.sum()) / (pos.size * neg.size))
-    thresholds = sorted({s for s, _ in scores}, reverse=True)
-    points = tuple(
-        (
-            float(neg.size - np.searchsorted(neg, t, side="left")) / neg.size,
-            float(pos.size - np.searchsorted(pos, t, side="left")) / pos.size,
-        )
-        for t in thresholds
-    )
-    return RocCurve(tuple(thresholds), points), auc
+    values, flags = _score_arrays(scores)
+    auc = _rank_auc(values, flags)
+    thresholds = np.unique(values)[::-1]
+    pos = np.sort(values[flags])
+    neg = np.sort(values[~flags])
+    fpr = (neg.size - np.searchsorted(neg, thresholds, side="left")) / neg.size
+    tpr = (pos.size - np.searchsorted(pos, thresholds, side="left")) / pos.size
+    points = tuple(zip(fpr.tolist(), tpr.tolist()))
+    return RocCurve(tuple(thresholds.tolist()), points), auc
 
 
 @dataclass(frozen=True)
@@ -495,23 +555,27 @@ def build_report(
 ) -> EvaluationReport:
     """Assemble the full evaluation report for one candidate set."""
     matches = [match_lesions(v.candidates, v.lesions) for v in volumes]
-    curve = _curve_from_matches(matches, len(volumes))
+    n = len(volumes)
+    pool = _FrocPool(matches)
+    curve = pool.curve(n)
     fppv_grid = tuple(fppv_grid)
-
-    def avg_sens_stat(ms: list) -> float:
-        return avg_sensitivity(_curve_from_matches(ms, len(ms)), fppv_grid)
-
-    avg = avg_sens_stat(matches)
+    avg = avg_sensitivity(curve, fppv_grid)
+    # resamples are index lists; volume j's weight is its count in the list
     avg_ci = bootstrap_ci(
-        avg_sens_stat, matches, n_resamples=n_resamples, level=level, seed=seed
+        lambda idx: pool.avg_sensitivity(np.bincount(idx, minlength=n), fppv_grid),
+        list(range(n)),
+        n_resamples=n_resamples,
+        level=level,
+        seed=seed,
     )
 
     scores = [(volume_score(v.candidates), v.has_lesion) for v in volumes]
     try:
         roc, auc = roc_auc(scores)
+        values, flags = _score_arrays(scores)
         auc_ci = bootstrap_ci(
-            lambda s: roc_auc(s)[1],
-            scores,
+            lambda idx: _rank_auc(values[idx], flags[idx]),
+            list(range(n)),
             n_resamples=n_resamples,
             level=level,
             seed=seed,

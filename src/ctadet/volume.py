@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from .anchors import BoundingBox
 from .config import RunConfig
@@ -143,6 +142,11 @@ def read_volume(path) -> Volume:
     header = json.loads(json_path.read_text())
     dims = tuple(int(d) for d in header["dims"])
     spacing = tuple(float(s) for s in header["spacing_mm"])
+    if len(dims) != 3 or len(spacing) != 3:
+        raise ValueError(
+            f"{json_path}: dims and spacing_mm need 3 entries each, "
+            f"got {len(dims)} and {len(spacing)}"
+        )
     raw = raw_path.read_bytes()
     expected = dims[0] * dims[1] * dims[2] * 2
     if len(raw) != expected:
@@ -307,6 +311,9 @@ def augment(
         if any(s != 0 for s in ishift):
             out = _integer_shift(out, ishift, pad_value)
     else:
+        # imported here so that the CLI, which never augments, skips scipy's import
+        from scipy import ndimage
+
         # inverse map: output voxel o samples input at flip((o - shift - m)/zoom + m)
         grids = []
         for ax in range(3):

@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import ctadet
 from ctadet.cli import main
 from ctadet.config import RunConfig
 from ctadet.formats import read_manifest
@@ -50,6 +54,17 @@ def run_dataset(tmp_path, config, name="data"):
     out = tmp_path / name
     assert main(["synth", "--config", str(config), "--out", str(out)]) == 0
     return out
+
+
+def test_cli_import_leaves_scipy_out():
+    # a fresh interpreter: this test process may have imported scipy already
+    src = str(Path(ctadet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, ctadet.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 class TestSynth:
@@ -302,26 +317,13 @@ class TestReduceEvalCompare:
     def test_compare_toy_tables_match_enumeration(self, tmp_path):
         from oracles import fisher_oracle
 
-        def report_doc(scores):
-            return {
-                "volume_scores": [
-                    {"volume_id": f"v{i}", "score": s, "has_lesion": flag}
-                    for i, (s, flag) in enumerate(scores)
-                ],
-                "operating_points": [
-                    {"name": "fixed", "threshold": 0.5, "score_rule": "gt",
-                     "metrics": {}}
-                ],
-                "froc": {"points": []},
-            }
-
         # 8 volumes: 4 positive, 4 negative; thresholds at 0.5 give
         # accuracy [[6,2],[5,3]], sensitivity [[3,1],[1,3]], specificity [[3,1],[4,0]]
-        a = report_doc(
+        a = _report_doc(
             [(0.9, True), (0.8, True), (0.7, True), (0.2, True),
              (0.6, False), (0.1, False), (0.1, False), (0.1, False)]
         )
-        b = report_doc(
+        b = _report_doc(
             [(0.9, True), (0.2, True), (0.2, True), (0.2, True),
              (0.1, False), (0.1, False), (0.1, False), (0.1, False)]
         )
@@ -375,6 +377,20 @@ class TestReduceEvalCompare:
         assert rc == 4
 
 
+def _report_doc(scores) -> dict:
+    """The smallest report compare accepts: volume scores, one operating point."""
+    return {
+        "volume_scores": [
+            {"volume_id": f"v{i}", "score": s, "has_lesion": flag}
+            for i, (s, flag) in enumerate(scores)
+        ],
+        "operating_points": [
+            {"name": "fixed", "threshold": 0.5, "score_rule": "gt", "metrics": {}}
+        ],
+        "froc": {"points": []},
+    }
+
+
 def _append_truncated_record(path: Path) -> str:
     """Append a record cut off mid-line; returns the ``name:line`` it sits on."""
     lines = path.read_text().splitlines(keepends=True)
@@ -397,10 +413,13 @@ def _corrupt(kind: str, data: Path, cand: Path) -> str:
         del doc["volumes"]
         manifest.write_text(json.dumps(doc))
         return "manifest.json"
-    # a volume header without dims, read inside a --jobs 2 worker
+    # a volume header without dims, or with two, read inside a --jobs 2 worker
     header = data / "vol-0001.vol.json"
     doc = json.loads(header.read_text())
-    del doc["dims"]
+    if kind == "volume-dims":
+        doc["dims"] = doc["dims"][:2]
+    else:
+        del doc["dims"]
     header.write_text(json.dumps(doc))
     return "vol-0001"
 
@@ -415,6 +434,7 @@ class TestMalformedInput:
             ("manifest-json", "detect"),
             ("manifest-keys", "eval"),
             ("volume-header", "detect"),
+            ("volume-dims", "detect"),
         ],
     )
     def test_exit_3_names_the_file(self, tmp_path, capsys, kind, command):
@@ -445,3 +465,37 @@ class TestMalformedInput:
             "--out", str(tmp_path / "cand"),
         ]) == 2
         assert "grid size 25" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            "not-json",
+            "not-an-object",
+            "volume_scores",
+            "operating_points",
+            "froc",
+            "froc.points",
+            "operating_points.name",
+            "operating_points.threshold",
+            "operating_points.score_rule",
+        ],
+    )
+    def test_compare_malformed_report_exit_3(self, tmp_path, capsys, damage):
+        doc = _report_doc([(0.9, True), (0.1, False)])
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(doc))
+        if damage == "not-json":
+            text = json.dumps(doc)[:40]
+        elif damage == "not-an-object":
+            text = json.dumps([doc])
+        else:  # "key" drops a top-level key, "key.field" a field of its first record
+            key, _, field = damage.partition(".")
+            owner = doc[key] if field else doc
+            del (owner[0] if isinstance(owner, list) else owner)[field or key]
+            text = json.dumps(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        for a, b in ((good, bad), (bad, good)):
+            assert main(["compare", "--report-a", str(a), "--report-b", str(b),
+                         "--out", str(tmp_path / "cmp.json")]) == 3
+            assert "bad.json" in capsys.readouterr().err

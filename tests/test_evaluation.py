@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ctadet.anchors import BoundingBox, Lesion
+from ctadet.config import RunConfig
 from ctadet.evaluation import (
     EvalVolume,
     StatisticUndefined,
@@ -21,6 +22,9 @@ from ctadet.evaluation import (
     threshold_for_operating_point,
     volume_score,
     _curve_from_matches,
+    _FrocPool,
+    _rank_auc,
+    _score_arrays,
 )
 from ctadet.postproc import CandidateDetection
 from oracles import (
@@ -438,6 +442,96 @@ class TestBootstrap:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             bootstrap_ci(self.mean, [], seed=0)
+
+
+class TestArrayStatistics:
+    """The array statistics that build_report bootstraps equal, bit for bit,
+    the reference path that rebuilds the curve from the resampled volumes."""
+
+    @staticmethod
+    def volumes(seed):
+        rng = np.random.default_rng(seed)
+        vols = []
+        for i in range(int(rng.integers(3, 25))):
+            # lesion-free volumes and volumes without candidates both occur
+            lesions, cands = random_volume_data(rng)
+            tied = tuple(cand(c.box.center, round(c.probability, 1)) for c in cands)
+            vols.append(EvalVolume(f"v{i}", tuple(Lesion(b) for b in lesions), tied))
+        twin = (Lesion(lesion((20.0, 20.0, 20.0), 8.0)),
+                Lesion(lesion((22.0, 20.0, 20.0), 8.0)))
+        vols.append(EvalVolume("twin", twin, (cand((21.0, 20.0, 20.0), 0.5),)))
+        return vols
+
+    @staticmethod
+    def reference_avg(matches, idx):
+        return avg_sensitivity(_curve_from_matches([matches[j] for j in idx], len(idx)))
+
+    @staticmethod
+    def reference_auc(scores, idx):
+        return roc_auc([scores[j] for j in idx])[1]
+
+    @staticmethod
+    def assert_same(reference, array_native):
+        try:
+            expected = reference()
+        except StatisticUndefined:
+            with pytest.raises(StatisticUndefined):
+                array_native()
+        else:
+            assert array_native() == expected
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equal_to_reference_on_resamples(self, seed):
+        vols = self.volumes(seed)
+        n = len(vols)
+        matches = [match_lesions(v.candidates, v.lesions) for v in vols]
+        scores = [(volume_score(v.candidates), v.has_lesion) for v in vols]
+        pool = _FrocPool(matches)
+        values, flags = _score_arrays(scores)
+        grid = RunConfig.fppv_grid
+        rng = np.random.default_rng([seed, 1])
+        for _ in range(150):
+            idx = list(rng.integers(0, n, n))
+            self.assert_same(
+                lambda: self.reference_avg(matches, idx),
+                lambda: pool.avg_sensitivity(np.bincount(idx, minlength=n), grid),
+            )
+            self.assert_same(
+                lambda: self.reference_auc(scores, idx),
+                lambda: _rank_auc(values[idx], flags[idx]),
+            )
+
+    def test_undefined_on_the_same_resamples(self):
+        vols = self.volumes(3)
+        n = len(vols)
+        matches = [match_lesions(v.candidates, v.lesions) for v in vols]
+        scores = [(volume_score(v.candidates), v.has_lesion) for v in vols]
+        values, flags = _score_arrays(scores)
+        lesion_free = [j for j, v in enumerate(vols) if not v.has_lesion] * n
+        positive = [j for j, v in enumerate(vols) if v.has_lesion] * n
+        assert lesion_free and positive
+        no_lesions = lesion_free[:n]
+        with pytest.raises(StatisticUndefined):
+            self.reference_avg(matches, no_lesions)
+        with pytest.raises(StatisticUndefined):
+            _FrocPool(matches).avg_sensitivity(np.bincount(no_lesions, minlength=n), (1.0,))
+        for one_class in (no_lesions, positive[:n]):
+            with pytest.raises(StatisticUndefined):
+                self.reference_auc(scores, one_class)
+            with pytest.raises(StatisticUndefined):
+                _rank_auc(values[one_class], flags[one_class])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_report_cis_equal_reference_bootstrap(self, seed):
+        vols = self.volumes(seed)
+        matches = [match_lesions(v.candidates, v.lesions) for v in vols]
+        scores = [(volume_score(v.candidates), v.has_lesion) for v in vols]
+        report = build_report(vols, n_resamples=200, seed=seed)
+        ref = lambda ms: avg_sensitivity(_curve_from_matches(ms, len(ms)))
+        assert report.avg_sensitivity_ci == bootstrap_ci(ref, matches, 200, seed=seed)
+        assert report.auc_ci == bootstrap_ci(
+            lambda s: roc_auc(s)[1], scores, 200, seed=seed
+        )
 
 
 class TestFisherExact:
