@@ -12,7 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Mapping, Optional, Sequence
+
+import numpy as np
 
 from .config import RunConfig
 
@@ -29,8 +32,12 @@ class BoundingBox:
         object.__setattr__(self, "diameter", float(self.diameter))
         if len(self.center) != 3:
             raise ValueError("box center must have 3 coordinates")
-        if self.diameter <= 0:
-            raise ValueError(f"box diameter must be positive, got {self.diameter}")
+        if not all(map(math.isfinite, self.center)):
+            raise ValueError(f"box center must be finite, got {self.center}")
+        if not 0 < self.diameter < math.inf:  # False for NaN too
+            raise ValueError(
+                f"box diameter must be positive and finite, got {self.diameter}"
+            )
 
     @property
     def lo(self) -> tuple[float, float, float]:
@@ -140,14 +147,23 @@ def anchor_grid(
     patch_size: int = RunConfig.patch_size[0],
     grid_size: int = RunConfig.grid_size,
     anchor_sizes: Sequence[float] = RunConfig.anchor_sizes,
-) -> list[Anchor]:
-    """Build the full anchor list for one patch.
+) -> tuple[Anchor, ...]:
+    """Build the full anchor tuple for one patch.
 
     Grid points are cell centers: position = (index + 0.5) * downsample
     factor, with factor = patch_size / grid_size.  Anchors are ordered
     grid-index-major (x, then y, then z) with scales innermost, matching
-    :func:`anchor_index`.
+    :func:`anchor_index`.  The result is immutable, and the last grid
+    built is memoised on ``(patch_size, grid_size, anchor_sizes)``, so the
+    volumes of a run share one grid.
     """
+    return _anchor_grid(patch_size, grid_size, tuple(anchor_sizes))
+
+
+@lru_cache(maxsize=1)
+def _anchor_grid(
+    patch_size: int, grid_size: int, anchor_sizes: tuple[float, ...]
+) -> tuple[Anchor, ...]:
     if patch_size % grid_size != 0:
         raise ValueError(
             f"patch size {patch_size} not divisible by grid size {grid_size}"
@@ -160,7 +176,7 @@ def anchor_grid(
                 pos = ((i + 0.5) * factor, (j + 0.5) * factor, (k + 0.5) * factor)
                 for s, size in enumerate(anchor_sizes):
                     anchors.append(Anchor((i, j, k), pos, float(size), s))
-    return anchors
+    return tuple(anchors)
 
 
 def anchor_index(
@@ -190,6 +206,36 @@ def iou3d(a: BoundingBox, b: BoundingBox) -> float:
         vol_a *= a_hi - a_lo
         vol_b *= b_hi - b_lo
     return inter / (vol_a + vol_b - inter)
+
+
+def box_bounds(
+    boxes: Sequence[BoundingBox],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(lo, hi, volume)`` arrays of ``boxes``, shaped (n, 3), (n, 3), (n,).
+
+    Corners and volumes use :func:`iou3d`'s arithmetic, so
+    :func:`iou3d_one_to_many` reproduces its bits.
+    """
+    center = np.array([b.center for b in boxes], dtype=float).reshape(-1, 3)
+    half = np.array([b.diameter for b in boxes], dtype=float)[:, None] / 2.0
+    lo = center - half
+    hi = center + half
+    ext = hi - lo
+    return lo, hi, ext[:, 0] * ext[:, 1] * ext[:, 2]
+
+
+def iou3d_one_to_many(
+    lo: np.ndarray, hi: np.ndarray, vol: np.ndarray, i: int, rows: np.ndarray
+) -> np.ndarray:
+    """IoU of box ``i`` with boxes ``rows``, all given by :func:`box_bounds`
+    arrays; equal bit for bit to :func:`iou3d` on each pair."""
+    top = np.minimum(hi[rows], hi[i])
+    bottom = np.maximum(lo[rows], lo[i])
+    ext = top - bottom
+    # a pair with hi <= lo on any axis has IoU 0; mask it, since two
+    # negative extents multiply to a positive one
+    inter = np.where((top > bottom).all(axis=1), ext[:, 0] * ext[:, 1] * ext[:, 2], 0.0)
+    return inter / (vol[rows] + vol[i] - inter)
 
 
 def encode(box: BoundingBox, anchor: Anchor, p: float) -> TargetVector:

@@ -3,7 +3,8 @@ evaluation, and two-run comparison.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 data error
 (missing or corrupt files, including malformed manifest, annotation and
-candidate records), 4 consistency error (mismatched volume sets).
+candidate records, and plugin output that breaks its contract), 4
+consistency error (mismatched volume sets).
 Every command is deterministic given its config (seeds included); reruns
 produce byte-identical outputs, independent of ``--jobs``.
 """
@@ -35,7 +36,12 @@ from .formats import (
     write_manifest,
     write_roc_csv,
 )
-from .pipeline import detect_volume, oracle_scorer_factory, reduce_volume
+from .pipeline import (
+    PluginOutputError,
+    detect_volume,
+    oracle_scorer_factory,
+    reduce_volume,
+)
 from .synth import PhantomSpec, generate_phantom, perfect_classifier, reference_classifier
 from .volume import read_volume, write_volume
 
@@ -251,7 +257,7 @@ def cmd_reduce(args) -> int:
         records[path.name] = read_candidates(path)
         for rec_vid, _ in records[path.name]:
             if rec_vid not in known:
-                raise DataError(
+                raise ConsistencyError(
                     f"{path}: candidate references unknown volume id {rec_vid!r}"
                 )
     tasks = []
@@ -522,9 +528,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DataError, ConsistencyError, FormatError) as e:
+    except (ConfigError, DataError, ConsistencyError, FormatError, PluginOutputError) as e:
         print(f"error: {e}", file=sys.stderr)
-        # a malformed input file is a data error
+        # a malformed input file or plugin output is a data error
         return getattr(e, "exit_code", DataError.exit_code)
 
 

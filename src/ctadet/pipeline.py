@@ -40,6 +40,11 @@ from .volume import (
 )
 
 
+class PluginOutputError(ValueError):
+    """A scorer or classifier plugin returned output that breaks its
+    contract; the message names the volume (and the tile)."""
+
+
 class TileScorer(Protocol):
     def score(
         self, patch: Volume, tile: PatchSpec, anchors: Sequence[Anchor]
@@ -125,12 +130,12 @@ def _decode_grid(
     floor: float,
     tile: PatchSpec,
 ) -> list[CandidateDetection]:
+    """Candidates of the rows with probability above ``floor``; each goes
+    through the scalar :func:`decode`, so its bits match a per-row loop."""
     out = []
-    for row, anchor in zip(preds, anchors):
-        p = float(row[0])
-        if p <= floor:
-            continue
-        box, prob = decode(TargetVector(p, *(float(x) for x in row[1:])), anchor)
+    for i in np.flatnonzero(preds[:, 0] > floor):
+        anchor = anchors[i]
+        box, prob = decode(TargetVector(*(float(x) for x in preds[i])), anchor)
         out.append(
             CandidateDetection(
                 box, prob, Stage.DETECTOR, source_tile=tile,
@@ -138,6 +143,24 @@ def _decode_grid(
             )
         )
     return out
+
+
+def _checked_preds(preds, n_anchors: int, where: str) -> np.ndarray:
+    """A scorer's output as a float64 array, or PluginOutputError when it is
+    not (n_anchors, 5), not finite, or has a probability outside [0, 1]."""
+    try:
+        arr = np.asarray(preds, dtype=float)
+    except (TypeError, ValueError) as e:
+        raise PluginOutputError(f"{where}: scorer output is not numeric: {e}") from e
+    if arr.shape != (n_anchors, 5):
+        problem = f"has shape {arr.shape}, expected ({n_anchors}, 5)"
+    elif not np.isfinite(arr).all():
+        problem = "holds NaN or Inf"
+    elif not ((arr[:, 0] >= 0.0) & (arr[:, 0] <= 1.0)).all():
+        problem = "has a probability outside [0, 1]"
+    else:
+        return arr
+    raise PluginOutputError(f"{where}: scorer output {problem}")
 
 
 def detect_volume(
@@ -172,7 +195,11 @@ def detect_volume(
     per_tile = []
     for tile in tiles:
         patch = normalize_hu(extract_patch(v, tile), cfg.hu_window)
-        preds = scorer.score(patch, tile, anchors)
+        preds = _checked_preds(
+            scorer.score(patch, tile, anchors),
+            len(anchors),
+            f"volume {volume.volume_id!r}, tile at {tile.origin}",
+        )
         per_tile.append((tile, _decode_grid(preds, anchors, cfg.sensitivity_floor, tile)))
     merged = merge_tiles(per_tile, cfg.nms_iou, cfg.sensitivity_floor)
     if z_offset:
@@ -191,7 +218,9 @@ def reduce_volume(
     Candidates are re-selected at the high-sensitivity floor, the three
     fixed-size patches extracted around each, and the candidate probability
     replaced by the classifier's averaged output.  Candidates whose center
-    falls outside the volume cannot be rescored and are dropped.
+    falls outside the volume cannot be rescored and are dropped.  A
+    classifier result that is not three probabilities in [0, 1] raises
+    :class:`PluginOutputError`.
     """
     selected = select_candidates(
         candidates,
@@ -206,5 +235,12 @@ def reduce_volume(
         patch_set = extract_fpr_patches(
             volume, cand, cfg.fpr_patch_sizes, window=cfg.hu_window
         )
-        out.append(rescore(cand, classifier(patch_set)))
+        probs = classifier(patch_set)
+        try:
+            out.append(rescore(cand, probs))
+        except (TypeError, ValueError) as e:
+            raise PluginOutputError(
+                f"volume {volume.volume_id!r}, candidate at {cand.box.center}: "
+                f"classifier output {probs!r} rejected: {e}"
+            ) from e
     return out

@@ -6,7 +6,9 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence
 
-from .anchors import BoundingBox, iou3d
+import numpy as np
+
+from .anchors import BoundingBox, box_bounds, iou3d_one_to_many
 from .config import RunConfig
 from .volume import PatchSpec
 
@@ -54,14 +56,18 @@ def nms(
     highest-probability survivor is kept and suppresses every remaining
     candidate with IoU strictly above ``iou_thresh``; ties in probability
     are broken by lexicographic box center so the result is deterministic.
-    Output is sorted by descending probability.
+    Output is sorted by descending probability.  Each kept candidate takes
+    one vectorised IoU against the survivors after it, with
+    :func:`~ctadet.anchors.iou3d`'s bits.
     """
     alive = sorted((c for c in cands if c.probability > prob_thresh), key=_sort_key)
+    lo, hi, vol = box_bounds([c.box for c in alive])
+    rest = np.arange(len(alive))
     kept: list[CandidateDetection] = []
-    while alive:
-        best = alive.pop(0)
-        kept.append(best)
-        alive = [c for c in alive if iou3d(c.box, best.box) <= iou_thresh]
+    while rest.size:
+        best, rest = rest[0], rest[1:]
+        kept.append(alive[best])
+        rest = rest[iou3d_one_to_many(lo, hi, vol, best, rest) <= iou_thresh]
     return kept
 
 

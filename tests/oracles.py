@@ -61,6 +61,18 @@ def nms_oracle(cands, iou_fn, iou_thresh, prob_thresh):
     return kept
 
 
+def greedy_nms_reference(cands, iou_fn, sort_key, iou_thresh, prob_thresh):
+    """The pure-Python greedy loop NMS ran before its array kernel: sort
+    once, keep the head, drop every survivor with IoU above the threshold."""
+    alive = sorted((c for c in cands if c.probability > prob_thresh), key=sort_key)
+    kept = []
+    while alive:
+        best = alive.pop(0)
+        kept.append(best)
+        alive = [c for c in alive if iou_fn(c.box, best.box) <= iou_thresh]
+    return kept
+
+
 def contains_oracle(box, point) -> bool:
     for c, p in zip(box.center, point):
         if p < c - box.diameter / 2.0 or p > c + box.diameter / 2.0:

@@ -11,9 +11,11 @@ from ctadet.anchors import (
     anchor_grid,
     anchor_index,
     assign_labels,
+    box_bounds,
     decode,
     encode,
     iou3d,
+    iou3d_one_to_many,
 )
 from oracles import iou3d_oracle
 
@@ -29,6 +31,16 @@ class TestBoundingBox:
     def test_invalid_diameter(self):
         with pytest.raises(ValueError):
             BoundingBox((0, 0, 0), 0.0)
+
+    @pytest.mark.parametrize("center, diameter", [
+        ((0, 0, 0), math.nan),
+        ((0, 0, 0), math.inf),
+        ((0, math.nan, 0), 4.0),
+        ((0, 0, -math.inf), 4.0),
+    ])
+    def test_non_finite_rejected(self, center, diameter):
+        with pytest.raises(ValueError, match="finite"):
+            BoundingBox(center, diameter)
 
     def test_contains_is_closed(self):
         box = BoundingBox((0, 0, 0), 4.0)
@@ -70,6 +82,21 @@ class TestIou3d:
             assert iou3d(a, a) == 1.0
 
 
+class TestIou3dOneToMany:
+    def test_bits_equal_iou3d(self):
+        rng = np.random.default_rng(11)
+        # continuous boxes (overlapping, apart on one or more axes) and
+        # lattice boxes (touching faces, identical boxes)
+        boxes = [
+            BoundingBox(tuple(rng.uniform(-6, 6, 3)), rng.uniform(0.5, 8))
+            for _ in range(150)
+        ] + [random_lattice_box(rng) for _ in range(150)]
+        lo, hi, vol = box_bounds(boxes)
+        for i, best in enumerate(boxes):
+            got = iou3d_one_to_many(lo, hi, vol, i, np.arange(len(boxes)))
+            assert got.tolist() == [iou3d(b, best) for b in boxes]
+
+
 class TestAnchorGrid:
     def test_default_count(self):
         anchors = anchor_grid()
@@ -86,8 +113,24 @@ class TestAnchorGrid:
         assert anchors[-1].position == (95.5, 95.5, 95.5)
 
     def test_indivisible_sizes_rejected(self):
-        with pytest.raises(ValueError):
-            anchor_grid(patch_size=96, grid_size=25)
+        for _ in range(2):  # a failed build is not memoised
+            with pytest.raises(ValueError):
+                anchor_grid(patch_size=96, grid_size=25)
+
+    def test_memoised_immutable_grid(self):
+        from_list = anchor_grid(patch_size=8, grid_size=4, anchor_sizes=[3.0, 6.0])
+        from_tuple = anchor_grid(patch_size=8, grid_size=4, anchor_sizes=(3.0, 6.0))
+        assert isinstance(from_list, tuple)
+        assert from_tuple is from_list
+        assert anchor_grid(8, 4, [3, 6]) == from_list  # int sizes become floats
+
+    def test_distinct_sizes_distinct_grids(self):
+        small = anchor_grid(patch_size=8, grid_size=4, anchor_sizes=[3.0])
+        both = anchor_grid(patch_size=8, grid_size=4, anchor_sizes=[3.0, 6.0])
+        coarse = anchor_grid(patch_size=8, grid_size=2, anchor_sizes=[3.0])
+        assert len(small) == 64 and len(both) == 128 and len(coarse) == 8
+        assert {a.anchor_size for a in small} == {3.0}
+        assert coarse[0].position == (2.0, 2.0, 2.0)
 
     def test_anchor_index_agrees_with_list_order(self):
         anchors = anchor_grid(patch_size=8, grid_size=4, anchor_sizes=[3.0, 6.0])

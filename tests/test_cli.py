@@ -247,7 +247,7 @@ class TestReduceEvalCompare:
         assert rc == 4
         assert "vol-0002" in capsys.readouterr().err
 
-    def test_reduce_unknown_id_exit_3(self, tmp_path, pipeline):
+    def test_reduce_unknown_id_exit_4(self, tmp_path, pipeline):
         config, data, cand = pipeline
         rogue = (cand / "vol-0000.cand.jsonl").read_text().replace("vol-0000", "ghost")
         (cand / "vol-0000.cand.jsonl").write_text(rogue)
@@ -256,7 +256,7 @@ class TestReduceEvalCompare:
             "--manifest", str(data / "manifest.json"),
             "--candidates", str(cand), "--out", str(tmp_path / "r"),
         ])
-        assert rc == 3
+        assert rc == 4  # a volume-set consistency error, as in eval
 
     def test_reduce_missing_candidates_exit_3(self, tmp_path, pipeline, capsys):
         config, data, cand = pipeline
@@ -499,3 +499,102 @@ class TestMalformedInput:
             assert main(["compare", "--report-a", str(a), "--report-b", str(b),
                          "--out", str(tmp_path / "cmp.json")]) == 3
             assert "bad.json" in capsys.readouterr().err
+
+
+# Plugins that break their output contract: scorers wrap the oracle scorer
+# and spoil its array, classifiers return a fixed result.
+_BAD_PLUGINS = """
+import numpy as np
+
+from ctadet.pipeline import oracle_scorer_factory
+
+
+class _Spoiled:
+    def __init__(self, inner, spoil):
+        self.inner, self.spoil = inner, spoil
+
+    def score(self, patch, tile, anchors):
+        return self.spoil(self.inner.score(patch, tile, anchors))
+
+
+def _scorer(spoil):
+    def factory(volume, lesions, cfg, seed):
+        return _Spoiled(oracle_scorer_factory(volume, lesions, cfg, seed), spoil)
+    return factory
+
+
+def _first_p(value):
+    def spoil(preds):
+        preds[0, 0] = value
+        return preds
+    return spoil
+
+
+def _nan_dx(preds):
+    preds[preds[:, 0] > 0, 1] = np.nan  # every row that decodes to a candidate
+    return preds
+
+
+one_row_short = _scorer(lambda preds: preds[:-1])
+nan_dx = _scorer(_nan_dx)
+nan_p = _scorer(_first_p(np.nan))
+p_above_one = _scorer(_first_p(1.5))
+
+
+def _classifier(result):
+    def factory(volume, lesions, cfg):
+        return lambda patch_set: result
+    return factory
+
+
+above_one = _classifier((1.5, 0.5, 0.5))
+nan_prob = _classifier((float("nan"), 0.5, 0.5))
+two_values = _classifier((0.5, 0.5))
+"""
+
+
+class TestPluginOutput:
+    @pytest.fixture()
+    def dataset(self, tmp_path, monkeypatch):
+        (tmp_path / "bad_plugins.py").write_text(_BAD_PLUGINS)
+        monkeypatch.syspath_prepend(str(tmp_path))
+        config = small_config(tmp_path)
+        return config, run_dataset(tmp_path, config)
+
+    @pytest.mark.parametrize(
+        "scorer, problem",
+        [
+            ("one_row_short", "shape"),
+            ("nan_dx", "NaN"),
+            ("nan_p", "NaN"),
+            ("p_above_one", "outside [0, 1]"),
+        ],
+    )
+    def test_bad_scorer_output_exit_3(self, tmp_path, capsys, dataset, scorer, problem):
+        config, data = dataset
+        capsys.readouterr()
+        assert main([
+            "detect", "--config", str(config),
+            "--manifest", str(data / "manifest.json"), "--out", str(tmp_path / "c"),
+            "--detector", f"bad_plugins:{scorer}",
+        ]) == 3
+        err = capsys.readouterr().err
+        assert "volume 'vol-0000', tile at (0, 0, 0)" in err and problem in err
+
+    @pytest.mark.parametrize("classifier", ["above_one", "nan_prob", "two_values"])
+    def test_bad_classifier_output_exit_3(self, tmp_path, capsys, dataset, classifier):
+        config, data = dataset
+        cand = tmp_path / "cand"
+        assert main([
+            "detect", "--config", str(config),
+            "--manifest", str(data / "manifest.json"), "--out", str(cand),
+        ]) == 0
+        capsys.readouterr()
+        assert main([
+            "reduce", "--config", str(config),
+            "--manifest", str(data / "manifest.json"),
+            "--candidates", str(cand), "--out", str(tmp_path / "r"),
+            "--classifier", f"bad_plugins:{classifier}",
+        ]) == 3
+        err = capsys.readouterr().err
+        assert "volume 'vol-0000'" in err and "classifier output" in err

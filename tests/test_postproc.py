@@ -1,10 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ctadet.anchors import BoundingBox, iou3d
-from ctadet.postproc import CandidateDetection, Stage, merge_tiles, nms, to_volume_coords
+from ctadet.postproc import (
+    CandidateDetection,
+    Stage,
+    _sort_key,
+    merge_tiles,
+    nms,
+    to_volume_coords,
+)
 from ctadet.volume import PatchSpec
-from oracles import nms_oracle
+from oracles import greedy_nms_reference, nms_oracle
 
 
 def cand(center, d, p, stage=Stage.DETECTOR):
@@ -71,6 +80,62 @@ class TestNms:
         a = cand((5.0, 0.0, 0.0), 4.0, 0.8)
         b = cand((4.0, 0.0, 0.0), 4.0, 0.8)  # heavy overlap, same prob
         assert nms([a, b]) == nms([b, a]) == [b]
+
+
+TILES = tuple(PatchSpec((o, 0, 0), (96, 96, 96)) for o in (0, 32, 64))
+
+
+def crowded_candidates(rng, n, span):
+    """At least n candidates packed like a crowded detect, in generation
+    order: half-voxel centres in [0, span), tied probabilities, and each
+    box possibly followed by a partner that repeats it from the next tile,
+    sits at IoU exactly 0.25 (5-voxel cubes 3 apart) or touches it on a
+    face."""
+    cands = []
+    while len(cands) < n:
+        tile = int(rng.integers(len(TILES)))
+        box = BoundingBox(
+            tuple(rng.integers(0, 2 * span, 3) / 2.0),
+            float(rng.choice([3.0, 4.0, 5.0, 6.0, 8.0])),
+        )
+        first = CandidateDetection(
+            box, int(rng.integers(2, 21)) / 20.0, Stage.DETECTOR, TILES[tile],
+            int(rng.integers(3)),
+        )
+        shift = np.zeros(3)
+        shift[rng.integers(3)] = 1.0
+        partner = rng.integers(4)
+        if partner == 0:  # the same box seen from an overlapping tile
+            pair = [first, replace(first, source_tile=TILES[(tile + 1) % len(TILES)])]
+        elif partner == 1:
+            first = replace(first, box=BoundingBox(box.center, 5.0))
+            pair = [first, replace(first, box=first.box.translated(3.0 * shift))]
+        elif partner == 2:
+            pair = [first, replace(first, box=box.translated(box.diameter * shift))]
+        else:
+            pair = [first]
+        cands.extend(pair)
+    return cands
+
+
+class TestNmsAtScale:
+    """The array kernel against the greedy iou3d loop it replaced."""
+
+    @pytest.mark.parametrize("n, span", [(500, 12), (2000, 16)])
+    def test_equals_greedy_reference(self, n, span):
+        rng = np.random.default_rng(n)
+        cands = crowded_candidates(rng, n, span)
+        adjacent = [iou3d(a.box, b.box) for a, b in zip(cands, cands[1:])]
+        assert 0.25 in adjacent and 1.0 in adjacent
+        assert any(
+            v == 0.0 and any(h == l for h, l in zip(a.box.hi, b.box.lo))
+            for v, a, b in zip(adjacent, cands, cands[1:])
+        )
+        cands = [cands[i] for i in rng.permutation(len(cands))]
+        for prob_thresh in (0.05, 0.5):
+            kept = nms(cands, iou_thresh=0.25, prob_thresh=prob_thresh)
+            assert kept == greedy_nms_reference(cands, iou3d, _sort_key, 0.25, prob_thresh)
+            assert 0 < len(kept) < len(cands)
 
 
 class TestToVolumeCoords:
