@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -54,8 +54,8 @@ class BoundingBox:
         return self.diameter ** 3
 
     def contains(self, point: Sequence[float]) -> bool:
-        """Closed-interval containment: points on a face count as inside."""
-        return all(l <= p <= h for l, p, h in zip(self.lo, point, self.hi))
+        """Closed-interval containment: one :func:`box_contains` call."""
+        return bool(box_contains(cube_bounds(self.center, self.diameter), point)[0])
 
     def translated(self, offset: Sequence[float]) -> "BoundingBox":
         return BoundingBox(
@@ -190,52 +190,64 @@ def anchor_index(
     return ((i * grid_size + j) * grid_size + k) * n_scales + scale_index
 
 
-def iou3d(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union of two axis-aligned cubes; 0 when disjoint."""
-    inter = 1.0
-    vol_a = 1.0
-    vol_b = 1.0
-    # all three volumes use the same corner arithmetic so identical boxes
-    # yield exactly 1.0
-    for a_lo, a_hi, b_lo, b_hi in zip(a.lo, a.hi, b.lo, b.hi):
-        lo = max(a_lo, b_lo)
-        hi = min(a_hi, b_hi)
-        if hi <= lo:
-            return 0.0
-        inter *= hi - lo
-        vol_a *= a_hi - a_lo
-        vol_b *= b_hi - b_lo
-    return inter / (vol_a + vol_b - inter)
+class BoxBounds(NamedTuple):
+    """Axis-aligned cubes as arrays: corners ``lo`` and ``hi`` shaped
+    (..., 3) and ``volume`` shaped (...)."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    volume: np.ndarray
+
+    def take(self, index) -> "BoxBounds":
+        """The cubes at ``index`` of the leading axes, e.g. ``np.s_[:, None]``
+        to pair every cube with every cube of another set."""
+        return BoxBounds(self.lo[index], self.hi[index], self.volume[index])
 
 
-def box_bounds(
-    boxes: Sequence[BoundingBox],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(lo, hi, volume)`` arrays of ``boxes``, shaped (n, 3), (n, 3), (n,).
+def cube_bounds(center, diameter) -> BoxBounds:
+    """Bounds of cubes given by (n, 3) centers and (n,) edge lengths.
 
-    Corners and volumes use :func:`iou3d`'s arithmetic, so
-    :func:`iou3d_one_to_many` reproduces its bits.
+    Corners are ``c - d/2`` and ``c + d/2``; volumes multiply the extents
+    x, y, z, so identical cubes have IoU exactly 1.0.
     """
-    center = np.array([b.center for b in boxes], dtype=float).reshape(-1, 3)
-    half = np.array([b.diameter for b in boxes], dtype=float)[:, None] / 2.0
+    center = np.asarray(center, dtype=float).reshape(-1, 3)
+    half = np.asarray(diameter, dtype=float).reshape(-1, 1) / 2.0
     lo = center - half
     hi = center + half
     ext = hi - lo
-    return lo, hi, ext[:, 0] * ext[:, 1] * ext[:, 2]
+    return BoxBounds(lo, hi, ext[:, 0] * ext[:, 1] * ext[:, 2])
 
 
-def iou3d_one_to_many(
-    lo: np.ndarray, hi: np.ndarray, vol: np.ndarray, i: int, rows: np.ndarray
-) -> np.ndarray:
-    """IoU of box ``i`` with boxes ``rows``, all given by :func:`box_bounds`
-    arrays; equal bit for bit to :func:`iou3d` on each pair."""
-    top = np.minimum(hi[rows], hi[i])
-    bottom = np.maximum(lo[rows], lo[i])
-    ext = top - bottom
-    # a pair with hi <= lo on any axis has IoU 0; mask it, since two
-    # negative extents multiply to a positive one
-    inter = np.where((top > bottom).all(axis=1), ext[:, 0] * ext[:, 1] * ext[:, 2], 0.0)
-    return inter / (vol[rows] + vol[i] - inter)
+def box_bounds(boxes: Sequence[BoundingBox]) -> BoxBounds:
+    """:func:`cube_bounds` of a list of boxes."""
+    return cube_bounds([b.center for b in boxes], [b.diameter for b in boxes])
+
+
+def box_iou(a: BoxBounds, b: BoxBounds) -> np.ndarray:
+    """Intersection over union of cubes ``a`` and ``b``, broadcast over
+    their leading axes; 0 for a pair that is apart or touching on an axis."""
+    # clamp each overlap extent at 0, since two negative extents would
+    # multiply to a positive intersection
+    ext = np.maximum(np.minimum(a.hi, b.hi) - np.maximum(a.lo, b.lo), 0.0)
+    inter = ext[..., 0] * ext[..., 1] * ext[..., 2]
+    return inter / (a.volume + b.volume - inter)
+
+
+def box_contains(boxes: BoxBounds, points) -> np.ndarray:
+    """Whether each point (..., 3) lies in each cube, broadcast over the
+    leading axes; closed intervals, so a point on a face is inside."""
+    return ((boxes.lo <= points) & (points <= boxes.hi)).all(axis=-1)
+
+
+def iou3d(a: BoundingBox, b: BoundingBox) -> float:
+    """Intersection over union of two cubes: one :func:`box_iou` call."""
+    both = cube_bounds((a.center, b.center), (a.diameter, b.diameter))
+    return float(box_iou(both.take(0), both.take(1)))
+
+
+def anchor_bounds(anchors: Sequence[Anchor]) -> BoxBounds:
+    """Bounds of the anchors' boxes."""
+    return cube_bounds([a.position for a in anchors], [a.anchor_size for a in anchors])
 
 
 def encode(box: BoundingBox, anchor: Anchor, p: float) -> TargetVector:
@@ -273,27 +285,17 @@ def assign_labels(
     max IoU > pos_iou: positive, matched to the argmax lesion (ties broken
     by lowest lesion index) with its encoded target.  max IoU < neg_iou:
     negative.  Otherwise ignored (borderline overlap, excluded from
-    training).
+    training).  Requires ``0 <= neg_iou < pos_iou``.
     """
-    if pos_iou <= neg_iou:
-        raise ValueError("pos_iou must exceed neg_iou")
-    labels = []
-    for anchor in anchors:
-        best_iou = 0.0
-        best_idx = -1
-        abox = anchor.box
-        for idx, lesion in enumerate(lesions):
-            v = iou3d(abox, lesion)
-            if v > best_iou:
-                best_iou = v
-                best_idx = idx
-        if best_iou > pos_iou:
-            box = lesions[best_idx]
-            labels.append(
-                AnchorLabel(AnchorStatus.POSITIVE, box, encode(box, anchor, 1.0))
-            )
-        elif best_iou < neg_iou:
-            labels.append(AnchorLabel(AnchorStatus.NEGATIVE))
-        else:
-            labels.append(AnchorLabel(AnchorStatus.IGNORED))
+    if not 0.0 <= neg_iou < pos_iou:
+        raise ValueError(f"need 0 <= neg_iou < pos_iou, got {neg_iou}, {pos_iou}")
+    ious = box_iou(anchor_bounds(anchors).take(np.s_[:, None]), box_bounds(lesions))
+    best_iou = ious.max(axis=1, initial=0.0)
+    # frozen, so one negative and one ignored label serve every anchor
+    negative = AnchorLabel(AnchorStatus.NEGATIVE)
+    ignored = AnchorLabel(AnchorStatus.IGNORED)
+    labels = [negative if v < neg_iou else ignored for v in best_iou.tolist()]
+    for i in np.flatnonzero(best_iou > pos_iou):
+        box = lesions[ious[i].argmax()]  # the first of tied lesions
+        labels[i] = AnchorLabel(AnchorStatus.POSITIVE, box, encode(box, anchors[i], 1.0))
     return labels

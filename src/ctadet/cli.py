@@ -3,8 +3,9 @@ evaluation, and two-run comparison.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 data error
 (missing or corrupt files, including malformed manifest, annotation and
-candidate records, and plugin output that breaks its contract), 4
-consistency error (mismatched volume sets).
+candidate records, a volume that preprocessing cannot handle, and plugin
+output that breaks its contract), 4 consistency error (mismatched volume
+sets).
 Every command is deterministic given its config (seeds included); reruns
 produce byte-identical outputs, independent of ``--jobs``.
 """
@@ -37,7 +38,7 @@ from .formats import (
     write_roc_csv,
 )
 from .pipeline import (
-    PluginOutputError,
+    VolumeDataError,
     detect_volume,
     oracle_scorer_factory,
     reduce_volume,
@@ -228,6 +229,37 @@ def cmd_detect(args) -> int:
     return 0
 
 
+def _read_candidate_dir(cand_dir: Path, ids) -> dict:
+    """The candidates of each manifest volume, reading each file once.
+
+    A missing or unknown candidate file, or a record whose volume id is
+    outside the manifest, is a volume-set consistency error; records of
+    another manifest volume are ignored.
+    """
+    id_set = set(ids)
+    names = {p.name[: -len(".cand.jsonl")] for p in cand_dir.glob("*.cand.jsonl")}
+    missing = [vid for vid in ids if vid not in names]
+    extra_files = sorted(names - id_set)
+    if missing or extra_files:
+        raise ConsistencyError(
+            "candidate files do not match the manifest volume ids; "
+            f"missing candidates: {missing}; unknown candidate files: {extra_files}"
+        )
+    candidates = {vid: [] for vid in ids}
+    foreign = set()
+    for vid in ids:
+        for rec_vid, cand in read_candidates(cand_dir / f"{vid}.cand.jsonl"):
+            if rec_vid not in id_set:
+                foreign.add(rec_vid)
+            elif rec_vid == vid:
+                candidates[vid].append(cand)
+    if foreign:
+        raise ConsistencyError(
+            f"candidate records reference unknown volume ids: {sorted(foreign)}"
+        )
+    return candidates
+
+
 # ---------------------------------------------------------------------------
 # reduce
 # ---------------------------------------------------------------------------
@@ -247,31 +279,14 @@ def _reduce_worker(task):
 def cmd_reduce(args) -> int:
     cfg = _load_config(args)
     manifest, base, annotations = _load_dataset(args.manifest)
-    cand_dir = Path(args.candidates)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    known = set(manifest.volume_ids())
-    # reject candidate files whose records point at ids outside the manifest
-    records = {}
-    for path in sorted(cand_dir.glob("*.cand.jsonl")):
-        records[path.name] = read_candidates(path)
-        for rec_vid, _ in records[path.name]:
-            if rec_vid not in known:
-                raise ConsistencyError(
-                    f"{path}: candidate references unknown volume id {rec_vid!r}"
-                )
-    tasks = []
-    for entry in manifest.volumes:
-        vid = entry.volume_id
-        path = cand_dir / f"{vid}.cand.jsonl"
-        if path.name not in records:
-            raise DataError(f"candidate file not found for volume {vid!r}: {path}")
-        # records for other manifest volumes are legal and ignored here
-        cands = [cand for rec_vid, cand in records[path.name] if rec_vid == vid]
-        tasks.append(
-            (vid, str(base / entry.volume), cands, annotations.get(vid, []), cfg,
-             args.classifier)
-        )
+    candidates = _read_candidate_dir(Path(args.candidates), manifest.volume_ids())
+    tasks = [
+        (entry.volume_id, str(base / entry.volume), candidates[entry.volume_id],
+         annotations.get(entry.volume_id, []), cfg, args.classifier)
+        for entry in manifest.volumes
+    ]
     results = _run_tasks(_reduce_worker, tasks, cfg.jobs)
     for vid, cands in results:
         write_candidates(out_dir / f"{vid}.cand.jsonl", vid, cands)
@@ -286,36 +301,8 @@ def cmd_reduce(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
     manifest, base, annotations = _load_dataset(args.manifest)
-    cand_dir = Path(args.candidates)
     ids = manifest.volume_ids()
-    id_set = set(ids)
-
-    missing = [vid for vid in ids if not (cand_dir / f"{vid}.cand.jsonl").exists()]
-    extra_files = sorted(
-        p.name[: -len(".cand.jsonl")]
-        for p in cand_dir.glob("*.cand.jsonl")
-        if p.name[: -len(".cand.jsonl")] not in id_set
-    )
-    if missing or extra_files:
-        raise ConsistencyError(
-            "candidate files do not match the manifest volume ids; "
-            f"missing candidates: {missing}; unknown candidate files: {extra_files}"
-        )
-    candidates = {}
-    foreign = set()
-    for vid in ids:
-        cands = []
-        for rec_vid, cand in read_candidates(cand_dir / f"{vid}.cand.jsonl"):
-            if rec_vid not in id_set:
-                foreign.add(rec_vid)
-            elif rec_vid == vid:
-                cands.append(cand)
-        candidates[vid] = cands
-    if foreign:
-        raise ConsistencyError(
-            f"candidate records reference unknown volume ids: {sorted(foreign)}"
-        )
-
+    candidates = _read_candidate_dir(Path(args.candidates), ids)
     volumes = [
         EvalVolume(
             vid,
@@ -528,9 +515,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DataError, ConsistencyError, FormatError, PluginOutputError) as e:
+    except (ConfigError, DataError, ConsistencyError, FormatError, VolumeDataError) as e:
         print(f"error: {e}", file=sys.stderr)
-        # a malformed input file or plugin output is a data error
+        # a malformed input file, an unprocessable volume or bad plugin
+        # output is a data error
         return getattr(e, "exit_code", DataError.exit_code)
 
 

@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .anchors import Lesion, _as_boxes
+from .anchors import Lesion, _as_boxes, box_bounds, box_contains
 from .config import RunConfig
 from .postproc import CandidateDetection
 
@@ -57,29 +57,25 @@ def match_lesions(
 ) -> MatchResult:
     """Match candidates to lesions by closed-interval center containment."""
     boxes = _as_boxes(lesions)
-    inside = [
-        [j for j, box in enumerate(boxes) if box.contains(c.box.center)]
-        for c in cands
-    ]
-    hit_probs = [-math.inf] * len(boxes)
-    for c, lesion_ids in zip(cands, inside):
-        for j in lesion_ids:
-            hit_probs[j] = max(hit_probs[j], c.probability)
+    centers = np.array([c.box.center for c in cands], dtype=float).reshape(-1, 1, 3)
+    inside = box_contains(box_bounds(boxes), centers)  # (candidates, lesions)
+    probs = np.array([c.probability for c in cands], dtype=float)[:, None]
+    hit_probs = np.where(inside, probs, -math.inf).max(axis=0, initial=-math.inf)
     # assignment: highest-probability candidates claim lesions first
     order = sorted(range(len(cands)), key=lambda i: (-cands[i].probability, i))
     assigned: list[Optional[int]] = [None] * len(cands)
     claimed = set()
     for i in order:
-        for j in inside[i]:
+        for j in np.flatnonzero(inside[i]).tolist():
             if j not in claimed:
                 assigned[i] = j
                 claimed.add(j)
                 break
     return MatchResult(
         n_lesions=len(boxes),
-        lesion_hit_probs=tuple(hit_probs),
+        lesion_hit_probs=tuple(hit_probs.tolist()),
         candidate_probs=tuple(c.probability for c in cands),
-        candidate_is_tp=tuple(bool(ids) for ids in inside),
+        candidate_is_tp=tuple(inside.any(axis=1).tolist()),
         candidate_lesion=tuple(assigned),
     )
 

@@ -14,7 +14,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from .anchors import BoundingBox
+from .anchors import BoundingBox, box_bounds, box_contains
 from .config import RunConfig
 from .postproc import CandidateDetection, Stage, nms
 from .volume import AIR_HU, PatchSpec, Volume, extract_patch, normalize_hu, write_volume
@@ -47,19 +47,13 @@ class FprLabel(Enum):
 
 def select_candidates(
     cands: Sequence[CandidateDetection],
-    sensitivity_mode: bool = True,
     floor: float = RunConfig.sensitivity_floor,
     iou_thresh: float = RunConfig.nms_iou,
-    prob_thresh: float = RunConfig.nms_prob,
 ) -> list[CandidateDetection]:
-    """Pick the locations to rescore.
-
-    In sensitivity mode the NMS probability cut drops to ``floor`` so that
-    as many true locations as possible reach the second stage; otherwise
-    the normal threshold applies.
-    """
-    return nms(cands, iou_thresh=iou_thresh,
-               prob_thresh=floor if sensitivity_mode else prob_thresh)
+    """Pick the locations to rescore: NMS with its probability cut at the
+    high-sensitivity ``floor``, so that as many true locations as possible
+    reach the second stage."""
+    return nms(cands, iou_thresh=iou_thresh, prob_thresh=floor)
 
 
 def patch_origins(
@@ -115,9 +109,8 @@ def label_candidate(
     the patch extent on every axis (too close to train on), else negative.
     """
     center = cand.box.center
-    for lesion in lesions:
-        if lesion.contains(center):
-            return FprLabel.POSITIVE
+    if box_contains(box_bounds(lesions), center).any():
+        return FprLabel.POSITIVE
     for lesion in lesions:
         if all(
             abs(c - lc) < s / 2.0

@@ -20,11 +20,13 @@ from .anchors import (
     Anchor,
     BoundingBox,
     TargetVector,
+    anchor_bounds,
     anchor_grid,
     anchor_index,
+    box_bounds,
+    box_iou,
     decode,
     encode,
-    iou3d,
 )
 from .config import RunConfig
 from .fpr import extract_fpr_patches, patch_origins, rescore, select_candidates
@@ -40,7 +42,11 @@ from .volume import (
 )
 
 
-class PluginOutputError(ValueError):
+class VolumeDataError(ValueError):
+    """A volume that the pipeline cannot process; the message names it."""
+
+
+class PluginOutputError(VolumeDataError):
     """A scorer or classifier plugin returned output that breaks its
     contract; the message names the volume (and the tile)."""
 
@@ -89,10 +95,9 @@ class OracleTileScorer:
             )
             local_box = BoundingBox(local, cand.box.diameter)
             base = anchor_index(gi, 0, self.grid_size, self.n_scales)
-            best = max(
-                range(base, base + self.n_scales),
-                key=lambda ai: iou3d(anchors[ai].box, local_box),
-            )
+            # the first best-overlapping scale at this grid point
+            scales = anchor_bounds(anchors[base : base + self.n_scales])
+            best = base + int(box_iou(scales, box_bounds([local_box])).argmax())
             if cand.probability > preds[best, 0]:
                 t = encode(local_box, anchors[best], cand.probability)
                 preds[best] = t.as_tuple()
@@ -179,12 +184,15 @@ def detect_volume(
     v = volume
     z_offset = 0
     if v.cranial_axis is not None:
-        truncated = truncate_cranial(v, cfg.cranial_max_extent_mm)
+        try:
+            truncated = truncate_cranial(v, cfg.cranial_max_extent_mm)
+        except ValueError as e:
+            raise VolumeDataError(f"volume {v.volume_id!r}: {e}") from e
         if v.cranial_axis == "+z":
             z_offset = v.dims[2] - truncated.dims[2]
         v = truncated
     elif v.dims[2] * v.spacing[2] > cfg.cranial_max_extent_mm:
-        raise ValueError(
+        raise VolumeDataError(
             f"volume {v.volume_id!r} exceeds the {cfg.cranial_max_extent_mm} mm "
             "extent limit but lacks the cranial-direction flag"
         )
@@ -222,12 +230,7 @@ def reduce_volume(
     classifier result that is not three probabilities in [0, 1] raises
     :class:`PluginOutputError`.
     """
-    selected = select_candidates(
-        candidates,
-        sensitivity_mode=True,
-        floor=cfg.sensitivity_floor,
-        iou_thresh=cfg.nms_iou,
-    )
+    selected = select_candidates(candidates, cfg.sensitivity_floor, cfg.nms_iou)
     out = []
     for cand in selected:
         if patch_origins(cand.box.center, volume.dims, cfg.fpr_patch_sizes) is None:

@@ -8,7 +8,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .anchors import BoundingBox, box_bounds, iou3d_one_to_many
+from .anchors import BoundingBox, box_bounds, box_iou
 from .config import RunConfig
 from .volume import PatchSpec
 
@@ -57,17 +57,16 @@ def nms(
     candidate with IoU strictly above ``iou_thresh``; ties in probability
     are broken by lexicographic box center so the result is deterministic.
     Output is sorted by descending probability.  Each kept candidate takes
-    one vectorised IoU against the survivors after it, with
-    :func:`~ctadet.anchors.iou3d`'s bits.
+    one :func:`~ctadet.anchors.box_iou` call against the survivors after it.
     """
     alive = sorted((c for c in cands if c.probability > prob_thresh), key=_sort_key)
-    lo, hi, vol = box_bounds([c.box for c in alive])
+    bounds = box_bounds([c.box for c in alive])
     rest = np.arange(len(alive))
     kept: list[CandidateDetection] = []
     while rest.size:
         best, rest = rest[0], rest[1:]
         kept.append(alive[best])
-        rest = rest[iou3d_one_to_many(lo, hi, vol, best, rest) <= iou_thresh]
+        rest = rest[box_iou(bounds.take(rest), bounds.take(best)) <= iou_thresh]
     return kept
 
 

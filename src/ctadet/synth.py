@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .anchors import BoundingBox, Lesion, _as_boxes
+from .anchors import BoundingBox, Lesion, _as_boxes, box_bounds, box_contains
 from .config import RunConfig
 from .fpr import FprPatchSet
 from .postproc import CandidateDetection, Stage
@@ -278,10 +278,10 @@ def reference_classifier(
 
 def perfect_classifier(lesions: Sequence) -> Callable[[FprPatchSet], tuple[float, float, float]]:
     """Oracle rescorer: 1.0 for candidates centered inside a lesion, else 0."""
-    boxes = _as_boxes(lesions)
+    bounds = box_bounds(_as_boxes(lesions))
 
     def classify(patch_set: FprPatchSet) -> tuple[float, float, float]:
-        hit = any(b.contains(patch_set.candidate.box.center) for b in boxes)
+        hit = box_contains(bounds, patch_set.candidate.box.center).any()
         value = 1.0 if hit else 0.0
         return (value, value, value)
 

@@ -3,7 +3,8 @@
 These deliberately avoid sharing code paths with the package: IoU counts
 unit cells on an integer lattice, Fisher's test enumerates tables in exact
 integer arithmetic, NMS/matching/FROC re-derive their answers with plain
-loops.
+loops.  The ``*_reference`` functions are the scalar loops that array
+kernels replaced, kept to pin those kernels bit for bit.
 """
 
 from __future__ import annotations
@@ -73,6 +74,55 @@ def greedy_nms_reference(cands, iou_fn, sort_key, iou_thresh, prob_thresh):
     return kept
 
 
+def iou3d_reference(a, b) -> float:
+    """The scalar IoU loop the box kernel replaced; the kernel must match
+    its bits."""
+    inter = 1.0
+    vol_a = 1.0
+    vol_b = 1.0
+    # all three volumes use the same corner arithmetic so identical boxes
+    # yield exactly 1.0
+    for a_lo, a_hi, b_lo, b_hi in zip(a.lo, a.hi, b.lo, b.hi):
+        lo = max(a_lo, b_lo)
+        hi = min(a_hi, b_hi)
+        if hi <= lo:
+            return 0.0
+        inter *= hi - lo
+        vol_a *= a_hi - a_lo
+        vol_b *= b_hi - b_lo
+    return inter / (vol_a + vol_b - inter)
+
+
+def assign_labels_reference(anchors, lesions, pos_iou=0.5, neg_iou=0.02):
+    """The anchors x lesions loop that labelled anchors before the box
+    kernel, on :func:`iou3d_reference`; it shares only the label types and
+    the scalar ``encode`` with the package."""
+    from ctadet.anchors import AnchorLabel, AnchorStatus, encode
+
+    if pos_iou <= neg_iou:
+        raise ValueError("pos_iou must exceed neg_iou")
+    labels = []
+    for anchor in anchors:
+        best_iou = 0.0
+        best_idx = -1
+        abox = anchor.box
+        for idx, lesion in enumerate(lesions):
+            v = iou3d_reference(abox, lesion)
+            if v > best_iou:
+                best_iou = v
+                best_idx = idx
+        if best_iou > pos_iou:
+            box = lesions[best_idx]
+            labels.append(
+                AnchorLabel(AnchorStatus.POSITIVE, box, encode(box, anchor, 1.0))
+            )
+        elif best_iou < neg_iou:
+            labels.append(AnchorLabel(AnchorStatus.NEGATIVE))
+        else:
+            labels.append(AnchorLabel(AnchorStatus.IGNORED))
+    return labels
+
+
 def contains_oracle(box, point) -> bool:
     for c, p in zip(box.center, point):
         if p < c - box.diameter / 2.0 or p > c + box.diameter / 2.0:
@@ -91,6 +141,22 @@ def match_oracle(cands, boxes):
             if c.probability > hit_probs[j]:
                 hit_probs[j] = c.probability
     return is_tp, hit_probs
+
+
+def assignment_oracle(cands, boxes):
+    """Lesion claimed by each candidate: in descending probability (ties in
+    list order), each takes the lowest-index unclaimed lesion holding its
+    center."""
+    order = sorted(range(len(cands)), key=lambda i: (-cands[i].probability, i))
+    claimed = set()
+    assigned = [None] * len(cands)
+    for i in order:
+        for j, box in enumerate(boxes):
+            if j not in claimed and contains_oracle(box, cands[i].box.center):
+                assigned[i] = j
+                claimed.add(j)
+                break
+    return assigned
 
 
 def froc_oracle(dataset):

@@ -12,12 +12,18 @@ from ctadet.anchors import (
     anchor_index,
     assign_labels,
     box_bounds,
+    box_contains,
+    box_iou,
     decode,
     encode,
     iou3d,
-    iou3d_one_to_many,
 )
-from oracles import iou3d_oracle
+from oracles import (
+    assign_labels_reference,
+    contains_oracle,
+    iou3d_oracle,
+    iou3d_reference,
+)
 
 
 def random_lattice_box(rng):
@@ -82,19 +88,95 @@ class TestIou3d:
             assert iou3d(a, a) == 1.0
 
 
-class TestIou3dOneToMany:
-    def test_bits_equal_iou3d(self):
-        rng = np.random.default_rng(11)
-        # continuous boxes (overlapping, apart on one or more axes) and
-        # lattice boxes (touching faces, identical boxes)
-        boxes = [
-            BoundingBox(tuple(rng.uniform(-6, 6, 3)), rng.uniform(0.5, 8))
-            for _ in range(150)
-        ] + [random_lattice_box(rng) for _ in range(150)]
-        lo, hi, vol = box_bounds(boxes)
-        for i, best in enumerate(boxes):
-            got = iou3d_one_to_many(lo, hi, vol, i, np.arange(len(boxes)))
-            assert got.tolist() == [iou3d(b, best) for b in boxes]
+def kernel_test_boxes(rng):
+    """300 boxes: continuous ones (overlapping, or apart on one or more
+    axes), lattice ones (identical and face-touching pairs), nested pairs
+    and pairs that overlap on two axes but are apart on the third."""
+    boxes = [
+        BoundingBox(tuple(rng.uniform(-6, 6, 3)), rng.uniform(0.5, 8))
+        for _ in range(100)
+    ]
+    for _ in range(30):
+        box = random_lattice_box(rng)
+        shift = np.zeros(3)
+        shift[rng.integers(3)] = box.diameter
+        twin = BoundingBox(box.center, box.diameter)
+        boxes += [box, twin, box.translated(shift), random_lattice_box(rng)]
+    for _ in range(20):
+        outer = BoundingBox(tuple(rng.uniform(-6, 6, 3)), rng.uniform(4, 8))
+        inner = BoundingBox(
+            tuple(outer.center + rng.uniform(-1, 1, 3)), outer.diameter / 3
+        )
+        shift = np.zeros(3)
+        shift[rng.integers(3)] = outer.diameter + rng.uniform(0.0, 2.0)
+        apart = BoundingBox(tuple(outer.center + shift), outer.diameter)
+        boxes += [outer, inner, apart, outer.translated(rng.uniform(-1, 1, 3))]
+    return boxes
+
+
+class TestBoxKernel:
+    """box_iou and box_contains against the scalar loops, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        boxes = kernel_test_boxes(np.random.default_rng(11))
+        want = np.array([[iou3d_reference(a, b) for b in boxes] for a in boxes])
+        return boxes, box_bounds(boxes), want
+
+    def test_cases_present(self, case):
+        boxes, _, want = case
+        assert len(boxes) >= 300
+        box, twin, touching = boxes[100:103]
+        assert iou3d_reference(box, twin) == 1.0 and twin is not box
+        assert iou3d_reference(box, touching) == 0.0
+        assert sum(h == l for h, l in zip(box.hi, touching.lo)) == 1
+        outer, inner, apart = boxes[220:223]
+        assert all(l <= m for l, m in zip(outer.lo, inner.lo))
+        assert all(m <= h for m, h in zip(inner.hi, outer.hi))
+        assert iou3d_reference(outer, apart) == 0.0
+        assert sum(h > l for h, l in zip(outer.hi, apart.lo)) == 2
+
+    def test_all_pairs(self, case):
+        _, bounds, want = case
+        got = box_iou(bounds.take(np.s_[:, None]), bounds)
+        assert got.tolist() == want.tolist()
+
+    def test_one_to_many(self, case):
+        boxes, bounds, want = case
+        for i in range(len(boxes)):
+            assert box_iou(bounds, bounds.take(i)).tolist() == want[:, i].tolist()
+
+    def test_per_row(self, case):
+        boxes, bounds, want = case
+        a, b = np.divmod(np.random.default_rng(3).permutation(want.size), len(boxes))
+        got = box_iou(bounds.take(a), bounds.take(b))
+        assert got.tolist() == want[a, b].tolist()
+
+    def test_pair_form(self, case):
+        boxes, _, want = case
+        for i in range(0, len(boxes), 30):
+            assert [iou3d(boxes[i], b) for b in boxes] == want[i].tolist()
+
+    def test_contains_closed_boundaries(self, case):
+        boxes, bounds, _ = case
+        boxes, bounds = boxes[100:220], bounds.take(np.s_[100:220])  # exact corners
+        rng = np.random.default_rng(5)
+        points = []
+        for box in boxes:
+            corner = np.where(rng.random(3) < 0.5, box.lo, box.hi)
+            inside = np.array(box.center)
+            mixed = np.where(rng.random(3) < 0.5, corner, inside)
+            beyond = corner.copy()
+            beyond[0] = np.nextafter(corner[0], corner[0] + (corner[0] - inside[0]))
+            points += [corner, mixed, beyond]
+        points = np.array(points)
+        got = box_contains(bounds, points[:, None])
+        want = [[contains_oracle(b, p) for b in boxes] for p in points.tolist()]
+        assert got.tolist() == want
+        for k in range(len(boxes)):  # its corner in, the nudged one out
+            assert got[3 * k, k] and not got[3 * k + 2, k]
+        for p, row in zip(points[::9].tolist(), want[::9]):
+            assert [b.contains(p) for b in boxes] == row
 
 
 class TestAnchorGrid:
@@ -265,3 +347,62 @@ class TestAssignLabels:
                 assert status is AnchorStatus.NEGATIVE
             else:
                 assert status is AnchorStatus.IGNORED
+
+
+class TestAssignLabelsReference:
+    """assign_labels against the anchors x lesions loop it replaced."""
+
+    def grid(self):
+        return anchor_grid(patch_size=24, grid_size=6, anchor_sizes=[4.0, 6.0, 10.0])
+
+    def lesions(self, rng, n):
+        # lattice boxes near the grid, so IoUs tie and hit exact fractions
+        return [
+            BoundingBox(
+                tuple(rng.integers(0, 48, 3) / 2.0),
+                float(rng.choice([4.0, 5.0, 6.0, 9.0])),
+            )
+            for _ in range(n)
+        ]
+
+    @pytest.mark.parametrize(
+        "pos_iou, neg_iou", [(0.5, 0.02), (1 / 3, 0.02), (0.5, 1 / 3)]
+    )
+    @pytest.mark.parametrize("seed", range(2))
+    def test_equals_reference(self, seed, pos_iou, neg_iou):
+        rng = np.random.default_rng(seed)
+        anchors = self.grid()
+        lesions = self.lesions(rng, 6)
+        # twins on either side of anchor 0 tie; one sits at IoU exactly 1/3
+        lesions += [
+            BoundingBox((2.5, 2.0, 2.0), 4.0),
+            BoundingBox((1.5, 2.0, 2.0), 4.0),
+            BoundingBox((anchors[0].position[0] + 2.0, 2.0, 2.0), 4.0),
+        ]
+        shuffled = [lesions[i] for i in rng.permutation(len(lesions))]
+        for order in (lesions, lesions[::-1], shuffled):
+            got = assign_labels(anchors, order, pos_iou, neg_iou)
+            assert got == assign_labels_reference(anchors, order, pos_iou, neg_iou)
+        assert {l.status for l in got} == set(AnchorStatus)
+
+    def test_exact_third_and_ties_present(self):
+        anchor = self.grid()[0]
+        twins = [BoundingBox((2.5, 2.0, 2.0), 4.0), BoundingBox((1.5, 2.0, 2.0), 4.0)]
+        third = BoundingBox((4.0, 2.0, 2.0), 4.0)
+        tied = [iou3d_reference(anchor.box, twin) for twin in twins]
+        assert tied[0] == tied[1]
+        assert iou3d_reference(anchor.box, third) == 1 / 3
+        for pos_iou, neg_iou in [(1 / 3, 0.02), (0.5, 1 / 3)]:
+            assert assign_labels([anchor], [third], pos_iou, neg_iou) == \
+                assign_labels_reference([anchor], [third], pos_iou, neg_iou)
+        assert assign_labels([anchor], twins)[0].matched_box == twins[0]
+
+    def test_empty_lesion_list(self):
+        anchors = self.grid()
+        assert assign_labels(anchors, []) == assign_labels_reference(anchors, [])
+
+    @pytest.mark.parametrize("pos_iou, neg_iou", [(0.3, 0.3), (0.2, 0.5), (-0.5, -1.0)])
+    def test_thresholds_outside_order_rejected(self, pos_iou, neg_iou):
+        # a negative pos_iou would label every anchor positive
+        with pytest.raises(ValueError, match="neg_iou"):
+            assign_labels(self.grid(), [BoundingBox((2, 2, 2), 4.0)], pos_iou, neg_iou)

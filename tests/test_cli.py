@@ -258,7 +258,19 @@ class TestReduceEvalCompare:
         ])
         assert rc == 4  # a volume-set consistency error, as in eval
 
-    def test_reduce_missing_candidates_exit_3(self, tmp_path, pipeline, capsys):
+    def test_reduce_unknown_candidate_file_exit_4(self, tmp_path, pipeline, capsys):
+        config, data, cand = pipeline
+        copy = (cand / "vol-0000.cand.jsonl").read_text()
+        (cand / "ghost.cand.jsonl").write_text(copy)
+        rc = main([
+            "reduce", "--config", str(config),
+            "--manifest", str(data / "manifest.json"),
+            "--candidates", str(cand), "--out", str(tmp_path / "r"),
+        ])
+        assert rc == 4  # eval rejects the same directory
+        assert "ghost" in capsys.readouterr().err
+
+    def test_reduce_missing_candidates_exit_4(self, tmp_path, pipeline, capsys):
         config, data, cand = pipeline
         (cand / "vol-0002.cand.jsonl").unlink()
         rc = main([
@@ -266,7 +278,7 @@ class TestReduceEvalCompare:
             "--manifest", str(data / "manifest.json"),
             "--candidates", str(cand), "--out", str(tmp_path / "r"),
         ])
-        assert rc == 3
+        assert rc == 4  # a volume-set consistency error, as in eval
         assert "vol-0002" in capsys.readouterr().err
 
     def test_compare_identical_reports_p_one(self, tmp_path, pipeline):
@@ -454,6 +466,27 @@ class TestMalformedInput:
             args += ["--candidates", str(cand)]
         assert main(args) == 3
         assert where in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["unflagged-too-tall", "keeps-no-slices"])
+    def test_preprocessing_data_error_exit_3(self, tmp_path, capsys, case):
+        config = small_config(tmp_path)
+        data = run_dataset(tmp_path, config)
+        if case == "unflagged-too-tall":
+            # 64 slices at 4 mm span 256 mm, over the 200 mm limit
+            header = data / "vol-0001.vol.json"
+            doc = json.loads(header.read_text())
+            doc["cranial_axis"] = None
+            doc["spacing_mm"][2] = 4.0
+            header.write_text(json.dumps(doc))
+        else:  # half a millimetre keeps no 1 mm slice
+            config = small_config(tmp_path, cranial_max_extent_mm=0.5)
+        capsys.readouterr()
+        assert main([
+            "detect", "--config", str(config), "--jobs", "2",
+            "--manifest", str(data / "manifest.json"), "--out", str(tmp_path / "cand"),
+        ]) == 3
+        named = "vol-0001" if case == "unflagged-too-tall" else "vol-0000"
+        assert f"volume {named!r}" in capsys.readouterr().err
 
     def test_grid_not_dividing_patch_exit_2(self, tmp_path, capsys):
         data = run_dataset(tmp_path, small_config(tmp_path))

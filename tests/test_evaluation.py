@@ -28,7 +28,9 @@ from ctadet.evaluation import (
 )
 from ctadet.postproc import CandidateDetection
 from oracles import (
+    assignment_oracle,
     avg_sensitivity_oracle,
+    contains_oracle,
     fisher_oracle,
     froc_oracle,
     match_oracle,
@@ -61,6 +63,34 @@ def random_volume_data(rng, n_lesions=None, n_cands=None, span=60.0):
         else:
             center = tuple(rng.uniform(0, span, 3))
         cands.append(cand(center, float(rng.uniform(0, 1))))
+    return lesions, cands
+
+
+def boundary_volume_data(rng):
+    """Lattice lesions, some in overlapping pairs, and candidates centered
+    on their faces, edges and corners, inside two lesions at once, or one
+    ulp outside a face; probabilities tie often."""
+    lesions = []
+    for _ in range(int(rng.integers(1, 4))):
+        box = lesion(
+            tuple(rng.integers(20, 60, 3) / 2.0), float(rng.choice([3.0, 4.0, 6.0]))
+        )
+        lesions.append(box)
+        if rng.random() < 0.5:
+            lesions.append(box.translated(rng.integers(-4, 5, 3) / 2.0))
+    cands = []
+    for _ in range(int(rng.integers(1, 8))):
+        a, b = (lesions[int(i)] for i in rng.integers(len(lesions), size=2))
+        lo = np.maximum(a.lo, b.lo)
+        hi = np.minimum(a.hi, b.hi)
+        if (lo > hi).any():  # no common point: use a's own box
+            lo, hi = np.array(a.lo), np.array(a.hi)
+        pick = rng.integers(3, size=3)  # lo face, hi face or midpoint per axis
+        center = np.choose(pick, [lo, hi, (lo + hi) / 2.0])
+        if rng.random() < 0.2:
+            ax = int(rng.integers(3))
+            center[ax] = np.nextafter(center[ax], np.inf if pick[ax] == 1 else -np.inf)
+        cands.append(cand(tuple(center.tolist()), float(rng.choice([0.2, 0.5, 0.9]))))
     return lesions, cands
 
 
@@ -107,6 +137,26 @@ class TestMatchLesions:
             is_tp, hit_probs = match_oracle(cands, lesions)
             assert list(m.candidate_is_tp) == is_tp
             assert list(m.lesion_hit_probs) == hit_probs
+
+    def test_matches_oracle_on_boundaries_and_overlaps(self):
+        rng = np.random.default_rng(23)
+        on_face = in_two = 0
+        for _ in range(300):
+            lesions, cands = boundary_volume_data(rng)
+            m = match_lesions(cands, lesions)
+            is_tp, hit_probs = match_oracle(cands, lesions)
+            assert list(m.candidate_is_tp) == is_tp
+            assert list(m.lesion_hit_probs) == hit_probs
+            assert list(m.candidate_lesion) == assignment_oracle(cands, lesions)
+            for c in cands:
+                hits = [b for b in lesions if contains_oracle(b, c.box.center)]
+                in_two += len(hits) >= 2
+                on_face += any(
+                    p in (l, h)
+                    for b in hits
+                    for p, l, h in zip(c.box.center, b.lo, b.hi)
+                )
+        assert on_face > 100 and in_two > 100
 
 
 class TestFroc:

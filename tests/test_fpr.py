@@ -12,7 +12,7 @@ from ctadet.fpr import (
     rescore,
     select_candidates,
 )
-from ctadet.postproc import CandidateDetection, Stage
+from ctadet.postproc import CandidateDetection, Stage, nms
 from ctadet.synth import (
     OracleDetectorSpec,
     PhantomSpec,
@@ -34,15 +34,14 @@ def uniform_volume(dims=(128, 128, 128), value=40):
 class TestSelectCandidates:
     def test_low_probability_kept_only_in_sensitivity_mode(self):
         c = cand((10, 10, 10), p=0.1)
-        assert select_candidates([c], sensitivity_mode=True) == [c]
-        assert select_candidates([c], sensitivity_mode=False) == []
+        assert select_candidates([c]) == [c]
 
     def test_empty(self):
         assert select_candidates([]) == []
 
     def test_identical_above_normal_threshold(self):
         cands = [cand((10, 10, 10), p=0.9), cand((60, 60, 60), p=0.4)]
-        assert select_candidates(cands, True) == select_candidates(cands, False)
+        assert select_candidates(cands) == nms(cands)
 
 
 class TestExtractFprPatches:

@@ -13,7 +13,7 @@ from ctadet.postproc import (
     to_volume_coords,
 )
 from ctadet.volume import PatchSpec
-from oracles import greedy_nms_reference, nms_oracle
+from oracles import greedy_nms_reference, iou3d_reference, nms_oracle
 
 
 def cand(center, d, p, stage=Stage.DETECTOR):
@@ -62,7 +62,7 @@ class TestNms:
             kept = nms(random_candidates(rng, 20))
             for i, a in enumerate(kept):
                 for b in kept[i + 1:]:
-                    assert iou3d(a.box, b.box) <= 0.25
+                    assert iou3d_reference(a.box, b.box) <= 0.25
 
     def test_sorted_by_descending_probability(self):
         rng = np.random.default_rng(29)
@@ -74,7 +74,7 @@ class TestNms:
         rng = np.random.default_rng(31)
         for _ in range(300):
             cands = random_candidates(rng, int(rng.integers(0, 21)))
-            assert nms(cands) == nms_oracle(cands, iou3d, 0.25, 0.25)
+            assert nms(cands) == nms_oracle(cands, iou3d_reference, 0.25, 0.25)
 
     def test_probability_tie_broken_by_center(self):
         a = cand((5.0, 0.0, 0.0), 4.0, 0.8)
@@ -119,13 +119,13 @@ def crowded_candidates(rng, n, span):
 
 
 class TestNmsAtScale:
-    """The array kernel against the greedy iou3d loop it replaced."""
+    """The array kernel against the greedy scalar-IoU loop it replaced."""
 
     @pytest.mark.parametrize("n, span", [(500, 12), (2000, 16)])
     def test_equals_greedy_reference(self, n, span):
         rng = np.random.default_rng(n)
         cands = crowded_candidates(rng, n, span)
-        adjacent = [iou3d(a.box, b.box) for a, b in zip(cands, cands[1:])]
+        adjacent = [iou3d_reference(a.box, b.box) for a, b in zip(cands, cands[1:])]
         assert 0.25 in adjacent and 1.0 in adjacent
         assert any(
             v == 0.0 and any(h == l for h, l in zip(a.box.hi, b.box.lo))
@@ -134,7 +134,9 @@ class TestNmsAtScale:
         cands = [cands[i] for i in rng.permutation(len(cands))]
         for prob_thresh in (0.05, 0.5):
             kept = nms(cands, iou_thresh=0.25, prob_thresh=prob_thresh)
-            assert kept == greedy_nms_reference(cands, iou3d, _sort_key, 0.25, prob_thresh)
+            assert kept == greedy_nms_reference(
+                cands, iou3d_reference, _sort_key, 0.25, prob_thresh
+            )
             assert 0 < len(kept) < len(cands)
 
 
