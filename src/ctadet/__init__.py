@@ -3,6 +3,7 @@ protocol, exercised end to end on synthetic phantoms."""
 
 from .anchors import (
     Anchor,
+    AnchorGrid,
     AnchorLabel,
     AnchorStatus,
     BoundingBox,

@@ -143,53 +143,6 @@ class AnchorLabel:
             raise ValueError(f"{self.status.value} label must not carry a match")
 
 
-def anchor_grid(
-    patch_size: int = RunConfig.patch_size[0],
-    grid_size: int = RunConfig.grid_size,
-    anchor_sizes: Sequence[float] = RunConfig.anchor_sizes,
-) -> tuple[Anchor, ...]:
-    """Build the full anchor tuple for one patch.
-
-    Grid points are cell centers: position = (index + 0.5) * downsample
-    factor, with factor = patch_size / grid_size.  Anchors are ordered
-    grid-index-major (x, then y, then z) with scales innermost, matching
-    :func:`anchor_index`.  The result is immutable, and the last grid
-    built is memoised on ``(patch_size, grid_size, anchor_sizes)``, so the
-    volumes of a run share one grid.
-    """
-    return _anchor_grid(patch_size, grid_size, tuple(anchor_sizes))
-
-
-@lru_cache(maxsize=1)
-def _anchor_grid(
-    patch_size: int, grid_size: int, anchor_sizes: tuple[float, ...]
-) -> tuple[Anchor, ...]:
-    if patch_size % grid_size != 0:
-        raise ValueError(
-            f"patch size {patch_size} not divisible by grid size {grid_size}"
-        )
-    factor = patch_size // grid_size
-    anchors = []
-    for i in range(grid_size):
-        for j in range(grid_size):
-            for k in range(grid_size):
-                pos = ((i + 0.5) * factor, (j + 0.5) * factor, (k + 0.5) * factor)
-                for s, size in enumerate(anchor_sizes):
-                    anchors.append(Anchor((i, j, k), pos, float(size), s))
-    return tuple(anchors)
-
-
-def anchor_index(
-    grid_index: tuple[int, int, int],
-    scale_index: int,
-    grid_size: int,
-    n_scales: int,
-) -> int:
-    """Flat position of an anchor in the list built by :func:`anchor_grid`."""
-    i, j, k = grid_index
-    return ((i * grid_size + j) * grid_size + k) * n_scales + scale_index
-
-
 class BoxBounds(NamedTuple):
     """Axis-aligned cubes as arrays: corners ``lo`` and ``hi`` shaped
     (..., 3) and ``volume`` shaped (...)."""
@@ -245,9 +198,66 @@ def iou3d(a: BoundingBox, b: BoundingBox) -> float:
     return float(box_iou(both.take(0), both.take(1)))
 
 
-def anchor_bounds(anchors: Sequence[Anchor]) -> BoxBounds:
-    """Bounds of the anchors' boxes."""
-    return cube_bounds([a.position for a in anchors], [a.anchor_size for a in anchors])
+class AnchorGrid:
+    """The anchors of one patch as read-only arrays, one row per anchor:
+    centres ``position`` (n, 3), edge lengths ``size`` (n,) and their
+    cubes ``bounds``.  ``grid_size``, ``factor`` and ``sizes`` fix the row
+    layout, grid-index-major (x, then y, then z) with scales innermost;
+    only :meth:`row` and :meth:`anchor` read it."""
+
+    def __init__(self, grid_size: int, factor: int, sizes, position, size):
+        self.grid_size, self.factor, self.sizes = grid_size, factor, tuple(sizes)
+        self._shape = (grid_size,) * 3 + (len(self.sizes),)
+        self.position = np.array(position, dtype=float).reshape(-1, 3)
+        self.size = np.array(size, dtype=float)
+        self.bounds = cube_bounds(self.position, self.size)
+        for arr in (self.position, self.size, *self.bounds):
+            arr.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.size)
+
+    def row(self, grid_index: tuple[int, int, int], scale_index: int) -> int:
+        """Flat index of the anchor at ``grid_index`` and ``scale_index``."""
+        return int(np.ravel_multi_index((*grid_index, scale_index), self._shape))
+
+    def anchor(self, row: int) -> Anchor:
+        """Row ``row`` as the one-row :class:`Anchor` that :func:`encode`
+        and :func:`decode` take."""
+        *grid_index, scale = (int(v) for v in np.unravel_index(row, self._shape))
+        position = tuple(self.position[row].tolist())
+        return Anchor(tuple(grid_index), position, float(self.size[row]), scale)
+
+
+def anchor_grid(
+    patch_size: int = RunConfig.patch_size[0],
+    grid_size: int = RunConfig.grid_size,
+    anchor_sizes: Sequence[float] = RunConfig.anchor_sizes,
+) -> AnchorGrid:
+    """The anchor grid of one patch.
+
+    Grid points are cell centers: position = (index + 0.5) * factor, with
+    factor = patch_size / grid_size, and each carries one anchor per size.
+    The last grid built is memoised on ``(patch_size, grid_size,
+    anchor_sizes)``, so the volumes of a run share one grid.
+    """
+    return _anchor_grid(patch_size, grid_size, tuple(float(s) for s in anchor_sizes))
+
+
+@lru_cache(maxsize=1)
+def _anchor_grid(
+    patch_size: int, grid_size: int, anchor_sizes: tuple[float, ...]
+) -> AnchorGrid:
+    if patch_size % grid_size != 0:
+        raise ValueError(
+            f"patch size {patch_size} not divisible by grid size {grid_size}"
+        )
+    factor = patch_size // grid_size
+    axis = (np.arange(grid_size) + 0.5) * factor
+    cells = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
+    position = np.repeat(cells, len(anchor_sizes), axis=0)
+    sizes = np.tile(anchor_sizes, len(cells))
+    return AnchorGrid(grid_size, factor, anchor_sizes, position, sizes)
 
 
 def encode(box: BoundingBox, anchor: Anchor, p: float) -> TargetVector:
@@ -275,12 +285,13 @@ def decode(t: TargetVector, anchor: Anchor) -> tuple[BoundingBox, float]:
 
 
 def assign_labels(
-    anchors: Sequence[Anchor],
+    grid: AnchorGrid,
     lesions: Sequence[BoundingBox],
     pos_iou: float = RunConfig.pos_iou,
     neg_iou: float = RunConfig.neg_iou,
 ) -> list[AnchorLabel]:
-    """Label each anchor by its best IoU against the ground-truth boxes.
+    """Label each anchor of ``grid`` by its best IoU against the
+    ground-truth boxes.
 
     max IoU > pos_iou: positive, matched to the argmax lesion (ties broken
     by lowest lesion index) with its encoded target.  max IoU < neg_iou:
@@ -289,7 +300,7 @@ def assign_labels(
     """
     if not 0.0 <= neg_iou < pos_iou:
         raise ValueError(f"need 0 <= neg_iou < pos_iou, got {neg_iou}, {pos_iou}")
-    ious = box_iou(anchor_bounds(anchors).take(np.s_[:, None]), box_bounds(lesions))
+    ious = box_iou(grid.bounds.take(np.s_[:, None]), box_bounds(lesions))
     best_iou = ious.max(axis=1, initial=0.0)
     # frozen, so one negative and one ignored label serve every anchor
     negative = AnchorLabel(AnchorStatus.NEGATIVE)
@@ -297,5 +308,6 @@ def assign_labels(
     labels = [negative if v < neg_iou else ignored for v in best_iou.tolist()]
     for i in np.flatnonzero(best_iou > pos_iou):
         box = lesions[ious[i].argmax()]  # the first of tied lesions
-        labels[i] = AnchorLabel(AnchorStatus.POSITIVE, box, encode(box, anchors[i], 1.0))
+        target = encode(box, grid.anchor(i), 1.0)
+        labels[i] = AnchorLabel(AnchorStatus.POSITIVE, box, target)
     return labels

@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import importlib
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -72,12 +73,28 @@ def _load_config(args) -> RunConfig:
     for name in ("seed", "jobs"):  # command-line overrides
         if getattr(args, name) is not None:
             cfg = dataclasses.replace(cfg, **{name: getattr(args, name)})
-    if cfg.jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {cfg.jobs}")
-    if cfg.grid_size < 1 or cfg.patch_size[0] % cfg.grid_size:
-        raise ConfigError(
-            f"patch size {cfg.patch_size[0]} not divisible by grid size {cfg.grid_size}"
-        )
+    fppvs = cfg.fppv_grid + cfg.operating_fppvs
+    for ok, problem in (  # each test is False for NaN
+        (cfg.jobs >= 1, f"--jobs must be >= 1, got {cfg.jobs}"),
+        (cfg.grid_size >= 1 and cfg.patch_size[0] % cfg.grid_size == 0,
+         f"patch size {cfg.patch_size[0]} not divisible by grid size {cfg.grid_size}"),
+        (all(0 <= cfg.tile_overlap < p for p in cfg.patch_size),
+         f"tile_overlap must be >= 0 and below each of patch_size {cfg.patch_size}, "
+         f"got {cfg.tile_overlap}"),
+        (cfg.anchor_sizes and all(0 < s < math.inf for s in cfg.anchor_sizes),
+         f"anchor_sizes must be non-empty, positive and finite, got {cfg.anchor_sizes}"),
+        (len(cfg.hu_window) == 2 and cfg.hu_window[0] < cfg.hu_window[1],
+         f"hu_window must be [lo, hi] with lo < hi, got {cfg.hu_window}"),
+        (cfg.bootstrap_resamples >= 1,
+         f"bootstrap_resamples must be >= 1, got {cfg.bootstrap_resamples}"),
+        (0 < cfg.bootstrap_level < 1,
+         f"bootstrap_level must be in (0, 1), got {cfg.bootstrap_level}"),
+        (cfg.fppv_grid, "fppv_grid must not be empty"),
+        (all(f >= 0 for f in fppvs),
+         f"fppv_grid and operating_fppvs entries must be >= 0, got {fppvs}"),
+    ):
+        if not ok:
+            raise ConfigError(problem)
     return cfg
 
 

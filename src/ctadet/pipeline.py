@@ -2,11 +2,11 @@
 cross-tile NMS, then candidate rescoring by a patch classifier.
 
 A detector is pluggable as a *tile scorer*: given a normalized patch and
-its anchor list, it returns an (n_anchors, 5) prediction array of
-(probability, dx, dy, dz, ds) rows.  A scorer factory builds one scorer
-per volume; the shipped factory wraps the ground-truth oracle detector so
-the whole chain (tiling, decoding, NMS, rescoring) runs without a neural
-network.
+the patch's :class:`~ctadet.anchors.AnchorGrid`, it returns a
+(len(grid), 5) prediction array with one (probability, dx, dy, dz, ds)
+row per grid row.  A scorer factory builds one scorer per volume; the
+shipped factory wraps the ground-truth oracle detector so the whole chain
+(tiling, decoding, NMS, rescoring) runs without a neural network.
 """
 
 from __future__ import annotations
@@ -17,12 +17,10 @@ from typing import Callable, Protocol, Sequence
 import numpy as np
 
 from .anchors import (
-    Anchor,
+    AnchorGrid,
     BoundingBox,
     TargetVector,
-    anchor_bounds,
     anchor_grid,
-    anchor_index,
     box_bounds,
     box_iou,
     decode,
@@ -52,9 +50,7 @@ class PluginOutputError(VolumeDataError):
 
 
 class TileScorer(Protocol):
-    def score(
-        self, patch: Volume, tile: PatchSpec, anchors: Sequence[Anchor]
-    ) -> np.ndarray: ...
+    def score(self, patch: Volume, tile: PatchSpec, grid: AnchorGrid) -> np.ndarray: ...
 
 
 ScorerFactory = Callable[[Volume, Sequence[BoundingBox], RunConfig, int], TileScorer]
@@ -69,37 +65,26 @@ class OracleTileScorer:
     overlaps deduplicate under NMS.
     """
 
-    def __init__(
-        self,
-        candidates: Sequence[CandidateDetection],
-        grid_size: int,
-        downsample: int,
-        n_scales: int,
-    ):
+    def __init__(self, candidates: Sequence[CandidateDetection]):
         self.candidates = list(candidates)
-        self.grid_size = grid_size
-        self.downsample = downsample
-        self.n_scales = n_scales
 
-    def score(
-        self, patch: Volume, tile: PatchSpec, anchors: Sequence[Anchor]
-    ) -> np.ndarray:
-        preds = np.zeros((len(anchors), 5))
+    def score(self, patch: Volume, tile: PatchSpec, grid: AnchorGrid) -> np.ndarray:
+        preds = np.zeros((len(grid), 5))
         for cand in self.candidates:
             local = tuple(c - o for c, o in zip(cand.box.center, tile.origin))
             if not all(0 <= lc < s for lc, s in zip(local, tile.size)):
                 continue
             gi = tuple(
-                min(max(int(round(lc / self.downsample - 0.5)), 0), self.grid_size - 1)
+                min(max(int(round(lc / grid.factor - 0.5)), 0), grid.grid_size - 1)
                 for lc in local
             )
             local_box = BoundingBox(local, cand.box.diameter)
-            base = anchor_index(gi, 0, self.grid_size, self.n_scales)
+            base = grid.row(gi, 0)
             # the first best-overlapping scale at this grid point
-            scales = anchor_bounds(anchors[base : base + self.n_scales])
+            scales = grid.bounds.take(np.s_[base : base + len(grid.sizes)])
             best = base + int(box_iou(scales, box_bounds([local_box])).argmax())
             if cand.probability > preds[best, 0]:
-                t = encode(local_box, anchors[best], cand.probability)
+                t = encode(local_box, grid.anchor(best), cand.probability)
                 preds[best] = t.as_tuple()
         return preds
 
@@ -120,18 +105,12 @@ def oracle_scorer_factory(
         tp_prob_range=cfg.detector_tp_prob_range,
         seed=seed,
     )
-    candidates = oracle_detect(lesions, spec, volume.dims)
-    return OracleTileScorer(
-        candidates,
-        grid_size=cfg.grid_size,
-        downsample=cfg.patch_size[0] // cfg.grid_size,
-        n_scales=len(cfg.anchor_sizes),
-    )
+    return OracleTileScorer(oracle_detect(lesions, spec, volume.dims))
 
 
 def _decode_grid(
     preds: np.ndarray,
-    anchors: Sequence[Anchor],
+    grid: AnchorGrid,
     floor: float,
     tile: PatchSpec,
 ) -> list[CandidateDetection]:
@@ -139,7 +118,7 @@ def _decode_grid(
     through the scalar :func:`decode`, so its bits match a per-row loop."""
     out = []
     for i in np.flatnonzero(preds[:, 0] > floor):
-        anchor = anchors[i]
+        anchor = grid.anchor(i)
         box, prob = decode(TargetVector(*(float(x) for x in preds[i])), anchor)
         out.append(
             CandidateDetection(
@@ -198,17 +177,17 @@ def detect_volume(
         )
     shifted = [b.translated((0, 0, -z_offset)) for b in lesions]
     scorer = scorer_factory(v, shifted, cfg, seed)
-    anchors = anchor_grid(cfg.patch_size[0], cfg.grid_size, cfg.anchor_sizes)
+    grid = anchor_grid(cfg.patch_size[0], cfg.grid_size, cfg.anchor_sizes)
     tiles = tile_volume(v, cfg.patch_size, cfg.tile_overlap)
     per_tile = []
     for tile in tiles:
         patch = normalize_hu(extract_patch(v, tile), cfg.hu_window)
         preds = _checked_preds(
-            scorer.score(patch, tile, anchors),
-            len(anchors),
+            scorer.score(patch, tile, grid),
+            len(grid),
             f"volume {volume.volume_id!r}, tile at {tile.origin}",
         )
-        per_tile.append((tile, _decode_grid(preds, anchors, cfg.sensitivity_floor, tile)))
+        per_tile.append((tile, _decode_grid(preds, grid, cfg.sensitivity_floor, tile)))
     merged = merge_tiles(per_tile, cfg.nms_iou, cfg.sensitivity_floor)
     if z_offset:
         merged = [replace(c, box=c.box.translated((0, 0, z_offset))) for c in merged]

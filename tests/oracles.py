@@ -93,6 +93,58 @@ def iou3d_reference(a, b) -> float:
     return inter / (vol_a + vol_b - inter)
 
 
+def anchor_grid_reference(patch_size, grid_size, anchor_sizes):
+    """The triple loop that built the anchor grid as a tuple of ``Anchor``
+    objects before the array grid; the array grid must match its bits and
+    its row order."""
+    from ctadet.anchors import Anchor
+
+    if patch_size % grid_size != 0:
+        raise ValueError(
+            f"patch size {patch_size} not divisible by grid size {grid_size}"
+        )
+    factor = patch_size // grid_size
+    anchors = []
+    for i in range(grid_size):
+        for j in range(grid_size):
+            for k in range(grid_size):
+                pos = ((i + 0.5) * factor, (j + 0.5) * factor, (k + 0.5) * factor)
+                for s, size in enumerate(anchor_sizes):
+                    anchors.append(Anchor((i, j, k), pos, float(size), s))
+    return tuple(anchors)
+
+
+def oracle_score_reference(candidates, tile, anchors, grid_size, downsample, n_scales):
+    """The per-candidate loop the oracle tile scorer ran on a list of
+    ``Anchor`` objects, with the flat anchor index written out."""
+    import numpy as np
+
+    from ctadet.anchors import BoundingBox, box_bounds, box_iou, cube_bounds, encode
+
+    preds = np.zeros((len(anchors), 5))
+    for cand in candidates:
+        local = tuple(c - o for c, o in zip(cand.box.center, tile.origin))
+        if not all(0 <= lc < s for lc, s in zip(local, tile.size)):
+            continue
+        gi = tuple(
+            min(max(int(round(lc / downsample - 0.5)), 0), grid_size - 1)
+            for lc in local
+        )
+        local_box = BoundingBox(local, cand.box.diameter)
+        i, j, k = gi
+        base = ((i * grid_size + j) * grid_size + k) * n_scales
+        # the first best-overlapping scale at this grid point
+        at_point = anchors[base : base + n_scales]
+        scales = cube_bounds(
+            [a.position for a in at_point], [a.anchor_size for a in at_point]
+        )
+        best = base + int(box_iou(scales, box_bounds([local_box])).argmax())
+        if cand.probability > preds[best, 0]:
+            t = encode(local_box, anchors[best], cand.probability)
+            preds[best] = t.as_tuple()
+    return preds
+
+
 def assign_labels_reference(anchors, lesions, pos_iou=0.5, neg_iou=0.02):
     """The anchors x lesions loop that labelled anchors before the box
     kernel, on :func:`iou3d_reference`; it shares only the label types and

@@ -5,11 +5,11 @@ import pytest
 
 from ctadet.anchors import (
     Anchor,
+    AnchorGrid,
     AnchorStatus,
     BoundingBox,
     TargetVector,
     anchor_grid,
-    anchor_index,
     assign_labels,
     box_bounds,
     box_contains,
@@ -19,11 +19,24 @@ from ctadet.anchors import (
     iou3d,
 )
 from oracles import (
+    anchor_grid_reference,
     assign_labels_reference,
     contains_oracle,
     iou3d_oracle,
     iou3d_reference,
 )
+
+
+def grid_of(*anchors):
+    """An AnchorGrid of the given anchors, in order: one grid point whose
+    scales are the anchors."""
+    sizes = [a.anchor_size for a in anchors]
+    return AnchorGrid(1, 1, sizes, [a.position for a in anchors], sizes)
+
+
+def grid_rows(grid):
+    """Every row of ``grid`` as an Anchor, for the scalar references."""
+    return [grid.anchor(i) for i in range(len(grid))]
 
 
 def random_lattice_box(rng):
@@ -181,18 +194,64 @@ class TestBoxKernel:
 
 class TestAnchorGrid:
     def test_default_count(self):
-        anchors = anchor_grid()
-        assert len(anchors) == 24 ** 3 * 3
+        grid = anchor_grid()
+        assert len(grid) == 24 ** 3 * 3
+        assert grid.position.shape == (len(grid), 3)
+        assert grid.size.shape == grid.bounds.volume.shape == (len(grid),)
 
     def test_first_grid_point_position(self):
-        anchors = anchor_grid()
-        assert anchors[0].grid_index == (0, 0, 0)
-        assert anchors[0].position == (2.0, 2.0, 2.0)
+        grid = anchor_grid()
+        assert grid.anchor(0).grid_index == (0, 0, 0)
+        assert grid.anchor(0).position == (2.0, 2.0, 2.0)
 
     def test_unit_factor_positions(self):
-        anchors = anchor_grid(patch_size=96, grid_size=96, anchor_sizes=[5.0])
-        assert anchors[0].position == (0.5, 0.5, 0.5)
-        assert anchors[-1].position == (95.5, 95.5, 95.5)
+        grid = anchor_grid(patch_size=96, grid_size=96, anchor_sizes=[5.0])
+        assert grid.anchor(0).position == (0.5, 0.5, 0.5)
+        assert grid.anchor(len(grid) - 1).position == (95.5, 95.5, 95.5)
+
+    @pytest.mark.parametrize(
+        "patch_size, grid_size, sizes",
+        [(96, 24, (5.0, 10.0, 20.0)), (8, 4, [3, 6]), (96, 96, [5])],
+    )
+    def test_equals_reference(self, patch_size, grid_size, sizes):
+        grid = anchor_grid(patch_size, grid_size, sizes)
+        ref = anchor_grid_reference(patch_size, grid_size, sizes)
+        assert len(grid) == len(ref)
+        # sizes differ between scales, so equal sizes pin the scale order
+        assert np.array_equal(grid.position, [a.position for a in ref])
+        assert np.array_equal(grid.size, [a.anchor_size for a in ref])
+        for i in range(0, len(ref), max(1, len(ref) // 2000)):
+            assert grid.anchor(i) == ref[i]
+            assert grid.row(ref[i].grid_index, ref[i].scale_index) == i
+
+    def test_row_anchor_round_trip(self):
+        grid = anchor_grid(patch_size=12, grid_size=3, anchor_sizes=[2.0, 4.0, 8.0])
+        for i in range(len(grid)):
+            anchor = grid.anchor(i)
+            assert grid.row(anchor.grid_index, anchor.scale_index) == i
+            assert anchor.position == tuple(grid.position[i].tolist())
+            assert anchor.anchor_size == grid.sizes[anchor.scale_index] == grid.size[i]
+            assert anchor.box == BoundingBox(anchor.position, anchor.anchor_size)
+        for outside in (((3, 0, 0), 0), ((0, 0, 0), 3), ((0, -1, 0), 0)):
+            with pytest.raises(ValueError):
+                grid.row(*outside)
+        with pytest.raises(ValueError):
+            grid.anchor(len(grid))
+
+    def test_len_is_anchor_count(self):
+        assert len(anchor_grid(patch_size=8, grid_size=4, anchor_sizes=[3.0, 6.0])) == 128
+        a = Anchor((0, 0, 0), (1.0, 2.0, 3.0), 4.0, 0)
+        assert len(grid_of(a)) == 1 and len(grid_of(a, a, a)) == 3
+
+    def test_arrays_refuse_writes(self):
+        grid = anchor_grid(patch_size=8, grid_size=4, anchor_sizes=[3.0, 6.0])
+        for arr in (grid.position, grid.size, *grid.bounds):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+        position = np.zeros((1, 3))
+        grid = AnchorGrid(1, 1, [2.0], position, [2.0])
+        position[0, 0] = 5.0  # the grid holds a copy
+        assert grid.position.tolist() == [[0.0, 0.0, 0.0]]
 
     def test_indivisible_sizes_rejected(self):
         for _ in range(2):  # a failed build is not memoised
@@ -202,22 +261,21 @@ class TestAnchorGrid:
     def test_memoised_immutable_grid(self):
         from_list = anchor_grid(patch_size=8, grid_size=4, anchor_sizes=[3.0, 6.0])
         from_tuple = anchor_grid(patch_size=8, grid_size=4, anchor_sizes=(3.0, 6.0))
-        assert isinstance(from_list, tuple)
+        assert isinstance(from_list, AnchorGrid)
         assert from_tuple is from_list
-        assert anchor_grid(8, 4, [3, 6]) == from_list  # int sizes become floats
+        assert anchor_grid(8, 4, [3, 6]) is from_list  # int sizes become floats
+        assert from_list.sizes == (3.0, 6.0)
+        with pytest.raises(ValueError):
+            anchor_grid(8, 3, [3.0, 6.0])
+        assert anchor_grid(8, 4, [3.0, 6.0]) is from_list  # the failure kept it
 
     def test_distinct_sizes_distinct_grids(self):
         small = anchor_grid(patch_size=8, grid_size=4, anchor_sizes=[3.0])
         both = anchor_grid(patch_size=8, grid_size=4, anchor_sizes=[3.0, 6.0])
         coarse = anchor_grid(patch_size=8, grid_size=2, anchor_sizes=[3.0])
         assert len(small) == 64 and len(both) == 128 and len(coarse) == 8
-        assert {a.anchor_size for a in small} == {3.0}
-        assert coarse[0].position == (2.0, 2.0, 2.0)
-
-    def test_anchor_index_agrees_with_list_order(self):
-        anchors = anchor_grid(patch_size=8, grid_size=4, anchor_sizes=[3.0, 6.0])
-        for flat, anchor in enumerate(anchors):
-            assert anchor_index(anchor.grid_index, anchor.scale_index, 4, 2) == flat
+        assert set(small.size.tolist()) == {3.0}
+        assert coarse.anchor(0).position == (2.0, 2.0, 2.0)
 
 
 class TestEncodeDecode:
@@ -274,9 +332,8 @@ class TestAssignLabels:
         assert all(l.status is AnchorStatus.NEGATIVE for l in labels)
 
     def test_coincident_lesion_positive(self):
-        anchors = self.grid()
-        lesion = anchors[17].box
-        labels = assign_labels(anchors, [lesion])
+        lesion = self.grid().anchor(17).box
+        labels = assign_labels(self.grid(), [lesion])
         assert labels[17].status is AnchorStatus.POSITIVE
         assert labels[17].matched_box == lesion
         assert labels[17].target.as_tuple() == (1.0, 0.0, 0.0, 0.0, 0.0)
@@ -286,19 +343,19 @@ class TestAssignLabels:
         anchor = Anchor((0, 0, 0), (0.0, 0.0, 0.0), 4.0, 0)
         lesion = BoundingBox((2.0, 0.0, 0.0), 4.0)
         assert iou3d(anchor.box, lesion) == pytest.approx(1 / 3, abs=1e-12)
-        labels = assign_labels([anchor], [lesion])
+        labels = assign_labels(grid_of(anchor), [lesion])
         assert labels[0].status is AnchorStatus.IGNORED
         assert labels[0].matched_box is None
 
     def test_statuses_partition(self):
         rng = np.random.default_rng(3)
-        anchors = self.grid()
+        grid = self.grid()
         lesions = [
             BoundingBox(tuple(rng.uniform(0, 32, 3)), rng.uniform(1, 10))
             for _ in range(4)
         ]
-        labels = assign_labels(anchors, lesions)
-        assert len(labels) == len(anchors)
+        labels = assign_labels(grid, lesions)
+        assert len(labels) == len(grid)
         for label in labels:
             assert label.status in (
                 AnchorStatus.POSITIVE,
@@ -308,19 +365,19 @@ class TestAssignLabels:
 
     def test_positive_set_invariant_under_lesion_permutation(self):
         rng = np.random.default_rng(5)
-        anchors = self.grid()
+        grid = self.grid()
         lesions = [
             BoundingBox(tuple(rng.uniform(0, 32, 3)), rng.uniform(2, 12))
             for _ in range(5)
         ]
-        a = assign_labels(anchors, lesions)
-        b = assign_labels(anchors, lesions[::-1])
+        a = assign_labels(grid, lesions)
+        b = assign_labels(grid, lesions[::-1])
         assert [l.status for l in a] == [l.status for l in b]
         for la, lb in zip(a, b):
             if la.status is AnchorStatus.POSITIVE:
                 # may differ only between exactly-tied lesions
                 if la.matched_box != lb.matched_box:
-                    anchor_box = anchors[a.index(la)].box
+                    anchor_box = grid.anchor(a.index(la)).box
                     assert iou3d(anchor_box, la.matched_box) == pytest.approx(
                         iou3d(anchor_box, lb.matched_box)
                     )
@@ -329,7 +386,7 @@ class TestAssignLabels:
         anchor = Anchor((0, 0, 0), (0.0, 0.0, 0.0), 4.0, 0)
         twin_a = BoundingBox((0.5, 0.0, 0.0), 4.0)
         twin_b = BoundingBox((-0.5, 0.0, 0.0), 4.0)
-        labels = assign_labels([anchor], [twin_a, twin_b])
+        labels = assign_labels(grid_of(anchor), [twin_a, twin_b])
         assert labels[0].status is AnchorStatus.POSITIVE
         assert labels[0].matched_box == twin_a
 
@@ -339,7 +396,7 @@ class TestAssignLabels:
         anchor = Anchor((0, 0, 0), (16.0, 16.0, 16.0), 10.0, 1)
         for d in np.linspace(2.0, 30.0, 57):
             lesion = BoundingBox((16.0, 16.0, 16.0), float(d))
-            status = assign_labels([anchor], [lesion])[0].status
+            status = assign_labels(grid_of(anchor), [lesion])[0].status
             v = iou3d(anchor.box, lesion)
             if v > 0.5:
                 assert status is AnchorStatus.POSITIVE
@@ -371,35 +428,35 @@ class TestAssignLabelsReference:
     @pytest.mark.parametrize("seed", range(2))
     def test_equals_reference(self, seed, pos_iou, neg_iou):
         rng = np.random.default_rng(seed)
-        anchors = self.grid()
+        grid = self.grid()
         lesions = self.lesions(rng, 6)
         # twins on either side of anchor 0 tie; one sits at IoU exactly 1/3
         lesions += [
             BoundingBox((2.5, 2.0, 2.0), 4.0),
             BoundingBox((1.5, 2.0, 2.0), 4.0),
-            BoundingBox((anchors[0].position[0] + 2.0, 2.0, 2.0), 4.0),
+            BoundingBox((grid.anchor(0).position[0] + 2.0, 2.0, 2.0), 4.0),
         ]
         shuffled = [lesions[i] for i in rng.permutation(len(lesions))]
         for order in (lesions, lesions[::-1], shuffled):
-            got = assign_labels(anchors, order, pos_iou, neg_iou)
-            assert got == assign_labels_reference(anchors, order, pos_iou, neg_iou)
+            got = assign_labels(grid, order, pos_iou, neg_iou)
+            assert got == assign_labels_reference(grid_rows(grid), order, pos_iou, neg_iou)
         assert {l.status for l in got} == set(AnchorStatus)
 
     def test_exact_third_and_ties_present(self):
-        anchor = self.grid()[0]
+        anchor = self.grid().anchor(0)
         twins = [BoundingBox((2.5, 2.0, 2.0), 4.0), BoundingBox((1.5, 2.0, 2.0), 4.0)]
         third = BoundingBox((4.0, 2.0, 2.0), 4.0)
         tied = [iou3d_reference(anchor.box, twin) for twin in twins]
         assert tied[0] == tied[1]
         assert iou3d_reference(anchor.box, third) == 1 / 3
         for pos_iou, neg_iou in [(1 / 3, 0.02), (0.5, 1 / 3)]:
-            assert assign_labels([anchor], [third], pos_iou, neg_iou) == \
+            assert assign_labels(grid_of(anchor), [third], pos_iou, neg_iou) == \
                 assign_labels_reference([anchor], [third], pos_iou, neg_iou)
-        assert assign_labels([anchor], twins)[0].matched_box == twins[0]
+        assert assign_labels(grid_of(anchor), twins)[0].matched_box == twins[0]
 
     def test_empty_lesion_list(self):
-        anchors = self.grid()
-        assert assign_labels(anchors, []) == assign_labels_reference(anchors, [])
+        grid = self.grid()
+        assert assign_labels(grid, []) == assign_labels_reference(grid_rows(grid), [])
 
     @pytest.mark.parametrize("pos_iou, neg_iou", [(0.3, 0.3), (0.2, 0.5), (-0.5, -1.0)])
     def test_thresholds_outside_order_rejected(self, pos_iou, neg_iou):

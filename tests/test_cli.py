@@ -534,6 +534,55 @@ class TestMalformedInput:
             assert "bad.json" in capsys.readouterr().err
 
 
+class TestConfigValues:
+    """Config values that would break detect or eval are config errors."""
+
+    @pytest.fixture(scope="class")
+    def dataset(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("config-values")
+        config = small_config(root, n_volumes=2, phantom_dims=[64, 64, 48])
+        data = run_dataset(root, config)
+        cand = root / "cand"
+        manifest = str(data / "manifest.json")
+        assert main(["detect", "--config", str(config),
+                     "--manifest", manifest, "--out", str(cand)]) == 0
+        assert main(["eval", "--config", str(config), "--manifest", manifest,
+                     "--candidates", str(cand), "--out", str(root / "eval")]) == 0
+        return data, cand
+
+    CASES = [
+        ("detect", "tile_overlap", 96),
+        ("detect", "tile_overlap", -5),
+        ("detect", "anchor_sizes", []),
+        ("detect", "anchor_sizes", [0]),
+        ("detect", "hu_window", [0, 0]),
+        ("eval", "bootstrap_resamples", 0),
+        ("eval", "fppv_grid", []),
+        ("eval", "fppv_grid", [-1.0, 1.0]),
+        ("eval", "operating_fppvs", [-0.5]),
+        ("eval", "bootstrap_level", 1.5),
+    ]
+
+    @pytest.mark.parametrize(
+        "command, field, value",
+        CASES,
+        ids=[f"{command}-{field}={json.dumps(value, separators=(',', ':'))}"
+             for command, field, value in CASES],
+    )
+    def test_bad_value_exit_2(self, tmp_path, capsys, dataset, command, field, value):
+        data, cand = dataset
+        config = small_config(
+            tmp_path, n_volumes=2, phantom_dims=[64, 64, 48], **{field: value}
+        )
+        args = [command, "--config", str(config),
+                "--manifest", str(data / "manifest.json"), "--out", str(tmp_path / "out")]
+        if command == "eval":
+            args += ["--candidates", str(cand)]
+        capsys.readouterr()
+        assert main(args) == 2
+        assert field in capsys.readouterr().err
+
+
 # Plugins that break their output contract: scorers wrap the oracle scorer
 # and spoil its array, classifiers return a fixed result.
 _BAD_PLUGINS = """
@@ -546,8 +595,8 @@ class _Spoiled:
     def __init__(self, inner, spoil):
         self.inner, self.spoil = inner, spoil
 
-    def score(self, patch, tile, anchors):
-        return self.spoil(self.inner.score(patch, tile, anchors))
+    def score(self, patch, tile, grid):
+        return self.spoil(self.inner.score(patch, tile, grid))
 
 
 def _scorer(spoil):

@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 
-from ctadet.anchors import BoundingBox
+from ctadet.anchors import BoundingBox, anchor_grid
 from ctadet.config import RunConfig
-from ctadet.pipeline import detect_volume, reduce_volume
-from ctadet.postproc import Stage
+from ctadet.pipeline import OracleTileScorer, detect_volume, reduce_volume
+from ctadet.postproc import CandidateDetection, Stage
 from ctadet.synth import (
     PhantomSpec,
     generate_phantom,
     perfect_classifier,
     reference_classifier,
 )
-from ctadet.volume import Volume
+from ctadet.volume import Volume, tile_volume
+from oracles import oracle_score_reference
 
 
 def phantom(seed=0, **kw):
@@ -134,3 +135,78 @@ class TestReduceVolume:
     def test_zero_candidates(self):
         vol, _ = phantom(seed=8, n_aneurysms=0)
         assert reduce_volume(vol, [], reference_classifier, RunConfig()) == []
+
+
+def scorer_test_candidates(rng):
+    """Candidates over a 160x128x96 volume tiled by 96-voxel patches at
+    x in {0, 64} and y in {0, 32}: 80 random ones, 14 on tile faces or one
+    ulp off them, three pairs on one anchor (tied, rising and falling
+    probabilities), six sized for the three anchor scales and four on
+    boundaries between grid cells."""
+    def cand(center, diameter, p):
+        return CandidateDetection(BoundingBox(center, diameter), p)
+
+    def below(v):
+        return float(np.nextafter(v, -np.inf))
+
+    cands = [
+        cand(tuple(rng.uniform(0, (160, 128, 96))), rng.uniform(1, 30), rng.uniform())
+        for _ in range(80)
+    ]
+    for x in (64.0, below(64.0), below(160.0), 70.0):
+        for y in (32.0, below(128.0), 50.0):
+            cands.append(cand((x, y, rng.uniform(0, 96)), rng.uniform(3, 25), 0.5))
+    cands.append(cand((70.0, 50.0, below(96.0)), 8.0, 0.5))
+    cands.append(cand((96.0, 50.0, 40.0), 8.0, 0.5))
+    for p_first, p_second in ((0.6, 0.6), (0.4, 0.7), (0.7, 0.4)):
+        x = 4.0 * rng.integers(3, 23) + 2.0  # a cell centre of tile x=0
+        cands += [cand((x, 18.0, 18.0), 9.0, p_first),
+                  cand((x + 0.3, 18.2, 18.0), 9.5, p_second)]
+    for diameter in (4.0, 5.5, 9.0, 11.0, 19.0, 26.0):
+        cands.append(cand(tuple(rng.uniform(5, 90, 3)), diameter, rng.uniform()))
+    for v in (4.0, 8.0, 12.0, 16.0):  # cell boundaries: rounding half to even
+        cands.append(cand((v, v + 40.0, 2.0 * v), 7.0, rng.uniform()))
+    return cands
+
+
+class TestOracleTileScorer:
+    """OracleTileScorer.score against its per-candidate loop on Anchor
+    objects, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        volume = Volume(np.zeros((160, 128, 96), np.int16), (1, 1, 1))
+        tiles = tile_volume(volume, 96, 16)
+        assert [t.origin for t in tiles] == [(0, 0, 0), (0, 32, 0), (64, 0, 0), (64, 32, 0)]
+        return anchor_grid(), tiles, scorer_test_candidates(np.random.default_rng(23))
+
+    def test_equals_reference(self, case):
+        grid, tiles, cands = case
+        anchors = [grid.anchor(i) for i in range(len(grid))]
+        scales = set()
+        for tile in tiles:
+            got = OracleTileScorer(cands).score(None, tile, grid)
+            want = oracle_score_reference(cands, tile, anchors, 24, 4, 3)
+            assert got.tolist() == want.tolist()
+            scales |= {int(i) % 3 for i in np.flatnonzero(got[:, 0])}
+        assert scales == {0, 1, 2}
+
+    def test_faces_and_overlaps(self, case):
+        grid, tiles, cands = case
+        hits = [
+            sum(OracleTileScorer([c]).score(None, t, grid)[:, 0].any() for t in tiles)
+            for c in cands
+        ]
+        assert sum(h >= 2 for h in hits[:80]) > 10  # centres in tile overlaps
+        # lower faces are inside a tile, upper faces outside
+        assert hits[80:94] == [4, 2, 4, 2, 1, 2, 2, 1, 2, 4, 2, 4, 4, 2]
+
+    def test_pairs_on_one_anchor(self, case):
+        grid, tiles, cands = case
+        for first, second in zip(cands[94:100:2], cands[95:100:2]):
+            alone = [OracleTileScorer([c]).score(None, tiles[0], grid) for c in (first, second)]
+            rows = [np.flatnonzero(a[:, 0]).tolist() for a in alone]
+            assert rows[0] == rows[1] and len(rows[0]) == 1
+            both = OracleTileScorer([first, second]).score(None, tiles[0], grid)
+            winner = alone[0] if first.probability >= second.probability else alone[1]
+            assert both.tolist() == winner.tolist()
