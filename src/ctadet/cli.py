@@ -76,13 +76,19 @@ def _load_config(args) -> RunConfig:
     fppvs = cfg.fppv_grid + cfg.operating_fppvs
     for ok, problem in (  # each test is False for NaN
         (cfg.jobs >= 1, f"--jobs must be >= 1, got {cfg.jobs}"),
-        (cfg.grid_size >= 1 and cfg.patch_size[0] % cfg.grid_size == 0,
-         f"patch size {cfg.patch_size[0]} not divisible by grid size {cfg.grid_size}"),
+        (len(cfg.patch_size) == 3 and all(p >= 1 for p in cfg.patch_size),
+         f"patch_size must be 3 positive integers, got {cfg.patch_size}"),
+        (cfg.grid_size >= 1 and all(p % cfg.grid_size == 0 for p in cfg.patch_size[:1]),
+         f"first patch_size entry of {cfg.patch_size} not divisible by grid size "
+         f"{cfg.grid_size}"),
         (all(0 <= cfg.tile_overlap < p for p in cfg.patch_size),
          f"tile_overlap must be >= 0 and below each of patch_size {cfg.patch_size}, "
          f"got {cfg.tile_overlap}"),
         (cfg.anchor_sizes and all(0 < s < math.inf for s in cfg.anchor_sizes),
          f"anchor_sizes must be non-empty, positive and finite, got {cfg.anchor_sizes}"),
+        (len(cfg.fpr_patch_sizes) == 3
+         and all(len(s) == 3 and all(p >= 1 for p in s) for s in cfg.fpr_patch_sizes),
+         f"fpr_patch_sizes must be 3 sizes of 3 positive integers, got {cfg.fpr_patch_sizes}"),
         (len(cfg.hu_window) == 2 and cfg.hu_window[0] < cfg.hu_window[1],
          f"hu_window must be [lo, hi] with lo < hi, got {cfg.hu_window}"),
         (cfg.bootstrap_resamples >= 1,

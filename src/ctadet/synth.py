@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -21,7 +22,7 @@ from .anchors import BoundingBox, Lesion, _as_boxes, box_bounds, box_contains
 from .config import RunConfig
 from .fpr import FprPatchSet
 from .postproc import CandidateDetection, Stage
-from .volume import Volume
+from .volume import _SLAB_VOXELS, Volume
 
 SIZE_CLASS_BINS = ((3.0, "2.5-3mm"), (5.0, "3-5mm"), (10.0, "5-10mm"))
 SIZE_CLASS_TOP = ">10mm"
@@ -155,7 +156,9 @@ def generate_phantom(spec: PhantomSpec, volume_id: str = "phantom"):
     """
     rng = np.random.default_rng(spec.seed)
     dims = tuple(int(d) for d in spec.dims)
-    vol = np.full(dims, spec.background_hu, dtype=np.float64)
+    # tissue labels index `hu`: 0 background, 1 vessel, 2 aneurysm
+    labels = np.zeros(dims, dtype=np.uint8)
+    hu = np.array([spec.background_hu, spec.vessel_hu, spec.aneurysm_hu], dtype=np.float64)
 
     vessels = []
     for _ in range(spec.n_vessels):
@@ -164,7 +167,7 @@ def generate_phantom(spec: PhantomSpec, volume_id: str = "phantom"):
         vessels.append((path, radius))
     for path, radius in vessels:
         for point in path:
-            _paint_ball(vol, point, radius, spec.vessel_hu)
+            _paint_ball(labels, point, radius, 1)
 
     lesions: list[Lesion] = []
     for _ in range(spec.n_aneurysms):
@@ -196,11 +199,16 @@ def generate_phantom(spec: PhantomSpec, volume_id: str = "phantom"):
                 f"in dims {dims} after 200 retries"
             )
     for lesion in lesions:
-        _paint_ball(vol, lesion.box.center, lesion.box.diameter / 2.0, spec.aneurysm_hu)
+        _paint_ball(labels, lesion.box.center, lesion.box.diameter / 2.0, 2)
 
-    if spec.noise_sigma > 0:
-        vol = vol + rng.normal(0.0, spec.noise_sigma, dims)
-    values = np.clip(np.rint(vol), -32768, 32767).astype(np.int16)
+    # x-slabs in C order draw the same noise numbers as one whole-volume draw
+    values = np.empty(dims, dtype=np.int16)
+    step = max(1, _SLAB_VOXELS // (dims[1] * dims[2]))
+    for x in range(0, dims[0], step):
+        slab = hu[labels[x : x + step]]
+        if spec.noise_sigma > 0:
+            slab += rng.normal(0.0, spec.noise_sigma, slab.shape)
+        values[x : x + step] = np.clip(np.rint(slab), -32768, 32767)
     volume = Volume(values, spec.spacing, volume_id, cranial_axis="+z")
     return volume, lesions
 
@@ -262,18 +270,27 @@ def reference_classifier(
     """
     scores = []
     for patch in patch_set.patches:
-        arr = patch.values
-        shape = arr.shape
-        radius = min(shape) / 4.0
-        grids = np.ogrid[0:shape[0], 0:shape[1], 0:shape[2]]
-        d2 = sum((g - (s - 1) / 2.0) ** 2 for g, s in zip(grids, shape))
-        inner = d2 <= radius * radius
-        shell = (d2 > radius * radius) & (d2 <= 4.0 * radius * radius)
-        bright = arr > threshold
-        frac_in = float(bright[inner].mean()) if inner.any() else 0.0
-        frac_shell = float(bright[shell].mean()) if shell.any() else 0.0
+        bright = patch.values > threshold
+        frac_in, frac_shell = (
+            np.count_nonzero(bright & mask) / count if count else 0.0
+            for mask, count in _sphere_masks(bright.shape)
+        )
         scores.append(float(np.clip(0.5 + 0.5 * (frac_in - frac_shell), 0.0, 1.0)))
     return tuple(scores)
+
+
+@lru_cache(maxsize=32)
+def _sphere_masks(shape: tuple[int, int, int]) -> tuple[tuple[np.ndarray, int], ...]:
+    """Read-only central-sphere and shell masks of a patch shape, each
+    with its voxel count."""
+    radius = min(shape) / 4.0
+    grids = np.ogrid[0:shape[0], 0:shape[1], 0:shape[2]]
+    d2 = sum((g - (s - 1) / 2.0) ** 2 for g, s in zip(grids, shape))
+    inner = d2 <= radius * radius
+    shell = (d2 > radius * radius) & (d2 <= 4.0 * radius * radius)
+    for mask in (inner, shell):
+        mask.flags.writeable = False
+    return (inner, int(np.count_nonzero(inner))), (shell, int(np.count_nonzero(shell)))
 
 
 def perfect_classifier(lesions: Sequence) -> Callable[[FprPatchSet], tuple[float, float, float]]:

@@ -4,7 +4,10 @@ A volume is a 3D scalar grid in Hounsfield units with per-axis spacing.
 On disk a volume is a pair of files: ``<id>.vol.raw`` (x-fastest voxel
 order, little-endian int16 HU) and a ``<id>.vol.json`` sidecar holding
 dims, spacing, cranial direction and the volume id.  In memory, values
-are indexed ``[x, y, z]``.
+are indexed ``[x, y, z]``.  :func:`read_volume` returns the file's own
+buffer as a Fortran-ordered (x-fastest) array, cranial truncation is a
+view of it, and extracted patches keep the source's memory order, so
+detection holds one whole-volume buffer.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ AIR_HU = -1000.0
 
 _RAW_SUFFIX = ".vol.raw"
 _JSON_SUFFIX = ".vol.json"
+_SLAB_VOXELS = 1 << 20  # voxels per slab when a whole volume is filled or written
 
 
 @dataclass(frozen=True)
@@ -120,9 +124,11 @@ def write_volume(v: Volume, path) -> None:
     if lo < -32768 or hi > 32767:
         raise ValueError(f"HU values [{lo}, {hi}] exceed the int16 range")
     raw_path, json_path = _volume_paths(path)
-    data = arr.astype("<i2")
-    # .T serializes with x fastest for dims-ordered (nx, ny, nz) arrays
-    raw_path.write_bytes(data.T.tobytes())
+    # z-slabs; .T puts x fastest in each slab's bytes
+    step = max(1, _SLAB_VOXELS // (arr.shape[0] * arr.shape[1]))
+    with open(raw_path, "wb") as f:
+        for z in range(0, arr.shape[2], step):
+            f.write(np.ascontiguousarray(arr[:, :, z : z + step].T, dtype="<i2"))
     header = {
         "dims": list(v.dims),
         "spacing_mm": list(v.spacing),
@@ -147,19 +153,15 @@ def read_volume(path) -> Volume:
             f"{json_path}: dims and spacing_mm need 3 entries each, "
             f"got {len(dims)} and {len(spacing)}"
         )
-    raw = raw_path.read_bytes()
     expected = dims[0] * dims[1] * dims[2] * 2
-    if len(raw) != expected:
+    size = raw_path.stat().st_size
+    if size != expected:
         raise ValueError(
             f"{raw_path}: header declares dims {dims} ({expected} bytes) "
-            f"but file holds {len(raw)} bytes"
+            f"but file holds {size} bytes"
         )
-    values = (
-        np.frombuffer(raw, dtype="<i2")
-        .reshape((dims[2], dims[1], dims[0]))
-        .transpose(2, 1, 0)
-        .astype(np.int16)
-    )
+    # the file is x-fastest, so its one buffer is the Fortran-ordered [x, y, z]
+    values = np.fromfile(raw_path, "<i2").reshape(dims, order="F").astype(np.int16, copy=False)
     return Volume(
         values=values,
         spacing=spacing,
@@ -181,8 +183,9 @@ def truncate_cranial(
 ) -> Volume:
     """Keep only the cranial-most slices up to ``max_extent_mm`` of z extent.
 
-    Volumes already within the limit are returned unchanged.  Requires the
-    cranial direction flag from the header.
+    The kept values are a view of the input's.  Volumes already within the
+    limit are returned unchanged.  Requires the cranial direction flag from
+    the header.
     """
     if v.cranial_axis is None:
         raise ValueError(
@@ -200,7 +203,7 @@ def truncate_cranial(
         values = v.values[:, :, nz - keep :]
     else:
         values = v.values[:, :, :keep]
-    return Volume(values.copy(), v.spacing, v.volume_id, v.cranial_axis)
+    return Volume(values, v.spacing, v.volume_id, v.cranial_axis)
 
 
 def _axis_origins(dim: int, patch: int, overlap: int) -> list[int]:
@@ -244,8 +247,9 @@ def tile_volume(
 
 
 def extract_patch(v: Volume, spec: PatchSpec) -> Volume:
-    """Copy the voxels under ``spec``; out-of-bounds voxels get the pad value."""
-    out = np.full(spec.size, spec.pad_value, dtype=v.values.dtype)
+    """Copy the voxels under ``spec`` in the source's memory order;
+    out-of-bounds voxels get the pad value."""
+    out = np.full_like(v.values, spec.pad_value, shape=spec.size)
     src = []
     dst = []
     for o, s, d in zip(spec.origin, spec.size, v.dims):

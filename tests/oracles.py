@@ -175,6 +175,78 @@ def assign_labels_reference(anchors, lesions, pos_iou=0.5, neg_iou=0.02):
     return labels
 
 
+def generate_phantom_reference(spec, volume_id="phantom"):
+    """The float64-canvas phantom builder that slab-wise filling replaced:
+    paint HU into a whole float64 volume, add one whole-volume noise draw,
+    then round, clip and cast.  It shares the unchanged path, painting and
+    placement helpers with the package."""
+    import numpy as np
+
+    from ctadet.anchors import BoundingBox, Lesion
+    from ctadet.synth import _paint_ball, _random_unit, _separated, _vessel_path, size_class
+    from ctadet.volume import Volume
+
+    rng = np.random.default_rng(spec.seed)
+    dims = tuple(int(d) for d in spec.dims)
+    vol = np.full(dims, spec.background_hu, dtype=np.float64)
+    vessels = []
+    for _ in range(spec.n_vessels):
+        radius = rng.uniform(*spec.vessel_radius_range)
+        vessels.append((_vessel_path(rng, dims, margin=2.0 + radius), radius))
+    for path, radius in vessels:
+        for point in path:
+            _paint_ball(vol, point, radius, spec.vessel_hu)
+    lesions = []
+    for _ in range(spec.n_aneurysms):
+        for _attempt in range(200):
+            v_idx = int(rng.integers(len(vessels)))
+            path, radius = vessels[v_idx]
+            point = path[int(rng.integers(len(path)))]
+            diameter = float(rng.uniform(*spec.aneurysm_diameter_range))
+            center = point + (radius + 0.45 * diameter) * _random_unit(rng)
+            box = BoundingBox(tuple(center), diameter)
+            if any(l < 0.5 for l in box.lo) or any(
+                h > d - 1.5 for h, d in zip(box.hi, dims)
+            ):
+                continue
+            if all(_separated(box, l.box, 3.0) for l in lesions):
+                labels = {
+                    "size_class": size_class(diameter, spec.spacing),
+                    "location": f"vessel-{v_idx}",
+                }
+                lesions.append(Lesion(box, labels))
+                break
+        else:
+            raise ValueError("could not place the lesions")
+    for lesion in lesions:
+        _paint_ball(vol, lesion.box.center, lesion.box.diameter / 2.0, spec.aneurysm_hu)
+    if spec.noise_sigma > 0:
+        vol = vol + rng.normal(0.0, spec.noise_sigma, dims)
+    values = np.clip(np.rint(vol), -32768, 32767).astype(np.int16)
+    return Volume(values, spec.spacing, volume_id, cranial_axis="+z"), lesions
+
+
+def reference_classifier_reference(patch_set, threshold=0.15):
+    """The per-patch loop that rebuilt the sphere and shell masks for every
+    patch and averaged boolean gathers; memoised masks must match its bits."""
+    import numpy as np
+
+    scores = []
+    for patch in patch_set.patches:
+        arr = patch.values
+        shape = arr.shape
+        radius = min(shape) / 4.0
+        grids = np.ogrid[0:shape[0], 0:shape[1], 0:shape[2]]
+        d2 = sum((g - (s - 1) / 2.0) ** 2 for g, s in zip(grids, shape))
+        inner = d2 <= radius * radius
+        shell = (d2 > radius * radius) & (d2 <= 4.0 * radius * radius)
+        bright = arr > threshold
+        frac_in = float(bright[inner].mean()) if inner.any() else 0.0
+        frac_shell = float(bright[shell].mean()) if shell.any() else 0.0
+        scores.append(float(np.clip(0.5 + 0.5 * (frac_in - frac_shell), 0.0, 1.0)))
+    return tuple(scores)
+
+
 def contains_oracle(box, point) -> bool:
     for c, p in zip(box.center, point):
         if p < c - box.diameter / 2.0 or p > c + box.diameter / 2.0:

@@ -425,6 +425,11 @@ def _corrupt(kind: str, data: Path, cand: Path) -> str:
         del doc["volumes"]
         manifest.write_text(json.dumps(doc))
         return "manifest.json"
+    if kind in ("raw-short", "raw-long"):
+        raw = data / "vol-0001.vol.raw"
+        body = raw.read_bytes()
+        raw.write_bytes(body[:-2] if kind == "raw-short" else body + b"\0\0")
+        return "vol-0001.vol.raw: header declares dims"
     # a volume header without dims, or with two, read inside a --jobs 2 worker
     header = data / "vol-0001.vol.json"
     doc = json.loads(header.read_text())
@@ -447,6 +452,8 @@ class TestMalformedInput:
             ("manifest-keys", "eval"),
             ("volume-header", "detect"),
             ("volume-dims", "detect"),
+            ("raw-short", "detect"),
+            ("raw-long", "detect"),
         ],
     )
     def test_exit_3_names_the_file(self, tmp_path, capsys, kind, command):
@@ -556,6 +563,10 @@ class TestConfigValues:
         ("detect", "anchor_sizes", []),
         ("detect", "anchor_sizes", [0]),
         ("detect", "hu_window", [0, 0]),
+        ("detect", "patch_size", []),
+        ("detect", "patch_size", [96, 96]),
+        ("reduce", "fpr_patch_sizes", []),
+        ("reduce", "fpr_patch_sizes", [[20, 20]]),
         ("eval", "bootstrap_resamples", 0),
         ("eval", "fppv_grid", []),
         ("eval", "fppv_grid", [-1.0, 1.0]),
@@ -576,7 +587,7 @@ class TestConfigValues:
         )
         args = [command, "--config", str(config),
                 "--manifest", str(data / "manifest.json"), "--out", str(tmp_path / "out")]
-        if command == "eval":
+        if command != "detect":
             args += ["--candidates", str(cand)]
         capsys.readouterr()
         assert main(args) == 2

@@ -2,16 +2,20 @@ import numpy as np
 import pytest
 
 from ctadet.anchors import BoundingBox, iou3d
-from ctadet.fpr import extract_fpr_patches
+from ctadet.config import RunConfig
+from ctadet.fpr import FprPatchSet, extract_fpr_patches
 from ctadet.postproc import CandidateDetection
 from ctadet.synth import (
     OracleDetectorSpec,
     PhantomSpec,
+    _sphere_masks,
     generate_phantom,
     oracle_detect,
     reference_classifier,
     size_class,
 )
+from ctadet.volume import _SLAB_VOXELS, Volume
+from oracles import generate_phantom_reference, reference_classifier_reference
 
 
 class TestGeneratePhantom:
@@ -71,6 +75,45 @@ class TestGeneratePhantom:
         )
         with pytest.raises(ValueError, match="place"):
             generate_phantom(spec)
+
+
+RAGGED_DIMS = (45, 160, 160)  # x-slabs of 40 planes and a last one of 5
+
+
+class TestPhantomMatchesReference:
+    """Slab-wise filling reproduces the float64-canvas phantom bit for bit."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"noise_sigma": 0.0},
+            {"vessel_hu": 300.5, "background_hu": -0.5, "noise_sigma": 0.0},
+            {"vessel_hu": 300.5, "background_hu": -0.5},
+            {"aneurysm_hu": 40000.0},
+            {"dims": RAGGED_DIMS, "n_aneurysms": 1},
+            {"dims": (1, 9, 7), "n_vessels": 0, "n_aneurysms": 0},
+        ],
+        ids=["default", "sigma-0", "half-hu-sigma-0", "half-hu", "clip", "ragged-slabs",
+             "dims-1-9-7"],
+    )
+    def test_equals_reference(self, overrides):
+        spec = PhantomSpec(seed=17, **overrides)
+        got, got_lesions = generate_phantom(spec, "p")
+        want, want_lesions = generate_phantom_reference(spec, "p")
+        assert got.values.dtype == want.values.dtype == np.int16
+        assert np.array_equal(got.values, want.values)
+        assert got_lesions == want_lesions
+        assert (got.spacing, got.volume_id, got.cranial_axis) == (
+            want.spacing, want.volume_id, want.cranial_axis)
+
+    def test_ragged_dims_span_several_slabs(self):
+        step = _SLAB_VOXELS // (RAGGED_DIMS[1] * RAGGED_DIMS[2])
+        assert RAGGED_DIMS[0] > step and RAGGED_DIMS[0] % step != 0
+
+    def test_half_hu_rounds_to_even(self):
+        spec = PhantomSpec(seed=3, vessel_hu=300.5, background_hu=-0.5, noise_sigma=0.0)
+        assert set(np.unique(generate_phantom(spec)[0].values)) == {0, 300, 400}
 
 
 class TestSizeClass:
@@ -167,3 +210,41 @@ class TestReferenceClassifier:
         c = CandidateDetection(BoundingBox((10.0, 10.0, 5.0), 4.0), 0.5)
         probs = reference_classifier(FprPatchSet(c, (patch, patch, patch)))
         assert probs[0] == probs[1] == probs[2]
+
+
+class TestClassifierMatchesReference:
+    """Memoised masks give the per-patch loop's bits in both memory orders."""
+
+    SHAPES = [*RunConfig.fpr_patch_sizes, (20, 20, 12), (1, 1, 1)]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_equals_reference(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        c = CandidateDetection(BoundingBox((10.0, 10.0, 5.0), 4.0), 0.5)
+        for _ in range(5):
+            values = rng.uniform(-1, 1, shape).astype(np.float32)
+            values[rng.random(shape) < 0.3] = 0.15  # exactly at the threshold
+            c_order = Volume(values, (1, 1, 1))
+            f_order = Volume(np.asfortranarray(values), (1, 1, 1))
+            for patches in ((c_order,) * 3, (f_order,) * 3, (c_order, f_order, c_order)):
+                ps = FprPatchSet(c, patches)
+                assert reference_classifier(ps) == reference_classifier_reference(ps)
+
+    def test_phantom_patches_equal_reference(self):
+        spec = PhantomSpec(seed=21, n_aneurysms=3, aneurysm_diameter_range=(6.0, 12.0))
+        vol, lesions = generate_phantom(spec)
+        vol = Volume(np.asfortranarray(vol.values), vol.spacing)
+        for lesion in lesions:
+            ps = extract_fpr_patches(vol, CandidateDetection(lesion.box, 0.9))
+            assert ps.patches[0].values.flags.f_contiguous
+            assert reference_classifier(ps) == reference_classifier_reference(ps)
+
+    def test_unit_patch_has_empty_shell(self):
+        (_, n_inner), (_, n_shell) = _sphere_masks((1, 1, 1))
+        assert (n_inner, n_shell) == (1, 0)
+
+    def test_masks_refuse_writes(self):
+        for mask, count in _sphere_masks((20, 20, 10)):
+            assert count == np.count_nonzero(mask)
+            with pytest.raises(ValueError):
+                mask[0, 0, 0] = True

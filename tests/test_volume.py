@@ -73,6 +73,43 @@ class TestRoundtrip:
         with pytest.raises(FileNotFoundError):
             read_volume(tmp_path / "nope")
 
+    @pytest.mark.parametrize("dims", [(7, 5, 9), (300, 300, 13)])  # one z-slab; 11 + 2
+    @pytest.mark.parametrize("layout", ["c", "f", "strided", "float"])
+    def test_bytes_equal_whole_volume_serialisation(self, tmp_path, dims, layout):
+        values = make_volume(dims, seed=6).values
+        if layout == "f":
+            values = np.asfortranarray(values)
+        elif layout == "strided":
+            values = np.asfortranarray(values)[::-1, 1:, ::2]
+        elif layout == "float":
+            values = values.astype(np.float64)
+        write_volume(Volume(values, (1, 1, 1), "w", "+z"), tmp_path / "w")
+        want = values.astype("<i2").T.tobytes()
+        assert (tmp_path / "w.vol.raw").read_bytes() == want
+
+    def test_read_is_one_fortran_buffer(self, tmp_path):
+        v = make_volume((6, 5, 4), seed=7)
+        write_volume(v, tmp_path / "b")
+        values = read_volume(tmp_path / "b").values
+        buffer = values.base
+        assert values.dtype == np.int16 and values.flags.f_contiguous
+        assert buffer.ndim == 1 and buffer.nbytes == values.nbytes
+        assert np.shares_memory(values, buffer)
+        assert np.array_equal(values, v.values)
+
+    @pytest.mark.parametrize("extra", [-2, 2])
+    def test_short_or_long_file_message(self, tmp_path, extra):
+        write_volume(Volume(np.zeros((4, 4, 4), dtype=np.int16), (1, 1, 1), "n", "+z"),
+                     tmp_path / "n")
+        raw = tmp_path / "n.vol.raw"
+        body = raw.read_bytes()
+        raw.write_bytes(body[:extra] if extra < 0 else body + bytes(extra))
+        want = (f"{raw}: header declares dims (4, 4, 4) (128 bytes) "
+                f"but file holds {128 + extra} bytes")
+        with pytest.raises(ValueError) as err:
+            read_volume(tmp_path / "n")
+        assert str(err.value) == want
+
     def test_non_integral_values_rejected(self, tmp_path):
         v = Volume(np.full((2, 2, 2), 0.5), (1, 1, 1), "f", "+z")
         with pytest.raises(ValueError, match="integral"):
@@ -105,6 +142,14 @@ class TestTruncateCranial:
         assert out.dims == (4, 4, 200)
         # "+z": cranial side is the high-z end
         assert np.array_equal(out.values, v.values[:, :, 100:])
+
+    @pytest.mark.parametrize("cranial", ["+z", "-z"])
+    def test_truncation_is_a_view(self, cranial):
+        v = make_volume((4, 4, 300), cranial=cranial)
+        v = Volume(np.asfortranarray(v.values), v.spacing, v.volume_id, cranial)
+        out = truncate_cranial(v, 200.0)
+        assert np.shares_memory(out.values, v.values)
+        assert out.values.flags.f_contiguous
 
     def test_within_limit_unchanged(self):
         v = make_volume((4, 4, 150), spacing=(1, 1, 1.0))
@@ -196,6 +241,24 @@ class TestExtractPatch:
             got = extract_patch(v, spec).values
             want = extract_patch_oracle(v.values, origin, size, -1000.0)
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("layout", ["c", "f", "truncated"])
+    def test_layouts_match_oracle(self, layout):
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            dims = tuple(int(d) for d in rng.integers(2, 9, 3))
+            values = rng.integers(-50, 50, dims).astype(np.int16)
+            if layout != "c":
+                values = np.asfortranarray(values)
+            v = Volume(values, (1, 1, 1), cranial_axis="+z")
+            if layout == "truncated":
+                v = truncate_cranial(v, dims[2] - 1.0)
+            origin = tuple(int(o) for o in rng.integers(-4, 8, 3))
+            size = tuple(int(s) for s in rng.integers(1, 6, 3))
+            got = extract_patch(v, PatchSpec(origin, size, pad_value=-1000)).values
+            assert np.array_equal(got, extract_patch_oracle(v.values, origin, size, -1000.0))
+            if layout != "c":
+                assert got.flags.f_contiguous
 
 
 class TestAugment:
