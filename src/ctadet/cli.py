@@ -76,6 +76,7 @@ def _load_config(args) -> RunConfig:
     fppvs = cfg.fppv_grid + cfg.operating_fppvs
     for ok, problem in (  # each test is False for NaN
         (cfg.jobs >= 1, f"--jobs must be >= 1, got {cfg.jobs}"),
+        (cfg.seed >= 0, f"seed must be >= 0, got {cfg.seed}"),
         (len(cfg.patch_size) == 3 and all(p >= 1 for p in cfg.patch_size),
          f"patch_size must be 3 positive integers, got {cfg.patch_size}"),
         (cfg.grid_size >= 1 and all(p % cfg.grid_size == 0 for p in cfg.patch_size[:1]),

@@ -89,7 +89,11 @@ class RunConfig:
                 return tuple(restore(v, inner) for v in value)
             if isinstance(template, bool):
                 return bool(value)
+            if isinstance(value, bool) and isinstance(template, (int, float)):
+                raise ValueError(f"expected a number, got {value!r}")
             if isinstance(template, int):
+                if isinstance(value, float) and not value.is_integer():
+                    raise ValueError(f"expected an integer, got {value!r}")
                 return int(value)
             if isinstance(template, float):
                 return float(value)
@@ -97,7 +101,10 @@ class RunConfig:
 
         kwargs = {}
         for name, value in data.items():
-            kwargs[name] = restore(value, getattr(defaults, name))
+            try:
+                kwargs[name] = restore(value, getattr(defaults, name))
+            except ValueError as e:
+                raise ValueError(f"{name}: {e}") from e
         return cls(**kwargs)
 
     def to_file(self, path) -> None:

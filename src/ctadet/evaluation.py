@@ -101,18 +101,23 @@ def _pooled(per_volume: Sequence[Sequence[float]]) -> tuple[np.ndarray, np.ndarr
 def _weighted_count_ge(
     pooled: tuple[np.ndarray, np.ndarray], w: np.ndarray, thresholds: np.ndarray
 ) -> np.ndarray:
-    """Per threshold t, the total weight of the pooled values >= t."""
+    """Per weight row and threshold t, the total weight of the pooled values
+    >= t.  A leading column holds the count at +inf, which is 0."""
     probs, vols = pooled
-    tail = np.concatenate((np.cumsum(w[vols][::-1])[::-1], [0]))
-    return tail[np.searchsorted(probs, thresholds, side="left")]
+    prefix = np.zeros((len(w), len(probs) + 1), dtype=np.int64)
+    np.cumsum(w[:, vols], axis=1, out=prefix[:, 1:])
+    at = np.concatenate(([len(probs)], np.searchsorted(probs, thresholds, side="left")))
+    return prefix[:, -1:] - prefix[:, at]
 
 
 class _FrocPool:
     """The matches of a dataset pooled once into ascending probability
-    arrays (finite lesion-hit, false-positive and candidate probabilities),
-    each with a parallel volume index.  A FROC over a multiset of the
-    volumes is then a per-volume weight vector ``w``: volume j counts
-    ``w[j]`` times, as it does in a bootstrap resample."""
+    arrays (finite lesion-hit and false-positive probabilities), each with
+    a parallel volume index.  A FROC over a multiset of the volumes is then
+    a row of per-volume weights: volume j counts ``w[j]`` times, as it does
+    in a bootstrap resample.  Every row is read at all distinct candidate
+    probabilities: one that no weighted candidate attains repeats the point
+    above it, which leaves every step reading unchanged."""
 
     def __init__(self, matches: Sequence[MatchResult]):
         self.n_volumes = len(matches)
@@ -121,38 +126,33 @@ class _FrocPool:
             [[p for p in m.lesion_hit_probs if p > -math.inf] for m in matches]
         )
         self.fps = _pooled([m.fp_probs for m in matches])
-        self.cands = _pooled([m.candidate_probs for m in matches])
+        self.thresholds = np.unique([p for m in matches for p in m.candidate_probs])[::-1]
 
-    def counts(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """Descending thresholds (the distinct probabilities of candidates in
-        weighted volumes), false-positive and hit counts at each threshold,
-        and the weighted lesion total."""
-        n_lesions = int(w @ self.lesions)
-        if n_lesions == 0:
-            raise StatisticUndefined("FROC requires at least one lesion")
-        probs, vols = self.cands
-        thresholds = np.unique(probs[w[vols] > 0])[::-1]
-        fps = _weighted_count_ge(self.fps, w, thresholds)
-        hits = _weighted_count_ge(self.hits, w, thresholds)
-        return thresholds, fps, hits, n_lesions
+    def counts(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """For a (rows, n_volumes) weight matrix: false-positive and hit
+        counts at +inf and at each descending threshold, and lesion totals."""
+        fps, hits = (_weighted_count_ge(p, w, self.thresholds) for p in (self.fps, self.hits))
+        return fps, hits, w @ self.lesions
 
-    def avg_sensitivity(self, w: np.ndarray, fppvs: Sequence[float]) -> float:
-        """:func:`avg_sensitivity` of the weighted FROC over ``n_volumes``
-        volumes.  Neither coordinate falls as the threshold falls, so the
-        best sensitivity within an FPPV budget is the one at the last point
-        inside it."""
-        _, fps, hits, n_lesions = self.counts(w)
-        inside = np.searchsorted(fps / self.n_volumes, fppvs, side="right")
-        sens = hits / n_lesions
-        return float(sum(sens[k - 1] if k else 0.0 for k in inside) / len(fppvs))
+    def avg_sensitivity(self, w: np.ndarray, fppvs: Sequence[float]) -> np.ndarray:
+        """:func:`avg_sensitivity` of each weight row's FROC over
+        ``n_volumes`` volumes, NaN where the row weights no lesion.  Neither
+        coordinate falls as the threshold falls, so the best sensitivity
+        within an FPPV budget is the one at the last point inside it."""
+        fps, hits, n_lesions = self.counts(w)
+        fppv = fps[:, 1:] / self.n_volumes
+        sens = hits / np.where(n_lesions > 0, n_lesions, np.nan)[:, None]
+        rows = np.arange(len(w))
+        return sum(sens[rows, np.count_nonzero(fppv <= f, axis=1)] for f in fppvs) / len(fppvs)
 
     def curve(self, n_volumes: int) -> FrocCurve:
         """The FROC of the pooled volumes, each counted once."""
-        thresholds, fps, hits, n_lesions = self.counts(
-            np.ones(self.n_volumes, dtype=np.int64)
-        )
-        points = tuple(zip((fps / n_volumes).tolist(), (hits / n_lesions).tolist()))
-        return FrocCurve(tuple(thresholds.tolist()), points, n_volumes, n_lesions)
+        (fps,), (hits,), (n_lesions,) = self.counts(np.ones((1, self.n_volumes), dtype=int))
+        if n_lesions == 0:
+            raise StatisticUndefined("FROC requires at least one lesion")
+        n_lesions = int(n_lesions)
+        points = tuple(zip((fps[1:] / n_volumes).tolist(), (hits[1:] / n_lesions).tolist()))
+        return FrocCurve(tuple(self.thresholds.tolist()), points, n_volumes, n_lesions)
 
 
 def _curve_from_matches(matches: Sequence[MatchResult], n_volumes: int) -> FrocCurve:
@@ -216,16 +216,19 @@ class RocCurve:
     points: tuple[tuple[float, float], ...]  # (fpr, tpr), score >= threshold
 
 
-def _rank_auc(scores: np.ndarray, flags: np.ndarray) -> float:
-    """Fraction of positive/negative pairs ordered correctly, ties counted
-    one-half."""
-    pos = scores[flags]
-    neg = np.sort(scores[~flags])
-    if pos.size == 0 or neg.size == 0:
-        raise StatisticUndefined("AUC requires both positive and negative volumes")
-    below = np.searchsorted(neg, pos, side="left")
-    equal = np.searchsorted(neg, pos, side="right") - below
-    return float((below.sum() + 0.5 * equal.sum()) / (pos.size * neg.size))
+def _rank_auc(scores: np.ndarray, flags: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Per row of per-volume weights (volume j counted ``w[j]`` times), the
+    fraction of positive/negative pairs ordered correctly, ties counted
+    one-half; NaN where the row weights no positive or no negative volume."""
+    order = np.argsort(scores[~flags])
+    neg = scores[~flags][order]
+    below = np.zeros((len(w), neg.size + 1), dtype=np.int64)
+    np.cumsum(w[:, ~flags][:, order], axis=1, out=below[:, 1:])
+    pos, w_pos = scores[flags], w[:, flags]
+    lo, hi = (below[:, np.searchsorted(neg, pos, side=s)] for s in ("left", "right"))
+    pairs = w_pos.sum(axis=1) * below[:, -1]
+    n_below, n_equal = (w_pos * lo).sum(axis=1), (w_pos * (hi - lo)).sum(axis=1)
+    return (n_below + 0.5 * n_equal) / np.where(pairs > 0, pairs, np.nan)
 
 
 def _score_arrays(scores: Sequence[tuple[float, bool]]) -> tuple[np.ndarray, np.ndarray]:
@@ -243,7 +246,9 @@ def roc_auc(scores: Sequence[tuple[float, bool]]) -> tuple[RocCurve, float]:
     integration of the ROC curve.
     """
     values, flags = _score_arrays(scores)
-    auc = _rank_auc(values, flags)
+    auc = float(_rank_auc(values, flags, np.ones((1, len(values)), dtype=np.int64))[0])
+    if math.isnan(auc):
+        raise StatisticUndefined("AUC requires both positive and negative volumes")
     thresholds = np.unique(values)[::-1]
     pos = np.sort(values[flags])
     neg = np.sort(values[~flags])
@@ -320,6 +325,21 @@ def best_f1_threshold(
     return best
 
 
+_BOOTSTRAP_CELLS = 1 << 15  # array cells per block of weight rows in a bootstrap
+_EXHAUSTED = "statistic undefined on {} consecutive redraws of resample {}"
+
+
+def _draw(seed: int, i: int, attempt: int, n: int) -> np.ndarray:
+    """The volume indices of bootstrap resample ``i``, attempt ``attempt``."""
+    return np.random.default_rng([seed, i, attempt]).integers(0, n, n)
+
+
+def _percentile_ci(values: np.ndarray, level: float) -> tuple[float, float]:
+    alpha = 100.0 * (1.0 - level) / 2.0
+    lo, hi = np.percentile(values, [alpha, 100.0 - alpha])
+    return float(lo), float(hi)
+
+
 def bootstrap_ci(
     statistic: Callable[[list], float],
     dataset: Sequence,
@@ -343,21 +363,50 @@ def bootstrap_ci(
     values = np.empty(n_resamples)
     for i in range(n_resamples):
         for attempt in range(max_retries):
-            rng = np.random.default_rng([seed, i, attempt])
-            idx = rng.integers(0, n, n)
+            idx = _draw(seed, i, attempt, n)
             try:
                 values[i] = float(statistic([items[j] for j in idx]))
                 break
             except StatisticUndefined:
                 continue
         else:
-            raise RuntimeError(
-                f"statistic undefined on {max_retries} consecutive redraws "
-                f"of resample {i}"
-            )
-    alpha = 100.0 * (1.0 - level) / 2.0
-    lo, hi = np.percentile(values, [alpha, 100.0 - alpha])
-    return float(lo), float(hi)
+            raise RuntimeError(_EXHAUSTED.format(max_retries, i))
+    return _percentile_ci(values, level)
+
+
+def _bootstrap_cis(
+    statistics: Sequence[Callable[[np.ndarray], np.ndarray]], n: int, width: int,
+    n_resamples: int, level: float, seed: int, max_retries: int = 100,
+) -> list[tuple[float, float]]:
+    """:func:`bootstrap_ci` of each statistic over ``n`` volumes, with the
+    same draws, redraws and bits.  A statistic maps a (rows, n) matrix of
+    per-volume weights (each volume's count in the drawn indices) to one
+    value per row, NaN where undefined.  Blocks keep arrays ``width`` cells
+    wide per row near ``_BOOTSTRAP_CELLS`` cells.  Attempt 0 is drawn once;
+    a row is redrawn only for a statistic undefined on it."""
+
+    def weights(rows: np.ndarray, attempt: int) -> np.ndarray:
+        return np.array([np.bincount(_draw(seed, i, attempt, n), minlength=n) for i in rows])
+
+    values = np.empty((len(statistics), n_resamples))
+    failed: dict[int, int] = {}  # statistic -> first resample that ran out
+    block = max(1, _BOOTSTRAP_CELLS // max(1, n, width))
+    for start in range(0, n_resamples, block):
+        rows = np.arange(start, min(start + block, n_resamples))
+        first = weights(rows, 0)
+        for k, statistic in enumerate(statistics):
+            todo = rows
+            for attempt in range(max_retries):
+                w = first if attempt == 0 else weights(todo, attempt)
+                values[k, todo] = statistic(w)
+                todo = todo[np.isnan(values[k, todo])]
+                if not todo.size:
+                    break
+            else:
+                failed.setdefault(k, int(todo[0]))
+    if failed:  # the error bootstrap_ci raises running the statistics in turn
+        raise RuntimeError(_EXHAUSTED.format(max_retries, failed[min(failed)]))
+    return [_percentile_ci(v, level) for v in values]
 
 
 def fisher_exact(table: Sequence[Sequence[int]]) -> float:
@@ -556,28 +605,18 @@ def build_report(
     curve = pool.curve(n)
     fppv_grid = tuple(fppv_grid)
     avg = avg_sensitivity(curve, fppv_grid)
-    # resamples are index lists; volume j's weight is its count in the list
-    avg_ci = bootstrap_ci(
-        lambda idx: pool.avg_sensitivity(np.bincount(idx, minlength=n), fppv_grid),
-        list(range(n)),
-        n_resamples=n_resamples,
-        level=level,
-        seed=seed,
-    )
+    statistics = [lambda w: pool.avg_sensitivity(w, fppv_grid)]
 
     scores = [(volume_score(v.candidates), v.has_lesion) for v in volumes]
     try:
         roc, auc = roc_auc(scores)
         values, flags = _score_arrays(scores)
-        auc_ci = bootstrap_ci(
-            lambda idx: _rank_auc(values[idx], flags[idx]),
-            list(range(n)),
-            n_resamples=n_resamples,
-            level=level,
-            seed=seed,
-        )
+        statistics.append(lambda w: _rank_auc(values, flags, w))
     except StatisticUndefined:
-        roc, auc, auc_ci = None, None, None
+        roc, auc = None, None
+    width = sum(len(v.candidates) for v in volumes) + 1  # cells per weight row
+    cis = _bootstrap_cis(statistics, n, width, n_resamples, level, seed)
+    avg_ci, auc_ci = (*cis, None)[:2]  # no AUC statistic, no AUC CI
 
     ops = []
     for fppv in operating_fppvs:

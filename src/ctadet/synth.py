@@ -201,14 +201,21 @@ def generate_phantom(spec: PhantomSpec, volume_id: str = "phantom"):
     for lesion in lesions:
         _paint_ball(labels, lesion.box.center, lesion.box.diameter / 2.0, 2)
 
-    # x-slabs in C order draw the same noise numbers as one whole-volume draw
+    # x-slabs in C order draw the same noise numbers as one whole-volume
+    # draw; one slab buffer (and one noise buffer) serves every slab
     values = np.empty(dims, dtype=np.int16)
-    step = max(1, _SLAB_VOXELS // (dims[1] * dims[2]))
+    step = min(dims[0], max(1, _SLAB_VOXELS // (dims[1] * dims[2])))
+    buf = np.empty((step, *dims[1:]))
+    noise = np.empty_like(buf) if spec.noise_sigma > 0 else None
     for x in range(0, dims[0], step):
-        slab = hu[labels[x : x + step]]
-        if spec.noise_sigma > 0:
-            slab += rng.normal(0.0, spec.noise_sigma, slab.shape)
-        values[x : x + step] = np.clip(np.rint(slab), -32768, 32767)
+        m = min(step, dims[0] - x)
+        slab = np.take(hu, labels[x : x + m], out=buf[:m], mode="clip")
+        if noise is not None:
+            z = rng.standard_normal(out=noise[:m])
+            z *= spec.noise_sigma
+            slab += z
+        np.clip(np.rint(slab, out=slab), -32768, 32767, out=slab)
+        values[x : x + m] = slab
     volume = Volume(values, spec.spacing, volume_id, cranial_axis="+z")
     return volume, lesions
 

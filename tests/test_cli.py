@@ -572,6 +572,8 @@ class TestConfigValues:
         ("eval", "fppv_grid", [-1.0, 1.0]),
         ("eval", "operating_fppvs", [-0.5]),
         ("eval", "bootstrap_level", 1.5),
+        ("detect", "seed", -1),
+        ("eval", "seed", -1),
     ]
 
     @pytest.mark.parametrize(
@@ -592,6 +594,41 @@ class TestConfigValues:
         capsys.readouterr()
         assert main(args) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["synth", "detect", "reduce", "eval"])
+    def test_negative_seed_override_exit_2(self, tmp_path, capsys, dataset, command):
+        data, cand = dataset
+        config = small_config(tmp_path, n_volumes=2, phantom_dims=[64, 64, 48])
+        args = [command, "--config", str(config), "--seed", "-1",
+                "--out", str(tmp_path / "out")]
+        if command != "synth":
+            args += ["--manifest", str(data / "manifest.json")]
+        if command in ("reduce", "eval"):
+            args += ["--candidates", str(cand)]
+        capsys.readouterr()
+        assert main(args) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+
+    # values that int() would silently truncate or turn into 1
+    RAW_CASES = [("seed", 1.5), ("bootstrap_resamples", 2.5), ("seed", True),
+                 ("patch_size", [96, 96.5, 96]), ("nms_iou", True)]
+
+    @pytest.mark.parametrize(
+        "field, value", RAW_CASES,
+        ids=[f"{field}={json.dumps(value, separators=(',', ':'))}"
+             for field, value in RAW_CASES],
+    )
+    def test_inexact_value_exit_2(self, tmp_path, capsys, dataset, field, value):
+        data, cand = dataset
+        config = small_config(tmp_path, n_volumes=2, phantom_dims=[64, 64, 48])
+        doc = json.loads(config.read_text())
+        config.write_text(json.dumps({**doc, field: value}))
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config), "--manifest",
+                     str(data / "manifest.json"), "--candidates", str(cand),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
 
 
 # Plugins that break their output contract: scorers wrap the oracle scorer

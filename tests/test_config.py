@@ -3,9 +3,12 @@ documented default once, and library code derives its defaults from it."""
 
 import dataclasses
 import importlib
+import json
+import math
 import pkgutil
 
 import numpy as np
+import pytest
 
 import ctadet
 from ctadet import cli, pipeline
@@ -38,3 +41,25 @@ def test_oracle_spec_defaults_match_run_config(monkeypatch):
     volume = Volume(np.zeros((4, 4, 4), dtype=np.int16), (1.0, 1.0, 1.0))
     pipeline.oracle_scorer_factory(volume, [], RunConfig(), seed=7)
     assert dataclasses.replace(seen[0], seed=0) == OracleDetectorSpec()
+
+
+def test_json_round_trip_is_lossless():
+    cfg = dataclasses.replace(RunConfig(), seed=7, patch_size=(48, 48, 24), nms_iou=0.3)
+    for original in (RunConfig(), cfg):
+        assert RunConfig.from_dict(json.loads(json.dumps(original.to_dict()))) == original
+
+
+def test_integral_floats_and_ints_convert():
+    cfg = RunConfig.from_dict({"seed": 3.0, "nms_iou": 1, "patch_size": [48.0, 48, 24]})
+    assert (cfg.seed, cfg.nms_iou, cfg.patch_size) == (3, 1.0, (48, 48, 24))
+    assert type(cfg.seed) is int and type(cfg.nms_iou) is float
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("seed", 1.5), ("bootstrap_resamples", 2.5), ("jobs", True), ("seed", math.inf),
+     ("seed", math.nan), ("patch_size", [96, 96, 95.5]), ("nms_iou", False)],
+)
+def test_inexact_values_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        RunConfig.from_dict({field: value})

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ctadet import evaluation
 from ctadet.anchors import BoundingBox, Lesion
 from ctadet.config import RunConfig
 from ctadet.evaluation import (
@@ -521,55 +522,66 @@ class TestArrayStatistics:
         return roc_auc([scores[j] for j in idx])[1]
 
     @staticmethod
-    def assert_same(reference, array_native):
-        try:
-            expected = reference()
-        except StatisticUndefined:
-            with pytest.raises(StatisticUndefined):
-                array_native()
-        else:
-            assert array_native() == expected
+    def assert_rows_equal(reference, block, rows):
+        """Row r of ``block`` is NaN where ``reference(rows[r])`` is
+        undefined and equals it bit for bit elsewhere."""
+        for idx, got in zip(rows, block.tolist()):
+            try:
+                expected = reference(idx)
+            except StatisticUndefined:
+                assert math.isnan(got)
+            else:
+                assert got == expected
+
+    @staticmethod
+    def statistics(vols):
+        matches = [match_lesions(v.candidates, v.lesions) for v in vols]
+        scores = [(volume_score(v.candidates), v.has_lesion) for v in vols]
+        return matches, scores, _FrocPool(matches), _score_arrays(scores)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_equal_to_reference_on_resamples(self, seed):
         vols = self.volumes(seed)
         n = len(vols)
-        matches = [match_lesions(v.candidates, v.lesions) for v in vols]
-        scores = [(volume_score(v.candidates), v.has_lesion) for v in vols]
-        pool = _FrocPool(matches)
-        values, flags = _score_arrays(scores)
-        grid = RunConfig.fppv_grid
+        matches, scores, pool, (values, flags) = self.statistics(vols)
         rng = np.random.default_rng([seed, 1])
-        for _ in range(150):
-            idx = list(rng.integers(0, n, n))
-            self.assert_same(
-                lambda: self.reference_avg(matches, idx),
-                lambda: pool.avg_sensitivity(np.bincount(idx, minlength=n), grid),
-            )
-            self.assert_same(
-                lambda: self.reference_auc(scores, idx),
-                lambda: _rank_auc(values[idx], flags[idx]),
-            )
+        rows = [list(rng.integers(0, n, n)) for _ in range(150)]
+        w = np.array([np.bincount(idx, minlength=n) for idx in rows])
+        grid = RunConfig.fppv_grid
+        self.assert_rows_equal(
+            lambda idx: self.reference_avg(matches, idx), pool.avg_sensitivity(w, grid), rows
+        )
+        self.assert_rows_equal(
+            lambda idx: self.reference_auc(scores, idx), _rank_auc(values, flags, w), rows
+        )
 
     def test_undefined_on_the_same_resamples(self):
         vols = self.volumes(3)
         n = len(vols)
-        matches = [match_lesions(v.candidates, v.lesions) for v in vols]
-        scores = [(volume_score(v.candidates), v.has_lesion) for v in vols]
-        values, flags = _score_arrays(scores)
+        matches, scores, pool, (values, flags) = self.statistics(vols)
         lesion_free = [j for j, v in enumerate(vols) if not v.has_lesion] * n
         positive = [j for j, v in enumerate(vols) if v.has_lesion] * n
         assert lesion_free and positive
         no_lesions = lesion_free[:n]
         with pytest.raises(StatisticUndefined):
             self.reference_avg(matches, no_lesions)
-        with pytest.raises(StatisticUndefined):
-            _FrocPool(matches).avg_sensitivity(np.bincount(no_lesions, minlength=n), (1.0,))
+        w = np.array([np.bincount(idx, minlength=n) for idx in (no_lesions, positive[:n])])
+        assert np.isnan(pool.avg_sensitivity(w[:1], (1.0,))).all()
+        assert not np.isnan(pool.avg_sensitivity(w[1:], (1.0,))).any()
         for one_class in (no_lesions, positive[:n]):
             with pytest.raises(StatisticUndefined):
                 self.reference_auc(scores, one_class)
-            with pytest.raises(StatisticUndefined):
-                _rank_auc(values[one_class], flags[one_class])
+        assert np.isnan(_rank_auc(values, flags, w)).all()
+
+    def test_unit_weight_row_is_the_curve(self):
+        vols = self.volumes(5)
+        matches, scores, pool, (values, flags) = self.statistics(vols)
+        ones = np.ones((1, len(vols)), dtype=np.int64)
+        curve = pool.curve(len(vols))
+        assert pool.avg_sensitivity(ones, RunConfig.fppv_grid).tolist() == [
+            avg_sensitivity(curve)
+        ]
+        assert _rank_auc(values, flags, ones).tolist() == [roc_auc(scores)[1]]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_report_cis_equal_reference_bootstrap(self, seed):
@@ -582,6 +594,63 @@ class TestArrayStatistics:
         assert report.auc_ci == bootstrap_ci(
             lambda s: roc_auc(s)[1], scores, 200, seed=seed
         )
+
+    # one row per block, ragged blocks of several rows, one block in all
+    @pytest.mark.parametrize("cells", [1, 1000, 1 << 30])
+    def test_report_cis_independent_of_block_size(self, monkeypatch, cells):
+        vols = self.volumes(6)
+        matches, scores, _, _ = self.statistics(vols)
+        monkeypatch.setattr(evaluation, "_BOOTSTRAP_CELLS", cells)
+        report = build_report(vols, n_resamples=300, seed=2)
+        ref = lambda ms: avg_sensitivity(_curve_from_matches(ms, len(ms)))
+        assert report.avg_sensitivity_ci == bootstrap_ci(ref, matches, 300, seed=2)
+        assert report.auc_ci == bootstrap_ci(lambda s: roc_auc(s)[1], scores, 300, seed=2)
+
+    def test_two_volumes_one_lesion_free(self, monkeypatch):
+        # a quarter of the rows weight no lesion and half hold one class only
+        vols = [
+            EvalVolume("pos", (Lesion(lesion((10.0, 10.0, 10.0))),),
+                       (cand((10.0, 10.0, 10.0), 0.7), cand((40.0, 40.0, 40.0), 0.4))),
+            EvalVolume("neg", (), (cand((30.0, 30.0, 30.0), 0.6),)),
+        ]
+        attempts = []
+        draw = evaluation._draw
+
+        def counted_draw(seed, i, attempt, n):
+            attempts.append(attempt)
+            return draw(seed, i, attempt, n)
+
+        monkeypatch.setattr(evaluation, "_draw", counted_draw)
+        report = build_report(vols, n_resamples=400, seed=8)
+        monkeypatch.undo()
+        assert attempts.count(0) == 400  # attempt 0 is drawn once for both CIs
+        assert len(attempts) > 600
+        matches, scores, _, _ = self.statistics(vols)
+        ref = lambda ms: avg_sensitivity(_curve_from_matches(ms, len(ms)))
+        assert report.avg_sensitivity_ci == bootstrap_ci(ref, matches, 400, seed=8)
+        assert report.auc_ci == bootstrap_ci(lambda s: roc_auc(s)[1], scores, 400, seed=8)
+
+    @pytest.mark.parametrize("cells", [1, 1 << 15])
+    def test_exhausted_retries_same_error(self, monkeypatch, cells):
+        # the AUC runs out at an earlier resample, but bootstrap_ci runs the
+        # FROC statistic first, so its resample is the one named
+        monkeypatch.setattr(evaluation, "_BOOTSTRAP_CELLS", cells)
+        vols = [EvalVolume("pos", (Lesion(lesion((10.0, 10.0, 10.0))),), ()),
+                EvalVolume("neg", (), ())]
+        matches, scores, pool, (values, flags) = self.statistics(vols)
+        ref = lambda ms: avg_sensitivity(_curve_from_matches(ms, len(ms)))
+        with pytest.raises(RuntimeError) as want:
+            bootstrap_ci(ref, matches, 200, seed=4, max_retries=3)
+        with pytest.raises(RuntimeError) as got:
+            evaluation._bootstrap_cis(
+                [lambda w: pool.avg_sensitivity(w, (1.0,)),
+                 lambda w: _rank_auc(values, flags, w)],
+                2, 1, 200, 0.95, 4, max_retries=3)
+        with pytest.raises(RuntimeError) as auc:
+            bootstrap_ci(lambda s: roc_auc(s)[1], scores, 200, seed=4, max_retries=3)
+        resample = lambda e: int(str(e.value).rsplit(" ", 1)[1])
+        assert resample(auc) < resample(want)
+        assert str(got.value) == str(want.value)
 
 
 class TestFisherExact:
