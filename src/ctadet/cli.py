@@ -436,6 +436,7 @@ def _read_report(path) -> dict:
 
 
 def cmd_compare(args) -> int:
+    _load_config(args)  # the common flags fail as they do for the other commands
     report_a = _read_report(args.report_a)
     report_b = _read_report(args.report_b)
     ids_a = {r["volume_id"] for r in report_a["volume_scores"]}

@@ -175,15 +175,60 @@ def assign_labels_reference(anchors, lesions, pos_iou=0.5, neg_iou=0.02):
     return labels
 
 
+def vessel_path_reference(rng, dims, margin):
+    """The random walk before its per-step kicks were drawn in one call:
+    the batched path must return the same points and leave the generator
+    in the same state."""
+    import numpy as np
+
+    from ctadet.synth import _random_unit
+
+    lo = np.full(3, margin)
+    hi = np.asarray(dims, dtype=float) - 1.0 - margin
+    pos = rng.uniform(lo, hi)
+    direction = _random_unit(rng)
+    n_steps = int(2.0 * max(dims))
+    points = np.empty((n_steps, 3))
+    for i in range(n_steps):
+        points[i] = pos
+        direction = direction + 0.35 * rng.normal(0.0, 1.0, 3)
+        direction /= np.linalg.norm(direction)
+        pos = pos + direction
+        for ax in range(3):
+            if pos[ax] < lo[ax]:
+                pos[ax] = 2 * lo[ax] - pos[ax]
+                direction[ax] = abs(direction[ax])
+            elif pos[ax] > hi[ax]:
+                pos[ax] = 2 * hi[ax] - pos[ax]
+                direction[ax] = -abs(direction[ax])
+    return points
+
+
+def paint_ball_reference(vol, center, radius, value):
+    """The one-ball painter that the batched vessel kernel replaced: clip
+    the ball's box to the volume, then ``sum`` squared offsets over an
+    open grid."""
+    import numpy as np
+
+    los = [max(0, int(math.floor(c - radius))) for c in center]
+    his = [min(d, int(math.ceil(c + radius)) + 1) for c, d in zip(center, vol.shape)]
+    if any(h <= l for l, h in zip(los, his)):
+        return
+    grids = np.ogrid[los[0]:his[0], los[1]:his[1], los[2]:his[2]]
+    d2 = sum((g - c) ** 2 for g, c in zip(grids, center))
+    region = vol[los[0]:his[0], los[1]:his[1], los[2]:his[2]]
+    region[d2 <= radius * radius] = value
+
+
 def generate_phantom_reference(spec, volume_id="phantom"):
     """The float64-canvas phantom builder that slab-wise filling replaced:
-    paint HU into a whole float64 volume, add one whole-volume noise draw,
-    then round, clip and cast.  It shares the unchanged path, painting and
-    placement helpers with the package."""
+    paint HU into a whole float64 volume one ball at a time, add one
+    whole-volume noise draw, then round, clip and cast.  It shares only
+    the unchanged placement helpers with the package."""
     import numpy as np
 
     from ctadet.anchors import BoundingBox, Lesion
-    from ctadet.synth import _paint_ball, _random_unit, _separated, _vessel_path, size_class
+    from ctadet.synth import _random_unit, _separated, size_class
     from ctadet.volume import Volume
 
     rng = np.random.default_rng(spec.seed)
@@ -192,10 +237,10 @@ def generate_phantom_reference(spec, volume_id="phantom"):
     vessels = []
     for _ in range(spec.n_vessels):
         radius = rng.uniform(*spec.vessel_radius_range)
-        vessels.append((_vessel_path(rng, dims, margin=2.0 + radius), radius))
+        vessels.append((vessel_path_reference(rng, dims, margin=2.0 + radius), radius))
     for path, radius in vessels:
         for point in path:
-            _paint_ball(vol, point, radius, spec.vessel_hu)
+            paint_ball_reference(vol, point, radius, spec.vessel_hu)
     lesions = []
     for _ in range(spec.n_aneurysms):
         for _attempt in range(200):
@@ -219,7 +264,7 @@ def generate_phantom_reference(spec, volume_id="phantom"):
         else:
             raise ValueError("could not place the lesions")
     for lesion in lesions:
-        _paint_ball(vol, lesion.box.center, lesion.box.diameter / 2.0, spec.aneurysm_hu)
+        paint_ball_reference(vol, lesion.box.center, lesion.box.diameter / 2.0, spec.aneurysm_hu)
     if spec.noise_sigma > 0:
         vol = vol + rng.normal(0.0, spec.noise_sigma, dims)
     values = np.clip(np.rint(vol), -32768, 32767).astype(np.int16)

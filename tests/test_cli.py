@@ -540,6 +540,23 @@ class TestMalformedInput:
                          "--out", str(tmp_path / "cmp.json")]) == 3
             assert "bad.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--config", "missing.json"], "config file not found"),
+         (["--seed", "-1"], "seed must be >= 0")],
+        ids=["missing-config", "negative-seed"],
+    )
+    def test_compare_bad_common_flag_exit_2(self, tmp_path, capsys, flags, message):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(_report_doc([(0.9, True), (0.1, False)])))
+        flags = [str(tmp_path / f) if f.endswith(".json") else f for f in flags]
+        out = tmp_path / "cmp.json"
+        capsys.readouterr()
+        assert main(["compare", *flags, "--report-a", str(report), "--report-b",
+                     str(report), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfigValues:
     """Config values that would break detect or eval are config errors."""

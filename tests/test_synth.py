@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,14 +10,21 @@ from ctadet.postproc import CandidateDetection
 from ctadet.synth import (
     OracleDetectorSpec,
     PhantomSpec,
+    _paint_balls,
     _sphere_masks,
+    _vessel_path,
     generate_phantom,
     oracle_detect,
     reference_classifier,
     size_class,
 )
 from ctadet.volume import _SLAB_VOXELS, Volume
-from oracles import generate_phantom_reference, reference_classifier_reference
+from oracles import (
+    generate_phantom_reference,
+    paint_ball_reference,
+    reference_classifier_reference,
+    vessel_path_reference,
+)
 
 
 class TestGeneratePhantom:
@@ -114,6 +123,99 @@ class TestPhantomMatchesReference:
     def test_half_hu_rounds_to_even(self):
         spec = PhantomSpec(seed=3, vessel_hu=300.5, background_hu=-0.5, noise_sigma=0.0)
         assert set(np.unique(generate_phantom(spec)[0].values)) == {0, 300, 400}
+
+
+def _assert_paints_like_loop(dims, centers, radius):
+    got = np.zeros(dims, np.uint8)
+    _paint_balls(got, centers, radius, 1)
+    want = np.zeros(dims, np.uint8)
+    for center in centers:
+        paint_ball_reference(want, center, radius, 1)
+    assert np.array_equal(got, want)
+
+
+SEVERAL_BLOCKS = ((300, 40, 36), -4.0, 8.0)  # 600 balls of 18**3 cube cells
+
+
+class TestPaintBallsMatchesLoop:
+    """One vessel's balls painted at once set the same voxels as the
+    per-ball loop."""
+
+    @pytest.mark.parametrize(
+        "dims,margin,radius",
+        [
+            ((40, 36, 30), -6.0, 3.7),  # walks in and out of the canvas
+            ((30, 30, 30), -20.0, 2.5),  # many balls wholly outside
+            ((32, 28, 24), 1.0, 0.3),
+            ((32, 28, 24), 1.0, 0.45),
+            ((1, 9, 7), -3.0, 1.6),
+            ((1, 9, 7), -3.0, 6.0),
+            SEVERAL_BLOCKS,
+        ],
+        ids=["partly-outside", "wholly-outside", "r-0.3", "r-0.45", "dims-1-9-7",
+             "dims-1-9-7-wide", "several-blocks"],
+    )
+    def test_vessel_equals_loop(self, dims, margin, radius):
+        path = _vessel_path(np.random.default_rng(5), dims, margin)
+        _assert_paints_like_loop(dims, path, radius)
+
+    def test_several_blocks_case_spans_blocks(self):
+        dims, _, radius = SEVERAL_BLOCKS
+        assert 2 * max(dims) * (2 * radius + 2) ** 3 > 3 * _SLAB_VOXELS
+
+    @pytest.mark.parametrize("radius", [1.0, 2.0, 3.0, 5.0])
+    def test_integral_radius_ties(self, radius):
+        # half-lattice centers put voxels exactly at d2 == r*r
+        dims = (24, 20, 18)
+        path = _vessel_path(np.random.default_rng(8), dims, margin=-2.0)
+        _assert_paints_like_loop(dims, np.round(path * 2.0) / 2.0, radius)
+        tie = np.zeros(dims, np.uint8)
+        _paint_balls(tie, (10.0, 10.0, 9.0), radius, 1)
+        assert tie[int(10 + radius), 10, 9] == 1
+
+    def test_lesions_over_vessels(self):
+        dims = (48, 40, 36)
+        rng = np.random.default_rng(21)
+        path = _vessel_path(rng, dims, margin=4.0)
+        lesions = [(tuple(float(v) for v in path[i] + rng.normal(0, 2, 3)), d / 2.0)
+                   for i, d in ((10, 5.0), (40, 9.5), (70, 4.0))]
+        got = np.zeros(dims, np.uint8)
+        want = np.zeros(dims, np.uint8)
+        _paint_balls(got, path, 3.2, 1)
+        for center in path:
+            paint_ball_reference(want, center, 3.2, 1)
+        for center, radius in lesions:
+            _paint_balls(got, center, radius, 2)
+            paint_ball_reference(want, center, radius, 2)
+        assert np.array_equal(got, want)
+        assert set(np.unique(got)) == {0, 1, 2}
+
+    def test_scratch_memory_is_bounded(self):
+        dims = (256, 256, 240)
+        canvas = np.zeros(dims, np.uint8)
+        path = _vessel_path(np.random.default_rng(2), dims, margin=12.0)
+        tracemalloc.start()
+        try:
+            _paint_balls(canvas, path, 10.0, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert canvas.any()
+        assert peak < canvas.size * 8 / 4  # a quarter of a float64 canvas
+
+
+class TestVesselPathMatchesLoop:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize(
+        "dims,margin", [((128, 128, 96), 4.5), ((40, 60, 20), 2.0), ((1, 9, 7), -3.0)]
+    )
+    def test_points_and_generator_state(self, dims, margin, seed):
+        got_rng = np.random.default_rng(seed)
+        want_rng = np.random.default_rng(seed)
+        got = _vessel_path(got_rng, dims, margin)
+        want = vessel_path_reference(want_rng, dims, margin)
+        assert np.array_equal(got, want)
+        assert got_rng.random() == want_rng.random()
 
 
 class TestSizeClass:
