@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RunConfig, load_json
 from .evaluation import EvalVolume, build_report, confusion_at_threshold, fisher_exact
 from .formats import (
     FormatError,
@@ -358,7 +358,7 @@ def cmd_eval(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(
-        json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+        json.dumps(report.to_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n"
     )
     write_froc_csv(out_dir / "froc.csv", report.froc.thresholds, report.froc.points)
     roc = report.roc
@@ -374,13 +374,15 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _confusion(report: dict, op: dict):
-    """Volume-level confusion counts of one report at one operating point."""
+    """Volume-level confusion counts of one report at one operating point;
+    a null threshold (an unreachable point) calls no volume positive."""
     scores = {
         rec["volume_id"]: (rec["score"], rec["has_lesion"])
         for rec in report["volume_scores"]
     }
+    threshold = math.inf if op["threshold"] is None else op["threshold"]
     return confusion_at_threshold(
-        list(scores.values()), op["threshold"], inclusive=op["score_rule"] == "ge"
+        list(scores.values()), threshold, inclusive=op["score_rule"] == "ge"
     )
 
 
@@ -395,7 +397,7 @@ _REPORT_RECORDS = {
     "volume_scores": {"volume_id": str, "score": (int, float), "has_lesion": bool},
     "operating_points": {
         "name": str,
-        "threshold": (int, float),
+        "threshold": (int, float, type(None)),
         "score_rule": str,
         "metrics": dict,
     },
@@ -413,7 +415,7 @@ def _report_problem(report) -> str | None:
             if not isinstance(rec, dict):
                 return f"{key}[{i}] is not an object"
             for name, kind in fields.items():
-                if not isinstance(rec.get(name), kind):
+                if name not in rec or not isinstance(rec[name], kind):
                     return f"{key}[{i}] lacks {name!r} or it has the wrong type"
     froc = report.get("froc")
     if not isinstance(froc, dict) or "points" not in froc:
@@ -424,7 +426,7 @@ def _report_problem(report) -> str | None:
 def _read_report(path) -> dict:
     """A report.json holding every key compare reads; DataError otherwise."""
     try:
-        report = json.loads(Path(path).read_text())
+        report = load_json(Path(path).read_text())
     except OSError as e:
         raise DataError(str(e)) from e
     except ValueError as e:  # JSON and UTF-8 decode errors
@@ -469,7 +471,7 @@ def cmd_compare(args) -> int:
     }
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(comparison, sort_keys=True, indent=2) + "\n")
+    out.write_text(json.dumps(comparison, sort_keys=True, indent=2, allow_nan=False) + "\n")
     print(f"wrote comparison to {out}")
     return 0
 

@@ -1,12 +1,36 @@
 """Run configuration: every pipeline parameter with its documented default,
-serializable to and from a JSON config file without loss."""
+serializable to and from a JSON config file without loss; and the strict
+JSON parsing every reader of the package's files uses."""
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if math.isinf(value):
+        raise ValueError(f"{text} overflows a float")
+    return value
+
+
+# one decoder for every call: json.loads with a keyword builds a new one each time
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant, parse_float=_finite_float)
+
+
+def load_json(text: str):
+    """Parse JSON text, refusing the NaN, Infinity and -Infinity that
+    :func:`json.loads` accepts but RFC 8259 does not, and number literals
+    such as ``1e400`` that would read as infinite."""
+    return _DECODER.decode(text)
 
 
 @dataclass(frozen=True)
@@ -108,8 +132,10 @@ class RunConfig:
         return cls(**kwargs)
 
     def to_file(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n")
+        Path(path).write_text(
+            json.dumps(self.to_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n"
+        )
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return cls.from_dict(load_json(Path(path).read_text()))

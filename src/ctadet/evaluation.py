@@ -192,7 +192,8 @@ def threshold_for_operating_point(curve: FrocCurve, target_fppv: float) -> float
     """Smallest candidate-probability threshold whose FPPV stays within the
     target (i.e. the highest-sensitivity operating point at that budget).
 
-    Returns +inf when even the strictest threshold exceeds the target.
+    Returns +inf when even the strictest threshold exceeds the target; a
+    report writes that threshold as null.
     """
     if target_fppv < 0:
         raise ValueError(f"target_fppv must be >= 0, got {target_fppv}")
@@ -491,12 +492,12 @@ class EvaluationReport:
     provenance: Mapping[str, object] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        def clean(x):
-            return None if isinstance(x, float) and math.isnan(x) else x
+        def clean(x):  # NaN and an unreachable threshold (+inf) are null
+            return None if isinstance(x, float) and not math.isfinite(x) else x
 
         def metrics_dict(m: ConfusionMetrics) -> dict:
             return {
-                "threshold": m.threshold,
+                "threshold": clean(m.threshold),
                 "tp": m.tp,
                 "fp": m.fp,
                 "tn": m.tn,
@@ -533,7 +534,7 @@ class EvaluationReport:
             "operating_points": [
                 {
                     "name": op.name,
-                    "threshold": op.threshold,
+                    "threshold": clean(op.threshold),
                     "score_rule": op.score_rule,
                     "lesion_sensitivity": op.lesion_sensitivity,
                     "metrics": metrics_dict(op.metrics),
@@ -751,10 +752,13 @@ REPORT_SCHEMA = {
                 "required": ["name", "threshold", "score_rule", "metrics"],
                 "properties": {
                     "name": {"type": "string"},
+                    # null: no candidate threshold meets the point's FPPV
+                    "threshold": {"type": ["number", "null"]},
                     "score_rule": {"enum": ["ge", "gt"]},
                     "metrics": {
                         "type": "object",
-                        "required": ["tp", "fp", "tn", "fn"],
+                        "required": ["threshold", "tp", "fp", "tn", "fn"],
+                        "properties": {"threshold": {"type": ["number", "null"]}},
                     },
                 },
             },

@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .anchors import BoundingBox, Lesion
+from .config import load_json
 from .fpr import FprLabel, FprTrainingRecord
 from .postproc import CandidateDetection, Stage
 
@@ -37,7 +38,7 @@ class FormatError(ValueError):
 
 def _write_jsonl(path, records) -> None:
     with open(path, "w") as f:
-        f.writelines(json.dumps(r, sort_keys=True) + "\n" for r in records)
+        f.writelines(json.dumps(r, sort_keys=True, allow_nan=False) + "\n" for r in records)
 
 
 def _read_jsonl(path, parse: Callable[[dict], object]) -> Iterator:
@@ -47,7 +48,7 @@ def _read_jsonl(path, parse: Callable[[dict], object]) -> Iterator:
             if not line.strip():
                 continue
             try:
-                record = parse(json.loads(line))
+                record = parse(load_json(line))
             except _RECORD_ERRORS as e:
                 raise FormatError(f"{path}:{lineno}: invalid record: {e!r}") from e
             yield record
@@ -177,12 +178,12 @@ def write_manifest(path, manifest: Manifest) -> None:
             for v in manifest.volumes
         ],
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def read_manifest(path) -> Manifest:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = load_json(Path(path).read_text())
         return Manifest(
             volumes=tuple(
                 ManifestVolume(

@@ -1,25 +1,24 @@
 """False-positive reduction stage: multi-scale patch extraction around
 candidates, training-label rules, and probability averaging.
 
-A classifier here is any callable mapping an :class:`FprPatchSet` to three
-probabilities, one per patch scale; reference implementations live in
+The classifier contract, one call per volume, is
+:class:`ctadet.pipeline.FprBatch`; reference classifiers live in
 :mod:`ctadet.synth`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .anchors import BoundingBox, box_bounds, box_contains
 from .config import RunConfig
 from .postproc import CandidateDetection, Stage, nms
 from .volume import AIR_HU, PatchSpec, Volume, extract_patch, normalize_hu, write_volume
-
-Classifier = Callable[["FprPatchSet"], Sequence[float]]
 
 
 @dataclass(frozen=True)
@@ -57,21 +56,22 @@ def select_candidates(
 
 
 def patch_origins(
-    center: Sequence[float],
+    centers,
     dims: Sequence[int],
     patch_sizes: Sequence[tuple[int, int, int]],
-) -> Optional[list[tuple[int, int, int]]]:
-    """Origins of the patches centered on ``center``, one per size, or None
-    when the center lies outside the volume.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Which of ``centers`` (n, 3) lie inside a volume of ``dims``, and the
+    integer origins (m, len(patch_sizes), 3) of the patches centered on each
+    of those m centers, one per size.
 
-    For even sizes the center maps to patch index size/2.
+    The center voxel is ``floor(c + 0.5)``; for even sizes it maps to patch
+    index size/2.
     """
-    if not all(0 <= c < d for c, d in zip(center, dims)):
-        return None
-    center_idx = [int(math.floor(c + 0.5)) for c in center]
-    return [
-        tuple(ci - s // 2 for ci, s in zip(center_idx, size)) for size in patch_sizes
-    ]
+    centers = np.asarray(centers, dtype=float).reshape(-1, 3)
+    inside = ((centers >= 0) & (centers < np.asarray(dims))).all(axis=1)
+    center_idx = np.floor(centers[inside] + 0.5).astype(np.int64)
+    sizes = np.asarray(patch_sizes, dtype=np.int64).reshape(-1, 3)
+    return inside, center_idx[:, None, :] - sizes // 2
 
 
 def extract_fpr_patches(
@@ -85,14 +85,14 @@ def extract_fpr_patches(
 
     The candidate center must lie inside the volume.
     """
-    origins = patch_origins(cand.box.center, v.dims, patch_sizes)
-    if origins is None:
+    inside, origins = patch_origins([cand.box.center], v.dims, patch_sizes)
+    if not inside[0]:
         raise ValueError(
             f"candidate center {cand.box.center} outside volume bounds {v.dims}"
         )
     patches = [
         normalize_hu(extract_patch(v, PatchSpec(origin, size, pad_value)), window)
-        for origin, size in zip(origins, patch_sizes)
+        for origin, size in zip(origins[0], patch_sizes)
     ]
     return FprPatchSet(cand, tuple(patches))
 
@@ -150,11 +150,12 @@ def export_training_patches(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     records = []
-    for idx, cand in enumerate(candidates):
-        origins = patch_origins(cand.box.center, volume.dims, patch_sizes)
-        if origins is None:
-            continue
-        for scale, (origin, size) in enumerate(zip(origins, patch_sizes)):
+    inside, origins = patch_origins(
+        [c.box.center for c in candidates], volume.dims, patch_sizes
+    )
+    for idx, cand_origins in zip(np.flatnonzero(inside), origins):
+        cand = candidates[idx]
+        for scale, (origin, size) in enumerate(zip(cand_origins, patch_sizes)):
             patch = extract_patch(volume, PatchSpec(origin, size, pad_value))
             name = f"{volume.volume_id}-c{idx:04d}-s{scale}"
             write_volume(patch, out_dir / name)

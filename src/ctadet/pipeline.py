@@ -7,12 +7,16 @@ the patch's :class:`~ctadet.anchors.AnchorGrid`, it returns a
 row per grid row.  A scorer factory builds one scorer per volume; the
 shipped factory wraps the ground-truth oracle detector so the whole chain
 (tiling, decoding, NMS, rescoring) runs without a neural network.
+
+A second-stage *classifier* is called once per volume with an
+:class:`FprBatch` and returns an (n, 3) array: one probability per
+candidate and patch scale.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Callable, Protocol, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -27,7 +31,13 @@ from .anchors import (
     encode,
 )
 from .config import RunConfig
-from .fpr import extract_fpr_patches, patch_origins, rescore, select_candidates
+from .fpr import (
+    FprPatchSet,
+    extract_fpr_patches,
+    patch_origins,
+    rescore,
+    select_candidates,
+)
 from .postproc import CandidateDetection, Stage, merge_tiles
 from .synth import OracleDetectorSpec, oracle_detect
 from .volume import (
@@ -54,6 +64,57 @@ class TileScorer(Protocol):
 
 
 ScorerFactory = Callable[[Volume, Sequence[BoundingBox], RunConfig, int], TileScorer]
+
+
+@dataclass(frozen=True)
+class FprBatch:
+    """What the second stage rescores in one volume: candidates centered
+    inside ``volume``, and the origins of their patches.
+
+    ``origins[i, k]`` is the corner of candidate i's patch of size
+    ``patch_sizes[k]``; a patch may reach past the volume, where it reads
+    as air.  ``volume.values`` may be Fortran-ordered, the raw file's
+    layout.
+    """
+
+    volume: Volume
+    candidates: tuple[CandidateDetection, ...]
+    origins: np.ndarray  # (n, 3, 3) int64: candidate, scale, axis
+    patch_sizes: tuple[tuple[int, int, int], ...]
+    window: tuple[float, float]
+
+    @classmethod
+    def around(
+        cls,
+        volume: Volume,
+        candidates: Sequence[CandidateDetection],
+        patch_sizes: Sequence[tuple[int, int, int]] = RunConfig.fpr_patch_sizes,
+        window: tuple[float, float] = RunConfig.hu_window,
+    ) -> "FprBatch":
+        """The batch of those ``candidates`` centered inside ``volume``."""
+        inside, origins = patch_origins(
+            [c.box.center for c in candidates], volume.dims, patch_sizes
+        )
+        origins.flags.writeable = False
+        return cls(
+            volume,
+            tuple(c for c, ok in zip(candidates, inside) if ok),
+            origins,
+            tuple(tuple(int(p) for p in s) for s in patch_sizes),
+            tuple(window),
+        )
+
+    def patch_sets(self) -> Iterator[FprPatchSet]:
+        """Each candidate's three padded, normalized patches, extracted when
+        the iteration reaches it, so that no more than one candidate's
+        pixels are held at a time."""
+        for cand in self.candidates:
+            yield extract_fpr_patches(
+                self.volume, cand, self.patch_sizes, window=self.window
+            )
+
+
+Classifier = Callable[[FprBatch], np.ndarray]
 
 
 class OracleTileScorer:
@@ -129,22 +190,24 @@ def _decode_grid(
     return out
 
 
-def _checked_preds(preds, n_anchors: int, where: str) -> np.ndarray:
-    """A scorer's output as a float64 array, or PluginOutputError when it is
-    not (n_anchors, 5), not finite, or has a probability outside [0, 1]."""
+def _checked_output(out, shape: tuple[int, int], n_probs: int, what: str) -> np.ndarray:
+    """A plugin's output as a float64 array, or PluginOutputError when it is
+    not ``shape``, not finite, or has a probability outside [0, 1]; the
+    probabilities are its first ``n_probs`` columns.  ``what`` names the
+    output and where it came from."""
     try:
-        arr = np.asarray(preds, dtype=float)
+        arr = np.asarray(out, dtype=float)
     except (TypeError, ValueError) as e:
-        raise PluginOutputError(f"{where}: scorer output is not numeric: {e}") from e
-    if arr.shape != (n_anchors, 5):
-        problem = f"has shape {arr.shape}, expected ({n_anchors}, 5)"
+        raise PluginOutputError(f"{what} is not numeric: {e}") from e
+    if arr.shape != shape:
+        problem = f"has shape {arr.shape}, expected {shape}"
     elif not np.isfinite(arr).all():
         problem = "holds NaN or Inf"
-    elif not ((arr[:, 0] >= 0.0) & (arr[:, 0] <= 1.0)).all():
+    elif not ((arr[:, :n_probs] >= 0.0) & (arr[:, :n_probs] <= 1.0)).all():
         problem = "has a probability outside [0, 1]"
     else:
         return arr
-    raise PluginOutputError(f"{where}: scorer output {problem}")
+    raise PluginOutputError(f"{what} {problem}")
 
 
 def detect_volume(
@@ -182,10 +245,11 @@ def detect_volume(
     per_tile = []
     for tile in tiles:
         patch = normalize_hu(extract_patch(v, tile), cfg.hu_window)
-        preds = _checked_preds(
+        preds = _checked_output(
             scorer.score(patch, tile, grid),
-            len(grid),
-            f"volume {volume.volume_id!r}, tile at {tile.origin}",
+            (len(grid), 5),
+            1,
+            f"volume {volume.volume_id!r}, tile at {tile.origin}: scorer output",
         )
         per_tile.append((tile, _decode_grid(preds, grid, cfg.sensitivity_floor, tile)))
     merged = merge_tiles(per_tile, cfg.nms_iou, cfg.sensitivity_floor)
@@ -197,32 +261,25 @@ def detect_volume(
 def reduce_volume(
     volume: Volume,
     candidates: Sequence[CandidateDetection],
-    classifier,
+    classifier: Classifier,
     cfg: RunConfig,
 ) -> list[CandidateDetection]:
     """Rescore first-stage candidates with a patch classifier.
 
-    Candidates are re-selected at the high-sensitivity floor, the three
-    fixed-size patches extracted around each, and the candidate probability
-    replaced by the classifier's averaged output.  Candidates whose center
-    falls outside the volume cannot be rescored and are dropped.  A
-    classifier result that is not three probabilities in [0, 1] raises
+    Candidates are re-selected at the high-sensitivity floor, and those
+    centered inside the volume go to the classifier in one
+    :class:`FprBatch`; each candidate probability is replaced by the mean
+    of its row of the classifier's output.  Candidates whose center falls
+    outside the volume cannot be rescored and are dropped.  An output that
+    is not an (n, 3) array of probabilities in [0, 1] raises
     :class:`PluginOutputError`.
     """
     selected = select_candidates(candidates, cfg.sensitivity_floor, cfg.nms_iou)
-    out = []
-    for cand in selected:
-        if patch_origins(cand.box.center, volume.dims, cfg.fpr_patch_sizes) is None:
-            continue
-        patch_set = extract_fpr_patches(
-            volume, cand, cfg.fpr_patch_sizes, window=cfg.hu_window
-        )
-        probs = classifier(patch_set)
-        try:
-            out.append(rescore(cand, probs))
-        except (TypeError, ValueError) as e:
-            raise PluginOutputError(
-                f"volume {volume.volume_id!r}, candidate at {cand.box.center}: "
-                f"classifier output {probs!r} rejected: {e}"
-            ) from e
-    return out
+    batch = FprBatch.around(volume, selected, cfg.fpr_patch_sizes, cfg.hu_window)
+    probs = _checked_output(
+        classifier(batch),
+        (len(batch.candidates), 3),
+        3,
+        f"volume {volume.volume_id!r}: classifier output",
+    )
+    return [rescore(cand, row) for cand, row in zip(batch.candidates, probs.tolist())]

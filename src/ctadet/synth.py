@@ -14,15 +14,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from .anchors import BoundingBox, Lesion, _as_boxes, box_bounds, box_contains
 from .config import RunConfig
-from .fpr import FprPatchSet
 from .postproc import CandidateDetection, Stage
-from .volume import _SLAB_VOXELS, Volume
+from .volume import _SLAB_VOXELS, AIR_HU, Volume, normalize_hu
+
+if TYPE_CHECKING:
+    from .pipeline import FprBatch
 
 SIZE_CLASS_BINS = ((3.0, "2.5-3mm"), (5.0, "3-5mm"), (10.0, "5-10mm"))
 SIZE_CLASS_TOP = ">10mm"
@@ -278,48 +280,101 @@ def oracle_detect(
     return cands
 
 
-def reference_classifier(
-    patch_set: FprPatchSet, threshold: float = 0.15
-) -> tuple[float, float, float]:
-    """Analytic patch scorer: bright-fraction inside a central sphere minus
-    bright-fraction in the surrounding shell, squashed to [0, 1].
+def reference_classifier(batch: "FprBatch", threshold: float = 0.15) -> np.ndarray:
+    """Analytic patch scorer: per candidate and patch scale, the bright
+    fraction inside a central sphere minus the bright fraction in the
+    surrounding shell, squashed to [0, 1]; an (n, 3) array.
 
     On phantom data this scores lesion-centered patches above vessel or
     background patches: a sphere fills the patch center while a tube
-    continues into the shell.
+    continues into the shell.  A voxel is bright when its normalized HU
+    exceeds ``threshold``.  The int16 volume is read through views, one
+    per candidate, scale and mask; patch voxels outside the volume are air.
     """
-    scores = []
-    for patch in patch_set.patches:
-        bright = patch.values > threshold
+    values = batch.volume.values
+    if values.dtype != np.int16:
+        raise ValueError(f"the reference classifier reads int16 HU, got {values.dtype}")
+    cut, pad_bright = _bright_cut(tuple(batch.window), threshold)
+    order = "F" if abs(values.strides[0]) < abs(values.strides[2]) else "C"
+    scores = np.empty((len(batch.origins), len(batch.patch_sizes)))
+    for k, size in enumerate(batch.patch_sizes):
         frac_in, frac_shell = (
-            np.count_nonzero(bright & mask) / count if count else 0.0
-            for mask, count in _sphere_masks(bright.shape)
+            _bright_count(values, batch.origins[:, k] + offset, mask, cut, pad_bright) / count
+            if count else np.zeros(len(scores))
+            for mask, offset, count in _sphere_masks(tuple(size), order)
         )
-        scores.append(float(np.clip(0.5 + 0.5 * (frac_in - frac_shell), 0.0, 1.0)))
-    return tuple(scores)
+        scores[:, k] = np.clip(0.5 + 0.5 * (frac_in - frac_shell), 0.0, 1.0)
+    return scores
+
+
+@lru_cache(maxsize=8)
+def _bright_cut(window: tuple[float, float], threshold: float) -> tuple[int, bool]:
+    """The smallest int16 HU whose normalized value exceeds ``threshold``
+    (32768 when none does), and whether the air padding does.
+
+    :func:`normalize_hu` is non-decreasing in HU, so "normalized value >
+    threshold" is exactly "HU >= cut" on int16 data.
+    """
+    every = np.arange(-32768, 32768, dtype=np.int16).reshape(-1, 1, 1)
+    bright = normalize_hu(Volume(every, (1, 1, 1)), window).values.ravel() > threshold
+    cut = int(np.argmax(bright)) - 32768 if bright.any() else 32768
+    air = normalize_hu(Volume(np.full((1, 1, 1), AIR_HU), (1, 1, 1)), window)
+    return cut, bool(air.values[0, 0, 0] > threshold)
+
+
+def _bright_count(values, corners, mask, cut: int, pad_bright: bool) -> np.ndarray:
+    """Per row of ``corners`` (n, 3), the voxels under ``mask`` placed at
+    that corner that are bright: HU >= ``cut`` inside the volume, and all
+    of them outside it when ``pad_bright``.
+
+    Each placed mask must overlap or touch the volume, as the masks of a
+    patch centered inside it do.
+    """
+    lo = np.maximum(corners, 0)
+    hi = np.minimum(corners + mask.shape, values.shape)
+    out = np.empty(len(corners), dtype=np.int64)
+    rows = zip(lo.tolist(), hi.tolist(), (lo - corners).tolist(), (hi - corners).tolist())
+    for i, ((x0, y0, z0), (x1, y1, z1), (a0, b0, c0), (a1, b1, c1)) in enumerate(rows):
+        part = mask[a0:a1, b0:b1, c0:c1]
+        bright = values[x0:x1, y0:y1, z0:z1] >= cut
+        np.logical_and(bright, part, out=bright)
+        out[i] = np.count_nonzero(bright)
+        if pad_bright and part.size < mask.size:
+            out[i] += np.count_nonzero(mask) - np.count_nonzero(part)
+    return out
 
 
 @lru_cache(maxsize=32)
-def _sphere_masks(shape: tuple[int, int, int]) -> tuple[tuple[np.ndarray, int], ...]:
-    """Read-only central-sphere and shell masks of a patch shape, each
-    with its voxel count."""
+def _sphere_masks(
+    shape: tuple[int, int, int], order: str = "C"
+) -> tuple[tuple[np.ndarray, tuple[int, int, int], int], ...]:
+    """Central-sphere and shell masks of a patch shape, each cropped to the
+    box of its set voxels and stored read-only in ``order``, with the box's
+    offset in the patch and the mask's voxel count."""
     radius = min(shape) / 4.0
     grids = np.ogrid[0:shape[0], 0:shape[1], 0:shape[2]]
     d2 = sum((g - (s - 1) / 2.0) ** 2 for g, s in zip(grids, shape))
     inner = d2 <= radius * radius
     shell = (d2 > radius * radius) & (d2 <= 4.0 * radius * radius)
+    out = []
     for mask in (inner, shell):
-        mask.flags.writeable = False
-    return (inner, int(np.count_nonzero(inner))), (shell, int(np.count_nonzero(shell)))
+        where = np.nonzero(mask)
+        lo = tuple(int(w.min()) if w.size else 0 for w in where)
+        hi = tuple(int(w.max()) + 1 if w.size else 0 for w in where)
+        cropped = np.array(mask[tuple(map(slice, lo, hi))], order=order)
+        cropped.flags.writeable = False
+        out.append((cropped, lo, len(where[0])))
+    return tuple(out)
 
 
-def perfect_classifier(lesions: Sequence) -> Callable[[FprPatchSet], tuple[float, float, float]]:
-    """Oracle rescorer: 1.0 for candidates centered inside a lesion, else 0."""
+def perfect_classifier(lesions: Sequence) -> Callable[["FprBatch"], np.ndarray]:
+    """Oracle rescorer: 1.0 at every scale for candidates centered inside a
+    lesion, else 0."""
     bounds = box_bounds(_as_boxes(lesions))
 
-    def classify(patch_set: FprPatchSet) -> tuple[float, float, float]:
-        hit = box_contains(bounds, patch_set.candidate.box.center).any()
-        value = 1.0 if hit else 0.0
-        return (value, value, value)
+    def classify(batch: "FprBatch") -> np.ndarray:
+        centers = np.array([c.box.center for c in batch.candidates], dtype=float)
+        hit = box_contains(bounds, centers.reshape(-1, 1, 3)).any(axis=1)
+        return np.repeat(hit[:, None].astype(float), 3, axis=1)
 
     return classify

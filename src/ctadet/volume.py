@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .anchors import BoundingBox
-from .config import RunConfig
+from .config import RunConfig, load_json
 
 AIR_HU = -1000.0
 
@@ -50,8 +50,8 @@ class Volume:
         if any(d < 1 for d in self.values.shape):
             raise ValueError(f"volume dims must all be >= 1, got {self.values.shape}")
         object.__setattr__(self, "spacing", tuple(float(s) for s in self.spacing))
-        if len(self.spacing) != 3 or any(s <= 0 for s in self.spacing):
-            raise ValueError(f"spacing must be 3 positive values, got {self.spacing}")
+        if len(self.spacing) != 3 or not all(0 < s < math.inf for s in self.spacing):
+            raise ValueError(f"spacing must be 3 positive finite values, got {self.spacing}")
         if self.cranial_axis not in (None, "+z", "-z"):
             raise ValueError(f"cranial_axis must be '+z' or '-z', got {self.cranial_axis!r}")
 
@@ -135,7 +135,7 @@ def write_volume(v: Volume, path) -> None:
         "cranial_axis": v.cranial_axis,
         "volume_id": v.volume_id,
     }
-    json_path.write_text(json.dumps(header, sort_keys=True) + "\n")
+    json_path.write_text(json.dumps(header, sort_keys=True, allow_nan=False) + "\n")
 
 
 def read_volume(path) -> Volume:
@@ -145,7 +145,10 @@ def read_volume(path) -> Volume:
         raise FileNotFoundError(f"missing volume header {json_path}")
     if not raw_path.exists():
         raise FileNotFoundError(f"missing volume data {raw_path}")
-    header = json.loads(json_path.read_text())
+    try:
+        header = load_json(json_path.read_text())
+    except ValueError as e:  # JSON and UTF-8 decode errors
+        raise ValueError(f"{json_path}: not a JSON header: {e}") from e
     dims = tuple(int(d) for d in header["dims"])
     spacing = tuple(float(s) for s in header["spacing_mm"])
     if len(dims) != 3 or len(spacing) != 3:
@@ -171,10 +174,17 @@ def read_volume(path) -> Volume:
 
 
 def normalize_hu(v: Volume, window: tuple[float, float] = RunConfig.hu_window) -> Volume:
-    """Clamp HU to the window and scale into [-1, 1]."""
+    """Clamp HU to the window and scale into [-1, 1], as float32 in the
+    source's memory order; non-decreasing in HU.
+
+    The clamp is cast into the float32 result and divided in place: the
+    bits of clip, cast, divide, without the float64 temporary.
+    """
     lo, hi = window
     scale = max(abs(lo), abs(hi))
-    values = np.clip(v.values, lo, hi).astype(np.float32) / np.float32(scale)
+    values = np.clip(v.values, lo, hi, out=np.empty_like(v.values, dtype=np.float32),
+                     casting="unsafe")
+    values /= np.float32(scale)
     return Volume(values, v.spacing, v.volume_id, v.cranial_axis)
 
 

@@ -9,7 +9,7 @@ import pytest
 
 import ctadet
 from ctadet.cli import main
-from ctadet.config import RunConfig
+from ctadet.config import RunConfig, load_json
 from ctadet.formats import read_manifest
 
 
@@ -389,6 +389,47 @@ class TestReduceEvalCompare:
         assert rc == 4
 
 
+class TestFiniteJson:
+    def test_unreachable_operating_point_is_null(self, tmp_path):
+        # false positives at 0.95-1.0 outrank every lesion (0.5-0.9), so even
+        # the strictest threshold keeps one per 2 volumes: FPPV 0.25 is out of reach
+        config = small_config(
+            tmp_path,
+            n_volumes=2,
+            negative_fraction=0.0,
+            detector_fp_per_volume=40.0,
+            detector_fp_prob_range=[0.95, 1.0],
+            detector_tp_prob_range=[0.5, 0.9],
+        )
+        data = run_dataset(tmp_path, config)
+        cand, out = tmp_path / "cand", tmp_path / "eval"
+        assert main(["detect", "--config", str(config),
+                     "--manifest", str(data / "manifest.json"), "--out", str(cand)]) == 0
+        assert main(["eval", "--config", str(config),
+                     "--manifest", str(data / "manifest.json"),
+                     "--candidates", str(cand), "--out", str(out)]) == 0
+        report = load_json((out / "report.json").read_text())
+        op = {o["name"]: o for o in report["operating_points"]}["fppv_0.25"]
+        assert op["threshold"] is None and op["metrics"]["threshold"] is None
+        assert op["metrics"]["tp"] == op["metrics"]["fp"] == 0
+        comparison = tmp_path / "cmp.json"
+        assert main(["compare", "--config", str(config),
+                     "--report-a", str(out / "report.json"),
+                     "--report-b", str(out / "report.json"),
+                     "--out", str(comparison)]) == 0
+        row = {r["name"]: r for r in load_json(comparison.read_text())["operating_points"]}
+        assert row["fppv_0.25"]["p_sensitivity"] == 1.0
+
+    def test_report_with_infinity_exit_3(self, tmp_path, capsys):
+        doc = json.dumps(_report_doc([(0.9, True), (0.1, False)]))
+        path = tmp_path / "a.json"
+        path.write_text(doc.replace('"threshold": 0.5', '"threshold": Infinity'))
+        capsys.readouterr()
+        assert main(["compare", "--report-a", str(path), "--report-b", str(path),
+                     "--out", str(tmp_path / "cmp.json")]) == 3
+        assert f"{path}: not a JSON report: Infinity is not valid JSON" in capsys.readouterr().err
+
+
 def _report_doc(scores) -> dict:
     """The smallest report compare accepts: volume scores, one operating point."""
     return {
@@ -430,11 +471,16 @@ def _corrupt(kind: str, data: Path, cand: Path) -> str:
         body = raw.read_bytes()
         raw.write_bytes(body[:-2] if kind == "raw-short" else body + b"\0\0")
         return "vol-0001.vol.raw: header declares dims"
-    # a volume header without dims, or with two, read inside a --jobs 2 worker
+    # a volume header without dims, with two, or with a NaN spacing, read
+    # inside a --jobs 2 worker
     header = data / "vol-0001.vol.json"
     doc = json.loads(header.read_text())
     if kind == "volume-dims":
         doc["dims"] = doc["dims"][:2]
+    elif kind == "volume-nan":
+        doc["spacing_mm"][0] = float("nan")
+        header.write_text(json.dumps(doc))
+        return "vol-0001.vol.json: not a JSON header: NaN is not valid JSON"
     else:
         del doc["dims"]
     header.write_text(json.dumps(doc))
@@ -452,6 +498,7 @@ class TestMalformedInput:
             ("manifest-keys", "eval"),
             ("volume-header", "detect"),
             ("volume-dims", "detect"),
+            ("volume-nan", "detect"),
             ("raw-short", "detect"),
             ("raw-long", "detect"),
         ],
@@ -649,7 +696,7 @@ class TestConfigValues:
 
 
 # Plugins that break their output contract: scorers wrap the oracle scorer
-# and spoil its array, classifiers return a fixed result.
+# and spoil its array, classifiers spoil an (n, 3) array of 0.5.
 _BAD_PLUGINS = """
 import numpy as np
 
@@ -688,15 +735,16 @@ nan_p = _scorer(_first_p(np.nan))
 p_above_one = _scorer(_first_p(1.5))
 
 
-def _classifier(result):
+def _classifier(spoil):
     def factory(volume, lesions, cfg):
-        return lambda patch_set: result
+        return lambda batch: spoil(np.full((len(batch.candidates), 3), 0.5))
     return factory
 
 
-above_one = _classifier((1.5, 0.5, 0.5))
-nan_prob = _classifier((float("nan"), 0.5, 0.5))
-two_values = _classifier((0.5, 0.5))
+above_one = _classifier(_first_p(1.5))
+nan_prob = _classifier(_first_p(np.nan))
+two_values = _classifier(lambda probs: probs[:, :2])
+one_row_missing = _classifier(lambda probs: probs[:-1])
 """
 
 
@@ -728,8 +776,18 @@ class TestPluginOutput:
         err = capsys.readouterr().err
         assert "volume 'vol-0000', tile at (0, 0, 0)" in err and problem in err
 
-    @pytest.mark.parametrize("classifier", ["above_one", "nan_prob", "two_values"])
-    def test_bad_classifier_output_exit_3(self, tmp_path, capsys, dataset, classifier):
+    @pytest.mark.parametrize(
+        "classifier, problem",
+        [
+            ("above_one", "outside [0, 1]"),
+            ("nan_prob", "NaN"),
+            ("two_values", "shape"),
+            ("one_row_missing", "shape"),
+        ],
+        ids=["above_one", "nan_prob", "two_values", "one_row_missing"],
+    )
+    def test_bad_classifier_output_exit_3(self, tmp_path, capsys, dataset, classifier,
+                                          problem):
         config, data = dataset
         cand = tmp_path / "cand"
         assert main([
@@ -744,4 +802,4 @@ class TestPluginOutput:
             "--classifier", f"bad_plugins:{classifier}",
         ]) == 3
         err = capsys.readouterr().err
-        assert "volume 'vol-0000'" in err and "classifier output" in err
+        assert "volume 'vol-0000': classifier output" in err and problem in err

@@ -12,7 +12,7 @@ import pytest
 
 import ctadet
 from ctadet import cli, pipeline
-from ctadet.config import RunConfig
+from ctadet.config import RunConfig, load_json
 from ctadet.synth import OracleDetectorSpec, PhantomSpec
 from ctadet.volume import Volume
 
@@ -63,3 +63,14 @@ def test_integral_floats_and_ints_convert():
 def test_inexact_values_rejected(field, value):
     with pytest.raises(ValueError, match=field):
         RunConfig.from_dict({field: value})
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [("NaN", "NaN is not valid JSON"), ('{"a": [Infinity]}', "Infinity is not valid JSON"),
+     ("-Infinity", "-Infinity is not valid JSON"), ('{"a": 1e400}', "1e400 overflows")],
+)
+def test_strict_json_refuses_non_finite_numbers(text, problem):
+    with pytest.raises(ValueError, match=problem):
+        load_json(text)
+    assert load_json(' {"a": [1, -2.5e-3, 1e300]}\n') == {"a": [1, -2.5e-3, 1e300]}

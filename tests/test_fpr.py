@@ -234,10 +234,8 @@ class TestPerfectClassifierAblation:
             boxes = [l.box for l in lesions]
             spec_i = OracleDetectorSpec(**{**spec.__dict__, "seed": i})
             cands = oracle_detect(boxes, spec_i, phantom_spec.dims)
-            classify = perfect_classifier(boxes)
-            rescored = [
-                rescore(c, classify(FakePatchSet(c))) for c in cands
-            ]
+            probs = perfect_classifier(boxes)(FakeBatch(cands))
+            rescored = [rescore(c, p) for c, p in zip(cands, probs)]
             dataset_before.append((boxes, cands))
             dataset_after.append((boxes, rescored))
             fp_before += sum(
@@ -258,8 +256,8 @@ class TestPerfectClassifierAblation:
         assert fp_after < fp_before
 
 
-class FakePatchSet:
-    """Just enough of FprPatchSet for classifiers that only read the candidate."""
+class FakeBatch:
+    """Just enough of FprBatch for classifiers that only read the candidates."""
 
-    def __init__(self, candidate):
-        self.candidate = candidate
+    def __init__(self, candidates):
+        self.candidates = tuple(candidates)

@@ -6,7 +6,8 @@ this test process and its imports do not count.  The budgets are a fixed
 60 MiB for the interpreter, numpy and the pipeline's small buffers, plus a
 per-voxel allowance: 4 bytes for ``synth`` (a uint8 label canvas and the
 int16 phantom) and 3 bytes for ``detect`` (the int16 volume as read, with
-truncation a view of it).
+truncation a view of it) and for ``reduce`` (the same volume, scored
+through views).
 """
 
 import os
@@ -14,10 +15,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import ctadet
 from ctadet.config import RunConfig
 
 DIMS = (256, 256, 240)
+VOXELS = DIMS[0] * DIMS[1] * DIMS[2]
 MIB = 1 << 20
 FIXED_MIB = 60.0
 
@@ -47,7 +51,11 @@ def _peak_mib(argv, cwd: Path) -> float:
     return maxrss / 1024.0  # KiB on Linux
 
 
-def test_synth_and_detect_within_budget(tmp_path):
+@pytest.fixture(scope="module")
+def scan(tmp_path_factory):
+    """A run directory holding one written scan and its candidates, and
+    the peaks of the synth and detect commands that wrote them."""
+    cwd = tmp_path_factory.mktemp("scan")
     # 240 slices at 1 mm exceed the 200 mm cranial limit, so detect truncates
     RunConfig(
         n_volumes=1,
@@ -55,10 +63,24 @@ def test_synth_and_detect_within_budget(tmp_path):
         phantom_spacing=(0.8, 0.8, 1.0),
         n_vessels=8,
         n_aneurysms=6,
-    ).to_file(tmp_path / "config.json")
-    voxels = DIMS[0] * DIMS[1] * DIMS[2]
-    synth = _peak_mib(["synth", "--config", "config.json", "--out", "data"], tmp_path)
+        detector_fp_per_volume=40.0,
+        detector_fp_prob_range=(0.06, 0.9),
+    ).to_file(cwd / "config.json")
+    synth = _peak_mib(["synth", "--config", "config.json", "--out", "data"], cwd)
     detect = _peak_mib(["detect", "--config", "config.json",
-                        "--manifest", "data/manifest.json", "--out", "cand"], tmp_path)
-    assert synth <= 4 * voxels / MIB + FIXED_MIB, f"synth peaked at {synth:.1f} MiB"
-    assert detect <= 3 * voxels / MIB + FIXED_MIB, f"detect peaked at {detect:.1f} MiB"
+                        "--manifest", "data/manifest.json", "--out", "cand"], cwd)
+    return cwd, synth, detect
+
+
+def test_synth_and_detect_within_budget(scan):
+    _, synth, detect = scan
+    assert synth <= 4 * VOXELS / MIB + FIXED_MIB, f"synth peaked at {synth:.1f} MiB"
+    assert detect <= 3 * VOXELS / MIB + FIXED_MIB, f"detect peaked at {detect:.1f} MiB"
+
+
+def test_reduce_within_budget(scan):
+    cwd = scan[0]
+    reduce = _peak_mib(["reduce", "--config", "config.json", "--manifest", "data/manifest.json",
+                        "--candidates", "cand", "--out", "red"], cwd)
+    assert (cwd / "red" / "vol-0000.cand.jsonl").read_text()  # something was rescored
+    assert reduce <= 3 * VOXELS / MIB + FIXED_MIB, f"reduce peaked at {reduce:.1f} MiB"

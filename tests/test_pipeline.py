@@ -3,7 +3,8 @@ import pytest
 
 from ctadet.anchors import BoundingBox, anchor_grid
 from ctadet.config import RunConfig
-from ctadet.pipeline import OracleTileScorer, detect_volume, reduce_volume
+from ctadet.fpr import extract_fpr_patches, rescore, select_candidates
+from ctadet.pipeline import FprBatch, OracleTileScorer, detect_volume, reduce_volume
 from ctadet.postproc import CandidateDetection, Stage
 from ctadet.synth import (
     PhantomSpec,
@@ -12,7 +13,7 @@ from ctadet.synth import (
     reference_classifier,
 )
 from ctadet.volume import Volume, tile_volume
-from oracles import oracle_score_reference
+from oracles import oracle_score_reference, reference_classifier_reference
 
 
 def phantom(seed=0, **kw):
@@ -135,6 +136,76 @@ class TestReduceVolume:
     def test_zero_candidates(self):
         vol, _ = phantom(seed=8, n_aneurysms=0)
         assert reduce_volume(vol, [], reference_classifier, RunConfig()) == []
+
+
+def _face_candidates(vol, lesions, rng):
+    """Lesion-centered candidates, random ones, ones whose patches reach
+    past each face and corner, and ones centered outside the volume."""
+    dims = np.array(vol.dims, dtype=float)
+    centers = [l.box.center for l in lesions] + list(rng.uniform(0, dims, (30, 3)))
+    for ax in range(3):
+        for edge in (0.0, 0.4, dims[ax] - 0.6, dims[ax] - 0.01, -0.5, dims[ax]):
+            centers.append(np.where(np.arange(3) == ax, edge, rng.uniform(8, dims - 8)))
+    centers += [(0.0, 0.0, 0.0), tuple(dims - 0.01)]
+    return [
+        CandidateDetection(BoundingBox(tuple(c), 3.0), float(p))
+        for c, p in zip(centers, rng.uniform(0.06, 1.0, len(centers)))
+    ]
+
+
+class TestReduceMatchesReference:
+    """Batched reduce_volume gives the bits of the per-candidate path:
+    selection, then for each candidate centered inside the volume its
+    extracted, normalized patches scored by the scalar reference."""
+
+    @staticmethod
+    def per_candidate(vol, cands, cfg):
+        out = []
+        for c in select_candidates(cands, cfg.sensitivity_floor, cfg.nms_iou):
+            if all(0 <= x < d for x, d in zip(c.box.center, vol.dims)):
+                ps = extract_fpr_patches(vol, c, cfg.fpr_patch_sizes, window=cfg.hu_window)
+                out.append(rescore(c, reference_classifier_reference(ps)))
+        return out
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize(
+        "window",
+        [(-1000.0, 1000.0), (100.0, 400.0), (-1000.0, 100.0), (-150.5, 350.25)],
+        ids=["default", "pad-bright", "none-bright", "non-integral"],
+    )
+    def test_equals_per_candidate_path(self, window, order):
+        vol, lesions = phantom(seed=12, n_aneurysms=3, aneurysm_diameter_range=(6.0, 12.0))
+        vol = Volume(np.array(vol.values, order=order), vol.spacing, vol.volume_id)
+        cands = _face_candidates(vol, lesions, np.random.default_rng(12))
+        cfg = RunConfig(hu_window=window)
+        got = reduce_volume(vol, cands, reference_classifier, cfg)
+        assert got == self.per_candidate(vol, cands, cfg)
+        assert len(got) < len(select_candidates(cands, cfg.sensitivity_floor, cfg.nms_iou))
+
+    def test_empty_candidate_list(self):
+        # no candidates, and candidates that all lie outside the volume
+        vol, _ = phantom(seed=8, n_aneurysms=0)
+        outside = [CandidateDetection(BoundingBox(c, 3.0), 0.5)
+                   for c in ((-1.0, 5.0, 5.0), tuple(map(float, vol.dims)))]
+        for cands in ([], outside):
+            batch = FprBatch.around(vol, cands)
+            assert batch.origins.shape == (0, 3, 3)
+            assert reference_classifier(batch).shape == (0, 3)
+            assert reduce_volume(vol, cands, reference_classifier, RunConfig()) == []
+
+    def test_one_classifier_call_per_volume(self):
+        vol, lesions = phantom(seed=4, n_aneurysms=3, aneurysm_diameter_range=(6.0, 12.0))
+        cands = _face_candidates(vol, lesions, np.random.default_rng(4))
+        batches = []
+
+        def classify(batch):
+            batches.append(batch)
+            return reference_classifier(batch)
+
+        got = reduce_volume(vol, cands, classify, RunConfig())
+        reduce_volume(vol, [], classify, RunConfig())
+        assert [len(b.candidates) for b in batches] == [len(got), 0]
+        assert batches[0].origins.shape == (len(got), 3, 3)
 
 
 def scorer_test_candidates(rng):

@@ -5,7 +5,7 @@ import pytest
 
 from ctadet.anchors import BoundingBox, iou3d
 from ctadet.config import RunConfig
-from ctadet.fpr import FprPatchSet, extract_fpr_patches
+from ctadet.pipeline import FprBatch
 from ctadet.postproc import CandidateDetection
 from ctadet.synth import (
     OracleDetectorSpec,
@@ -280,73 +280,84 @@ class TestOracleDetect:
             assert lo <= c.probability <= hi
 
 
+def _reference_scores(batch):
+    """The per-candidate path: extracted, normalized patches scored by the
+    scalar reference."""
+    return np.array([reference_classifier_reference(ps) for ps in batch.patch_sets()])
+
+
 class TestReferenceClassifier:
     def test_pure_background_scores_at_most_half(self):
-        from ctadet.volume import Volume
-
         v = Volume(np.full((64, 64, 64), 40, dtype=np.int16), (1, 1, 1), "bg", "+z")
         c = CandidateDetection(BoundingBox((32.0, 32.0, 32.0), 6.0), 0.9)
-        probs = reference_classifier(extract_fpr_patches(v, c))
-        assert all(p <= 0.5 for p in probs)
+        probs = reference_classifier(FprBatch.around(v, [c]))
+        assert probs.shape == (1, 3) and (probs <= 0.5).all()
 
     def test_lesion_centered_beats_background(self):
         spec = PhantomSpec(seed=21, n_aneurysms=3, aneurysm_diameter_range=(6.0, 12.0))
         vol, lesions = generate_phantom(spec)
-        lesion_scores = []
-        for lesion in lesions:
-            c = CandidateDetection(lesion.box, 0.9)
-            lesion_scores.append(np.mean(reference_classifier(extract_fpr_patches(vol, c))))
+        lesions = [CandidateDetection(lesion.box, 0.9) for lesion in lesions]
         background = CandidateDetection(BoundingBox((5.0, 5.0, 90.0), 6.0), 0.9)
-        bg_score = np.mean(reference_classifier(extract_fpr_patches(vol, background)))
-        for s in lesion_scores:
-            assert s > bg_score
+        probs = reference_classifier(FprBatch.around(vol, [*lesions, background]))
+        means = probs.mean(axis=1)
+        assert (means[:-1] > means[-1]).all()
 
     def test_identical_patches_identical_outputs(self):
-        from ctadet.fpr import FprPatchSet
-        from ctadet.volume import Volume
-
         rng = np.random.default_rng(3)
-        patch = Volume(
-            rng.uniform(-1, 1, (20, 20, 10)).astype(np.float32), (1, 1, 1)
-        )
+        v = Volume(rng.integers(-1000, 1000, (40, 40, 20)).astype(np.int16), (1, 1, 1))
         c = CandidateDetection(BoundingBox((10.0, 10.0, 5.0), 4.0), 0.5)
-        probs = reference_classifier(FprPatchSet(c, (patch, patch, patch)))
-        assert probs[0] == probs[1] == probs[2]
+        probs = reference_classifier(FprBatch.around(v, [c], [(20, 20, 10)] * 3))
+        assert probs[0, 0] == probs[0, 1] == probs[0, 2]
+
+    def test_int16_only(self):
+        v = Volume(np.zeros((8, 8, 8)), (1, 1, 1))
+        c = CandidateDetection(BoundingBox((4.0, 4.0, 4.0), 2.0), 0.5)
+        with pytest.raises(ValueError, match="int16"):
+            reference_classifier(FprBatch.around(v, [c]))
 
 
 class TestClassifierMatchesReference:
-    """Memoised masks give the per-patch loop's bits in both memory orders."""
+    """The batched classifier gives the per-candidate path's bits in both
+    memory orders, with patches reaching past every face."""
 
     SHAPES = [*RunConfig.fpr_patch_sizes, (20, 20, 12), (1, 1, 1)]
 
     @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
     def test_equals_reference(self, shape):
         rng = np.random.default_rng(sum(shape))
-        c = CandidateDetection(BoundingBox((10.0, 10.0, 5.0), 4.0), 0.5)
-        for _ in range(5):
-            values = rng.uniform(-1, 1, shape).astype(np.float32)
-            values[rng.random(shape) < 0.3] = 0.15  # exactly at the threshold
-            c_order = Volume(values, (1, 1, 1))
-            f_order = Volume(np.asfortranarray(values), (1, 1, 1))
-            for patches in ((c_order,) * 3, (f_order,) * 3, (c_order, f_order, c_order)):
-                ps = FprPatchSet(c, patches)
-                assert reference_classifier(ps) == reference_classifier_reference(ps)
+        dims = (40, 36, 30)
+        values = rng.integers(-200, 500, dims).astype(np.int16)
+        # either side of the bright cut: 150 HU normalizes to float32(0.15),
+        # which is not above 0.15, and 151 HU is the first that is
+        at_cut = rng.random(dims) < 0.3
+        values[at_cut] = rng.choice(np.array([150, 151], dtype=np.int16), at_cut.sum())
+        centers = [
+            *rng.uniform(0, dims, (20, 3)),
+            *[np.where(np.arange(3) == ax, edge, np.array(dims) / 2.0)
+              for ax in range(3) for edge in (0.0, dims[ax] - 0.2)],
+        ]
+        cands = [CandidateDetection(BoundingBox(tuple(c), 4.0), 0.5) for c in centers]
+        for order in ("C", "F"):
+            vol = Volume(np.array(values, order=order), (1, 1, 1))
+            batch = FprBatch.around(vol, cands, [shape] * 3)
+            assert len(batch.candidates) == len(cands)
+            assert np.array_equal(reference_classifier(batch), _reference_scores(batch))
 
     def test_phantom_patches_equal_reference(self):
         spec = PhantomSpec(seed=21, n_aneurysms=3, aneurysm_diameter_range=(6.0, 12.0))
         vol, lesions = generate_phantom(spec)
         vol = Volume(np.asfortranarray(vol.values), vol.spacing)
-        for lesion in lesions:
-            ps = extract_fpr_patches(vol, CandidateDetection(lesion.box, 0.9))
-            assert ps.patches[0].values.flags.f_contiguous
-            assert reference_classifier(ps) == reference_classifier_reference(ps)
+        batch = FprBatch.around(vol, [CandidateDetection(l.box, 0.9) for l in lesions])
+        assert next(batch.patch_sets()).patches[0].values.flags.f_contiguous
+        assert np.array_equal(reference_classifier(batch), _reference_scores(batch))
 
     def test_unit_patch_has_empty_shell(self):
-        (_, n_inner), (_, n_shell) = _sphere_masks((1, 1, 1))
+        (_, _, n_inner), (_, _, n_shell) = _sphere_masks((1, 1, 1))
         assert (n_inner, n_shell) == (1, 0)
 
     def test_masks_refuse_writes(self):
-        for mask, count in _sphere_masks((20, 20, 10)):
+        for mask, offset, count in _sphere_masks((20, 20, 10), "F"):
             assert count == np.count_nonzero(mask)
+            assert mask.flags.f_contiguous
             with pytest.raises(ValueError):
                 mask[0, 0, 0] = True

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ctadet.anchors import BoundingBox
+from ctadet.config import RunConfig
 from ctadet.volume import (
     AugmentParams,
     PatchSpec,
@@ -28,6 +29,11 @@ class TestVolumeModel:
     def test_invalid_spacing(self):
         with pytest.raises(ValueError):
             Volume(np.zeros((2, 2, 2), dtype=np.int16), (0.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_spacing(self, bad):
+        with pytest.raises(ValueError, match="positive finite"):
+            Volume(np.zeros((2, 2, 2), dtype=np.int16), (1.0, bad, 1.0))
 
     def test_invalid_cranial_axis(self):
         with pytest.raises(ValueError):
@@ -133,6 +139,18 @@ class TestNormalizeHu:
         # scaling back to the HU window and renormalizing changes nothing
         again = normalize_hu(Volume(out.values * 1000.0, v.spacing))
         assert np.array_equal(again.values, out.values)
+
+    @pytest.mark.parametrize("window", [RunConfig.hu_window, (-150.5, 350.25)],
+                             ids=["default", "non-integral"])
+    def test_every_int16_matches_three_passes_and_is_monotone(self, window):
+        every = np.arange(-32768, 32768, dtype=np.int16).reshape(-1, 1, 1)
+        fused = normalize_hu(Volume(every, (1, 1, 1)), window).values
+        lo, hi = window
+        three_pass = np.clip(every, lo, hi).astype(np.float32) / np.float32(max(abs(lo), abs(hi)))
+        assert fused.dtype == np.float32
+        assert np.array_equal(fused.view(np.uint32), three_pass.view(np.uint32))
+        # the reference classifier's HU cut relies on this order
+        assert (np.diff(fused.ravel()) >= 0).all()
 
 
 class TestTruncateCranial:
