@@ -186,6 +186,48 @@ def box_iou(a: BoxBounds, b: BoxBounds) -> np.ndarray:
     return inter / (a.volume + b.volume - inter)
 
 
+def overlapping_pairs(
+    bounds: BoxBounds, block: int = 1 << 15
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs ``(i, j)``, ``i < j``, ascending in ``i``, of the cubes
+    (from :func:`cube_bounds`) whose :func:`box_iou` can be above 0 or
+    NaN: those that overlap by a positive extent on every axis, and every
+    pair holding a cube whose volume is 0 or inf.  Every other pair has
+    IoU exactly 0.
+
+    A sweep over the cubes sorted by lower x bound finds each cube's
+    partners on x with one ``searchsorted``; y and z then filter them in
+    blocks of about ``block`` pairs, so memory stays O(n + block + pairs
+    found).
+    """
+    degenerate = ~((bounds.volume > 0) & (bounds.volume < np.inf))[:, None]
+    lo = np.where(degenerate, -np.inf, bounds.lo)
+    order = np.argsort(lo[:, 0], kind="stable")
+    lo = lo[order].T.copy()
+    hi = np.where(degenerate, np.inf, bounds.hi)[order].T.copy()
+    # the partners of sorted cube r on x are the cubes r + 1 .. end - 1,
+    # which start before it ends and, a cube having positive extent, end
+    # after it starts
+    first = np.arange(1, len(order) + 1)
+    count = np.maximum(np.searchsorted(lo[0], hi[0]) - first, 0)
+    end = np.cumsum(count)
+    pairs = [np.empty((2, 0), dtype=np.int64)]
+    a = 0
+    while a < len(order):
+        b = max(a + 1, int(np.searchsorted(end, end[a] - count[a] + block, side="right")))
+        starts = end[a:b] - count[a:b]
+        rows = np.repeat(np.arange(a, b), count[a:b])
+        cols = np.arange(starts[0], end[b - 1]) + np.repeat(first[a:b] - starts, count[a:b])
+        for ax in (1, 2):
+            overlap = (lo[ax, cols] < hi[ax, rows]) & (lo[ax, rows] < hi[ax, cols])
+            rows, cols = rows[overlap], cols[overlap]
+        pairs.append(np.sort(order[np.stack((rows, cols))], axis=0))
+        a = b
+    i, j = np.concatenate(pairs, axis=1)
+    by_first = np.argsort(i, kind="stable")
+    return i[by_first], j[by_first]
+
+
 def box_contains(boxes: BoxBounds, points) -> np.ndarray:
     """Whether each point (..., 3) lies in each cube, broadcast over the
     leading axes; closed intervals, so a point on a face is inside."""
@@ -217,9 +259,10 @@ class AnchorGrid:
     def __len__(self) -> int:
         return len(self.size)
 
-    def row(self, grid_index: tuple[int, int, int], scale_index: int) -> int:
-        """Flat index of the anchor at ``grid_index`` and ``scale_index``."""
-        return int(np.ravel_multi_index((*grid_index, scale_index), self._shape))
+    def row(self, grid_index, scale_index):
+        """Flat index of the anchor at ``grid_index`` and ``scale_index``;
+        an (n, 3) ``grid_index`` gives n rows."""
+        return np.ravel_multi_index((*np.asarray(grid_index).T, scale_index), self._shape)
 
     def anchor(self, row: int) -> Anchor:
         """Row ``row`` as the one-row :class:`Anchor` that :func:`encode`

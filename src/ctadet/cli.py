@@ -18,7 +18,6 @@ import importlib
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +107,9 @@ def _load_config(args) -> RunConfig:
 def _run_tasks(worker, tasks, jobs: int) -> list:
     if jobs <= 1 or len(tasks) <= 1:
         return [worker(t) for t in tasks]
+    # imported here: the pool machinery costs every command tens of ms
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(worker, tasks))
 

@@ -1,10 +1,11 @@
 """Volume-level pipeline wiring: tiled detection with anchor decoding and
 cross-tile NMS, then candidate rescoring by a patch classifier.
 
-A detector is pluggable as a *tile scorer*: given a normalized patch and
-the patch's :class:`~ctadet.anchors.AnchorGrid`, it returns a
+A detector is pluggable as a *tile scorer*: given the volume, one tile of
+it and the tile's :class:`~ctadet.anchors.AnchorGrid`, it returns a
 (len(grid), 5) prediction array with one (probability, dx, dy, dz, ds)
-row per grid row.  A scorer factory builds one scorer per volume; the
+row per grid row.  A scorer reads pixels only if it asks for them, with
+:func:`tile_patch`.  A scorer factory builds one scorer per volume; the
 shipped factory wraps the ground-truth oracle detector so the whole chain
 (tiling, decoding, NMS, rescoring) runs without a neural network.
 
@@ -15,21 +16,13 @@ candidate and patch scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Protocol, Sequence
 
 import numpy as np
 
-from .anchors import (
-    AnchorGrid,
-    BoundingBox,
-    TargetVector,
-    anchor_grid,
-    box_bounds,
-    box_iou,
-    decode,
-    encode,
-)
+from .anchors import AnchorGrid, BoundingBox, anchor_grid, box_iou, cube_bounds
 from .config import RunConfig
 from .fpr import (
     FprPatchSet,
@@ -38,7 +31,7 @@ from .fpr import (
     rescore,
     select_candidates,
 )
-from .postproc import CandidateDetection, Stage, merge_tiles
+from .postproc import CandidateArrays, CandidateDetection, merge_tiles
 from .synth import OracleDetectorSpec, oracle_detect
 from .volume import (
     PatchSpec,
@@ -60,7 +53,15 @@ class PluginOutputError(VolumeDataError):
 
 
 class TileScorer(Protocol):
-    def score(self, patch: Volume, tile: PatchSpec, grid: AnchorGrid) -> np.ndarray: ...
+    def score(self, volume: Volume, tile: PatchSpec, grid: AnchorGrid) -> np.ndarray: ...
+
+
+def tile_patch(
+    volume: Volume, tile: PatchSpec, window: tuple[float, float] = RunConfig.hu_window
+) -> Volume:
+    """The pixels under ``tile``, HU-windowed into [-1, 1], for a scorer
+    that reads them."""
+    return normalize_hu(extract_patch(volume, tile), window)
 
 
 ScorerFactory = Callable[[Volume, Sequence[BoundingBox], RunConfig, int], TileScorer]
@@ -123,30 +124,37 @@ class OracleTileScorer:
     Each candidate whose center falls inside a tile is encoded against the
     best-overlapping anchor at the nearest grid point, so decoding on the
     other side reproduces the candidate box exactly and candidates in tile
-    overlaps deduplicate under NMS.
+    overlaps deduplicate under NMS.  Of candidates that share an anchor,
+    the first with the highest probability wins it.  No pixel is read.
     """
 
     def __init__(self, candidates: Sequence[CandidateDetection]):
-        self.candidates = list(candidates)
+        self._center = np.array([c.box.center for c in candidates], dtype=float).reshape(-1, 3)
+        self._diameter = np.array([c.box.diameter for c in candidates], dtype=float)
+        self._probability = np.array([c.probability for c in candidates], dtype=float)
 
-    def score(self, patch: Volume, tile: PatchSpec, grid: AnchorGrid) -> np.ndarray:
+    def score(self, volume: Volume, tile: PatchSpec, grid: AnchorGrid) -> np.ndarray:
         preds = np.zeros((len(grid), 5))
-        for cand in self.candidates:
-            local = tuple(c - o for c, o in zip(cand.box.center, tile.origin))
-            if not all(0 <= lc < s for lc, s in zip(local, tile.size)):
-                continue
-            gi = tuple(
-                min(max(int(round(lc / grid.factor - 0.5)), 0), grid.grid_size - 1)
-                for lc in local
-            )
-            local_box = BoundingBox(local, cand.box.diameter)
-            base = grid.row(gi, 0)
-            # the first best-overlapping scale at this grid point
-            scales = grid.bounds.take(np.s_[base : base + len(grid.sizes)])
-            best = base + int(box_iou(scales, box_bounds([local_box])).argmax())
-            if cand.probability > preds[best, 0]:
-                t = encode(local_box, grid.anchor(best), cand.probability)
-                preds[best] = t.as_tuple()
+        local = self._center - tile.origin
+        inside = np.flatnonzero(((local >= 0) & (local < tile.size)).all(axis=1))
+        local, diameter = local[inside], self._diameter[inside]
+        prob = self._probability[inside]
+        # np.rint rounds half to even, as round() does
+        gi = np.clip(np.rint(local / grid.factor - 0.5), 0, grid.grid_size - 1)
+        base = grid.row(gi.astype(int), 0)
+        # the first best-overlapping scale at each grid point
+        scales = grid.bounds.take(base[:, None] + np.arange(len(grid.sizes)))
+        own = cube_bounds(local, diameter).take(np.s_[:, None])
+        best = base + box_iou(scales, own).argmax(axis=1)
+        # per anchor, the first candidate of the highest probability above 0
+        order = np.lexsort((-prob, best))
+        head = np.diff(best[order], prepend=-1) != 0
+        win = order[head & (prob[order] > 0)]
+        row, size = best[win], grid.size[best[win]]
+        # encode()'s arithmetic, with its scalar math.log
+        preds[row, 0] = prob[win]
+        preds[row, 1:4] = (local[win] - grid.position[row]) / size[:, None]
+        preds[row, 4] = [math.log(r) for r in (diameter[win] / size).tolist()]
         return preds
 
 
@@ -170,24 +178,33 @@ def oracle_scorer_factory(
 
 
 def _decode_grid(
-    preds: np.ndarray,
-    grid: AnchorGrid,
-    floor: float,
-    tile: PatchSpec,
-) -> list[CandidateDetection]:
-    """Candidates of the rows with probability above ``floor``; each goes
-    through the scalar :func:`decode`, so its bits match a per-row loop."""
-    out = []
-    for i in np.flatnonzero(preds[:, 0] > floor):
-        anchor = grid.anchor(i)
-        box, prob = decode(TargetVector(*(float(x) for x in preds[i])), anchor)
-        out.append(
-            CandidateDetection(
-                box, prob, Stage.DETECTOR, source_tile=tile,
-                scale_index=anchor.scale_index,
-            )
+    preds: np.ndarray, grid: AnchorGrid, floor: float, what: str
+) -> CandidateArrays:
+    """Tile-local candidates of the rows with probability above ``floor``,
+    by :func:`decode`'s arithmetic with its scalar ``math.exp``, so that
+    their bits match a per-row loop.  A row that decodes to no box (an
+    overflowing, zero or infinite diameter, or an infinite center) raises
+    :class:`PluginOutputError`; ``what`` names the output."""
+    rows = np.flatnonzero(preds[:, 0] > floor)
+    t, size = preds[rows], grid.size[rows]
+    with np.errstate(over="ignore"):  # an infinite center is reported below
+        center = grid.position[rows] + t[:, 1:4] * size[:, None]
+    ds = t[:, 4].tolist()
+    try:
+        diameter = np.array([l * math.exp(x) for l, x in zip(size.tolist(), ds)])
+    except OverflowError:
+        raise PluginOutputError(
+            f"{what} row {rows[np.argmax(t[:, 4])]} has ds {max(ds)}, "
+            "whose box diameter overflows"
+        ) from None
+    bad = ~((diameter > 0) & (diameter < math.inf) & np.isfinite(center).all(axis=1))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise PluginOutputError(
+            f"{what} row {rows[k]} decodes to a box of diameter {diameter[k]} "
+            f"at {tuple(center[k].tolist())}"
         )
-    return out
+    return CandidateArrays.detected(center, diameter, t[:, 0], rows % len(grid.sizes))
 
 
 def _checked_output(out, shape: tuple[int, int], n_probs: int, what: str) -> np.ndarray:
@@ -244,14 +261,9 @@ def detect_volume(
     tiles = tile_volume(v, cfg.patch_size, cfg.tile_overlap)
     per_tile = []
     for tile in tiles:
-        patch = normalize_hu(extract_patch(v, tile), cfg.hu_window)
-        preds = _checked_output(
-            scorer.score(patch, tile, grid),
-            (len(grid), 5),
-            1,
-            f"volume {volume.volume_id!r}, tile at {tile.origin}: scorer output",
-        )
-        per_tile.append((tile, _decode_grid(preds, grid, cfg.sensitivity_floor, tile)))
+        what = f"volume {volume.volume_id!r}, tile at {tile.origin}: scorer output"
+        preds = _checked_output(scorer.score(v, tile, grid), (len(grid), 5), 1, what)
+        per_tile.append((tile, _decode_grid(preds, grid, cfg.sensitivity_floor, what)))
     merged = merge_tiles(per_tile, cfg.nms_iou, cfg.sensitivity_floor)
     if z_offset:
         merged = [replace(c, box=c.box.translated((0, 0, z_offset))) for c in merged]

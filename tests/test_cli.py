@@ -67,6 +67,17 @@ def test_cli_import_leaves_scipy_out():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_process_pool_out():
+    # the pool is imported only where --jobs above 1 starts one
+    src = str(Path(ctadet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, ctadet.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
+
+
 class TestSynth:
     def test_manifest_lists_all_volumes(self, tmp_path):
         config = small_config(tmp_path)
@@ -729,8 +740,17 @@ def _nan_dx(preds):
     return preds
 
 
+def _ds(value):
+    def spoil(preds):
+        preds[preds[:, 0] > 0, 4] = value
+        return preds
+    return spoil
+
+
 one_row_short = _scorer(lambda preds: preds[:-1])
 nan_dx = _scorer(_nan_dx)
+ds_overflow = _scorer(_ds(1000.0))
+ds_zero = _scorer(_ds(-1000.0))
 nan_p = _scorer(_first_p(np.nan))
 p_above_one = _scorer(_first_p(1.5))
 
@@ -763,6 +783,8 @@ class TestPluginOutput:
             ("nan_dx", "NaN"),
             ("nan_p", "NaN"),
             ("p_above_one", "outside [0, 1]"),
+            ("ds_overflow", "diameter overflows"),
+            ("ds_zero", "diameter 0.0"),
         ],
     )
     def test_bad_scorer_output_exit_3(self, tmp_path, capsys, dataset, scorer, problem):

@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
 
-from ctadet.anchors import BoundingBox, anchor_grid
+from ctadet import pipeline, volume
+from ctadet.anchors import BoundingBox, TargetVector, anchor_grid, decode
 from ctadet.config import RunConfig
 from ctadet.fpr import extract_fpr_patches, rescore, select_candidates
-from ctadet.pipeline import FprBatch, OracleTileScorer, detect_volume, reduce_volume
+from ctadet.pipeline import (
+    FprBatch,
+    OracleTileScorer,
+    PluginOutputError,
+    _decode_grid,
+    detect_volume,
+    reduce_volume,
+    tile_patch,
+)
 from ctadet.postproc import CandidateDetection, Stage
 from ctadet.synth import (
     PhantomSpec,
@@ -12,7 +21,7 @@ from ctadet.synth import (
     perfect_classifier,
     reference_classifier,
 )
-from ctadet.volume import Volume, tile_volume
+from ctadet.volume import Volume, extract_patch, normalize_hu, tile_volume, truncate_cranial
 from oracles import oracle_score_reference, reference_classifier_reference
 
 
@@ -98,6 +107,92 @@ class TestDetectVolume:
         cands = detect_volume(vol, boxes, cfg, seed=5)
         fps = [c for c in cands if not any(b.contains(c.box.center) for b in boxes)]
         assert len(fps) >= 1
+
+
+class TestDetectReadsPixelsOnRequest:
+    def test_oracle_scorer_reads_no_pixels(self, monkeypatch):
+        calls = []
+        for module in (pipeline, volume):
+            for name in ("extract_patch", "normalize_hu"):
+                def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                    calls.append(_name)
+                    return _fn(*args, **kwargs)
+                monkeypatch.setattr(module, name, counted)
+        vol, lesions = phantom(seed=2, n_aneurysms=3)
+        cfg = RunConfig(detector_fp_per_volume=5.0, detector_fp_prob_range=(0.3, 0.9))
+        assert detect_volume(vol, [l.box for l in lesions], cfg, seed=1)
+        assert calls == []
+        pipeline.tile_patch(vol, tile_volume(vol)[0])  # the counters are live
+        assert calls == ["extract_patch", "normalize_hu"]
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_helper_gives_the_normalized_tile(self, order):
+        rng = np.random.default_rng(4)
+        values = rng.integers(-1200, 1500, (100, 90, 230)).astype(np.int16)
+        vol = Volume(np.array(values, order=order), (1, 1, 1), "pixels", "+z")
+        window = (-150.5, 350.25)
+        cfg = RunConfig(hu_window=window)
+        seen = []
+
+        class PixelScorer:
+            def score(self, volume, tile, grid):
+                seen.append((volume, tile, tile_patch(volume, tile, window)))
+                return np.zeros((len(grid), 5))
+
+        detect_volume(vol, [], cfg, 0, lambda v, lesions, cfg, seed: PixelScorer())
+        truncated = truncate_cranial(vol, cfg.cranial_max_extent_mm)
+        assert [tile for _, tile, _ in seen] == tile_volume(truncated, cfg.patch_size,
+                                                            cfg.tile_overlap)
+        for got_volume, tile, patch in seen:
+            assert got_volume.values.dtype == np.int16
+            assert np.shares_memory(got_volume.values, vol.values)
+            want = normalize_hu(extract_patch(truncated, tile), window).values
+            assert patch.values.dtype == want.dtype
+            assert patch.values.flags.f_contiguous == want.flags.f_contiguous
+            assert patch.values.tobytes("A") == want.tobytes("A")
+
+
+class TestDecodeGrid:
+    FLOOR = RunConfig.sensitivity_floor
+
+    @staticmethod
+    def scalar_decode(preds, grid, floor):
+        out = []
+        for i in np.flatnonzero(preds[:, 0] > floor):
+            anchor = grid.anchor(i)
+            box, prob = decode(TargetVector(*(float(x) for x in preds[i])), anchor)
+            out.append(CandidateDetection(box, prob, scale_index=anchor.scale_index))
+        return out
+
+    def test_equals_scalar_decode_loop(self):
+        grid = anchor_grid()
+        rng = np.random.default_rng(9)
+        rows = rng.choice(len(grid), 400, replace=False)
+        preds = np.zeros((len(grid), 5))
+        preds[rows, 0] = rng.uniform(0.1, 1, len(rows))
+        preds[rows, 1:4] = rng.normal(0, 2, (len(rows), 3))
+        preds[rows, 4] = rng.normal(0, 1, len(rows))
+        preds[rows[:40], 4] = rng.uniform(-700.5, -699.5, 40)  # tiny diameters
+        preds[rows[40:80], 4] = rng.uniform(699.5, 700.5, 40)  # huge diameters
+        preds[rows[80:100], 0] = self.FLOOR  # not decoded
+        preds[rows[100:120], 0] = np.nextafter(self.FLOOR, 1.0)
+        got = _decode_grid(preds, grid, self.FLOOR, "test output")
+        want = self.scalar_decode(preds, grid, self.FLOOR)
+        assert len(got) == len(want) == 380
+        assert got.detections(np.arange(len(got))) == want
+
+    @pytest.mark.parametrize(
+        "column, value, problem",
+        [(4, 710.0, "overflows"), (4, -1000.0, "diameter 0.0"), (4, 709.0, "diameter inf"),
+         (1, 1e308, "inf")],
+    )
+    def test_row_without_a_box(self, column, value, problem):
+        grid = anchor_grid()
+        preds = np.zeros((len(grid), 5))
+        preds[[7, 500, 901], 0] = 0.5
+        preds[500, column] = value
+        with pytest.raises(PluginOutputError, match=f"test output row 500 .*{problem}"):
+            _decode_grid(preds, grid, self.FLOOR, "test output")
 
 
 class TestReduceVolume:

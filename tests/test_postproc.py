@@ -140,6 +140,81 @@ class TestNmsAtScale:
             assert 0 < len(kept) < len(cands)
 
 
+def references(cands, iou_thresh, prob_thresh=0.0):
+    """The greedy scalar-IoU loop's answer, after checking that the
+    max-scan oracle gives the same."""
+    want = greedy_nms_reference(cands, iou3d_reference, _sort_key, iou_thresh, prob_thresh)
+    assert nms_oracle(cands, iou3d_reference, iou_thresh, prob_thresh) == want
+    return want
+
+
+JUST_BELOW_ONE = float(np.nextafter(1.0, 0.0))
+
+
+class TestPrunedNms:
+    """The kernel computes IoU only on pairs that overlap on every axis;
+    it must make the suppression decisions of the dense greedy loop."""
+
+    @pytest.mark.parametrize("iou_thresh", [0.0, 0.25, JUST_BELOW_ONE])
+    def test_identical_boxes(self, iou_thresh):
+        boxes = [cand((5.0, 6.0, 7.0), 4.0, p) for p in (0.7, 0.9, 0.9, 0.8)]
+        assert nms(boxes, iou_thresh, 0.0) == references(boxes, iou_thresh) == [boxes[1]]
+
+    def test_touching_on_one_face(self):
+        a = cand((0.0, 0.0, 0.0), 4.0, 0.9)
+        for axis in range(3):
+            b = cand(tuple(4.0 * (np.arange(3) == axis)), 4.0, 0.8)
+            assert iou3d(a.box, b.box) == 0.0
+            assert nms([a, b], 0.0, 0.0) == references([a, b], 0.0) == [a, b]
+
+    def test_chain_keeps_the_far_end(self):
+        # A suppresses B, which would have suppressed C; C only touches A
+        a, b, c = (cand((x, 0.0, 0.0), 4.0, p) for x, p in ((0.0, 0.9), (2.0, 0.8), (4.0, 0.7)))
+        for iou_thresh in (0.0, 0.25):
+            assert nms([c, b, a], iou_thresh, 0.0) == references([c, b, a], iou_thresh) == [a, c]
+
+    @pytest.mark.parametrize("iou_thresh", [0.0, 0.25, JUST_BELOW_ONE])
+    def test_box_spanning_the_volume(self, iou_thresh):
+        rng = np.random.default_rng(7)
+        cands = random_candidates(rng, 60, span=96.0)
+        for p in (1.0, 0.5):
+            spanning = cand((48.0, 48.0, 48.0), 96.0, p)
+            got = nms(cands + [spanning], iou_thresh, 0.0)
+            assert got == references(cands + [spanning], iou_thresh)
+            assert (len(got) == 1) == (iou_thresh == 0.0 and p == 1.0)
+
+    @pytest.mark.parametrize("iou_thresh", [-0.5, float("nan")])
+    def test_threshold_no_iou_meets(self, iou_thresh):
+        rng = np.random.default_rng(5)
+        cands = random_candidates(rng, 30)
+        assert nms(cands, iou_thresh, 0.0) == references(cands, iou_thresh)[:1]
+
+    def test_zero_volume_boxes_follow_box_iou(self):
+        # a cube too small for its volume to be a float has IoU NaN with
+        # another such cube however far apart, and NaN is not <= iou_thresh
+        tiny = [cand((x, 5.0, 5.0), 1e-120, 0.9 - x / 100) for x in (1.0, 20.0, 40.0)]
+        cands = tiny + [cand((20.0, 5.0, 5.0), 4.0, 0.5)]
+        with np.errstate(invalid="ignore"):
+            assert nms(cands, 0.25, 0.0) == greedy_nms_reference(
+                cands, iou3d, _sort_key, 0.25, 0.0
+            ) == [tiny[0], cands[3]]
+
+    # the reference needs about 12 s for 2,000 candidates at JUST_BELOW_ONE
+    @pytest.mark.parametrize(
+        "n, span, iou_thresh",
+        [(500, 12, 0.0), (2000, 16, 0.0), (500, 12, JUST_BELOW_ONE)],
+    )
+    def test_thresholds_at_scale(self, n, span, iou_thresh):
+        rng = np.random.default_rng(n)
+        cands = crowded_candidates(rng, n, span)
+        cands = [cands[i] for i in rng.permutation(len(cands))]
+        kept = nms(cands, iou_thresh=iou_thresh, prob_thresh=0.05)
+        assert kept == greedy_nms_reference(
+            cands, iou3d_reference, _sort_key, iou_thresh, 0.05
+        )
+        assert 0 < len(kept) < len(cands)
+
+
 class TestToVolumeCoords:
     def test_zero_origin_identity(self):
         tile = PatchSpec((0, 0, 0), (96, 96, 96))
