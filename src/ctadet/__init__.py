@@ -1,77 +1,54 @@
 """Two-stage volumetric lesion detection pipeline and its evaluation
-protocol, exercised end to end on synthetic phantoms."""
+protocol, exercised end to end on synthetic phantoms.
 
-from .anchors import (
-    Anchor,
-    AnchorGrid,
-    AnchorLabel,
-    AnchorStatus,
-    BoundingBox,
-    Lesion,
-    TargetVector,
-    anchor_grid,
-    assign_labels,
-    decode,
-    encode,
-    iou3d,
-)
-from .config import RunConfig
-from .evaluation import (
-    EvalVolume,
-    EvaluationReport,
-    FrocCurve,
-    MatchResult,
-    StatisticUndefined,
-    avg_sensitivity,
-    best_f1_threshold,
-    bootstrap_ci,
-    build_report,
-    confusion_at_threshold,
-    fisher_exact,
-    froc,
-    match_lesions,
-    roc_auc,
-    sensitivity_at_fppv,
-    threshold_for_operating_point,
-    volume_score,
-)
-from .fpr import (
-    FprLabel,
-    FprPatchSet,
-    extract_fpr_patches,
-    label_candidate,
-    rescore,
-    select_candidates,
-)
-from .loss import (
-    AnchorPrediction,
-    GradCheckReport,
-    LossParams,
-    anchor_loss,
-    grad_check,
-    patch_loss,
-)
-from .postproc import CandidateDetection, Stage, merge_tiles, nms, to_volume_coords
-from .synth import (
-    OracleDetectorSpec,
-    PhantomSpec,
-    generate_phantom,
-    oracle_detect,
-    perfect_classifier,
-    reference_classifier,
-)
-from .volume import (
-    AugmentParams,
-    PatchSpec,
-    Volume,
-    augment,
-    extract_patch,
-    normalize_hu,
-    read_volume,
-    sample_training_patches,
-    tile_volume,
-    truncate_cranial,
-    write_volume,
-)
+The exports below load their module on first access (PEP 562), so that
+importing the package, or one command of :mod:`ctadet.cli`, loads only the
+modules it uses.
+"""
 
+import importlib
+
+_EXPORTS = {
+    "anchors": (
+        "Anchor", "AnchorGrid", "AnchorLabel", "AnchorStatus", "BoundingBox", "Lesion",
+        "TargetVector", "anchor_grid", "assign_labels", "decode", "encode", "iou3d",
+    ),
+    "config": ("RunConfig",),
+    "evaluation": (
+        "EvalVolume", "EvaluationReport", "FrocCurve", "MatchResult", "StatisticUndefined",
+        "avg_sensitivity", "best_f1_threshold", "bootstrap_ci", "build_report", "froc",
+        "match_lesions", "roc_auc", "sensitivity_at_fppv", "threshold_for_operating_point",
+        "volume_score",
+    ),
+    "fpr": (
+        "FprLabel", "FprPatchSet", "extract_fpr_patches", "label_candidate", "rescore",
+        "select_candidates",
+    ),
+    "loss": (
+        "AnchorPrediction", "GradCheckReport", "LossParams", "anchor_loss", "grad_check",
+        "patch_loss",
+    ),
+    "postproc": ("CandidateDetection", "Stage", "merge_tiles", "nms", "to_volume_coords"),
+    "stats": ("confusion_at_threshold", "fisher_exact"),
+    "synth": (
+        "OracleDetectorSpec", "PhantomSpec", "generate_phantom", "oracle_detect",
+        "perfect_classifier", "reference_classifier",
+    ),
+    "volume": (
+        "AugmentParams", "PatchSpec", "Volume", "augment", "extract_patch", "normalize_hu",
+        "read_volume", "sample_training_patches", "tile_volume", "truncate_cranial",
+        "write_volume",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -20,31 +20,41 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .config import RunConfig, load_json
-from .evaluation import EvalVolume, build_report, confusion_at_threshold, fisher_exact
-from .formats import (
-    FormatError,
-    Manifest,
-    ManifestVolume,
-    read_annotations,
-    read_candidates,
-    read_manifest,
-    write_annotations,
-    write_candidates,
-    write_froc_csv,
-    write_manifest,
-    write_roc_csv,
-)
-from .pipeline import (
-    VolumeDataError,
-    detect_volume,
-    oracle_scorer_factory,
-    reduce_volume,
-)
-from .synth import PhantomSpec, generate_phantom, perfect_classifier, reference_classifier
-from .volume import read_volume, write_volume
+from .stats import confusion_at_threshold, fisher_exact
+
+# The names the commands call, by defining module.  A command binds the
+# modules it runs with _load, so it loads nothing else (compare loads no
+# numpy); a name bound before, such as a wrapper set on ``ctadet.cli.<name>``,
+# stays bound and is what the command calls.
+_LAZY = {
+    "formats": (
+        "FormatError", "Manifest", "ManifestVolume", "read_annotations", "read_candidates",
+        "read_manifest", "write_annotations", "write_candidates", "write_froc_csv",
+        "write_manifest", "write_roc_csv",
+    ),
+    "evaluation": ("EvalVolume", "build_report"),
+    "pipeline": ("detect_volume", "oracle_scorer_factory", "reduce_volume"),
+    "synth": ("PhantomSpec", "generate_phantom", "perfect_classifier", "reference_classifier"),
+    "volume": ("read_volume", "write_volume"),
+}
+
+
+def _load(*modules: str) -> None:
+    g = globals()
+    for module in modules:
+        mod = importlib.import_module(f".{module}", __package__)
+        for name in _LAZY[module]:
+            if name not in g:
+                g[name] = getattr(mod, name)
+
+
+def __getattr__(name):
+    for module, names in _LAZY.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ConfigError(Exception):
@@ -129,6 +139,7 @@ def _resolve_plugin(spec: str):
 # ---------------------------------------------------------------------------
 
 def _phantom_spec(cfg: RunConfig, seed: int, n_aneurysms: int) -> PhantomSpec:
+    _load("synth")
     return PhantomSpec(
         dims=cfg.phantom_dims,
         spacing=cfg.phantom_spacing,
@@ -145,6 +156,7 @@ def _phantom_spec(cfg: RunConfig, seed: int, n_aneurysms: int) -> PhantomSpec:
 
 
 def _synth_worker(task):
+    _load("synth", "volume")  # a spawned worker starts with nothing bound
     vid, spec, out_dir = task
     volume, lesions = generate_phantom(spec, volume_id=vid)
     write_volume(volume, Path(out_dir) / vid)
@@ -152,6 +164,9 @@ def _synth_worker(task):
 
 
 def cmd_synth(args) -> int:
+    import numpy as np
+
+    _load("formats", "synth", "volume")
     cfg = _load_config(args)
     out_dir = Path(args.out)
     try:
@@ -224,6 +239,7 @@ def _read_task_volume(vid, path):
 
 
 def _detect_worker(task):
+    _load("pipeline", "volume")
     vid, volume_path, boxes, cfg, seed, detector = task
     volume = _read_task_volume(vid, volume_path)
     factory = (
@@ -233,6 +249,7 @@ def _detect_worker(task):
 
 
 def cmd_detect(args) -> int:
+    _load("formats", "pipeline", "volume")
     cfg = _load_config(args)
     manifest, base, annotations = _load_dataset(args.manifest)
     out_dir = Path(args.out)
@@ -291,6 +308,7 @@ def _read_candidate_dir(cand_dir: Path, ids) -> dict:
 # ---------------------------------------------------------------------------
 
 def _reduce_worker(task):
+    _load("pipeline", "synth", "volume")
     vid, volume_path, cands, lesions, cfg, classifier = task
     volume = _read_task_volume(vid, volume_path)
     if classifier == "reference":
@@ -303,6 +321,7 @@ def _reduce_worker(task):
 
 
 def cmd_reduce(args) -> int:
+    _load("formats", "pipeline", "synth", "volume")
     cfg = _load_config(args)
     manifest, base, annotations = _load_dataset(args.manifest)
     out_dir = Path(args.out)
@@ -325,6 +344,7 @@ def cmd_reduce(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_eval(args) -> int:
+    _load("formats", "evaluation")
     cfg = _load_config(args)
     manifest, base, annotations = _load_dataset(args.manifest)
     ids = manifest.volume_ids()
@@ -544,11 +564,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DataError, ConsistencyError, FormatError, VolumeDataError) as e:
+    except (ConfigError, DataError, ConsistencyError, ValueError) as e:
+        # the ValueErrors that carry an exit code, 3, are FormatError (a
+        # malformed input file) and VolumeDataError (an unprocessable volume
+        # or bad plugin output); any other is a bug
+        if not hasattr(e, "exit_code"):
+            raise
         print(f"error: {e}", file=sys.stderr)
-        # a malformed input file, an unprocessable volume or bad plugin
-        # output is a data error
-        return getattr(e, "exit_code", DataError.exit_code)
+        return e.exit_code
 
 
 def entry() -> None:

@@ -1,6 +1,7 @@
 """Lesion- and volume-level evaluation: FROC, ROC/AUC, fixed-threshold
 confusion metrics, stratified breakdowns, bootstrap CIs, and Fisher's
-exact test.
+exact test.  The confusion metrics and Fisher's test live in the
+numpy-free :mod:`ctadet.stats` and are re-exported here.
 
 A lesion counts as found when at least one candidate has its center
 inside the lesion box; a candidate whose center lies in no lesion is a
@@ -20,6 +21,7 @@ import numpy as np
 from .anchors import Lesion, _as_boxes, box_bounds, box_contains
 from .config import RunConfig
 from .postproc import CandidateDetection
+from .stats import ConfusionMetrics, confusion_at_threshold, fisher_exact
 
 
 class StatisticUndefined(ValueError):
@@ -259,54 +261,6 @@ def roc_auc(scores: Sequence[tuple[float, bool]]) -> tuple[RocCurve, float]:
     return RocCurve(tuple(thresholds.tolist()), points), auc
 
 
-@dataclass(frozen=True)
-class ConfusionMetrics:
-    threshold: float
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-    accuracy: float
-    sensitivity: float
-    specificity: float
-    f1: float
-
-
-def _ratio(num: int, den: int) -> float:
-    return num / den if den else math.nan
-
-
-def confusion_at_threshold(
-    scores: Sequence[tuple[float, bool]],
-    threshold: float,
-    inclusive: bool = False,
-) -> ConfusionMetrics:
-    """Volume-level confusion counts: positive when score > threshold
-    (or >= with ``inclusive``, used to realize FPPV operating points where
-    the threshold is itself an attained candidate probability)."""
-    tp = fp = tn = fn = 0
-    for score, has_lesion in scores:
-        predicted = score >= threshold if inclusive else score > threshold
-        if has_lesion:
-            tp += predicted
-            fn += not predicted
-        else:
-            fp += predicted
-            tn += not predicted
-    n = tp + fp + tn + fn
-    return ConfusionMetrics(
-        threshold=float(threshold),
-        tp=tp,
-        fp=fp,
-        tn=tn,
-        fn=fn,
-        accuracy=_ratio(tp + tn, n),
-        sensitivity=_ratio(tp, tp + fn),
-        specificity=_ratio(tn, tn + fp),
-        f1=_ratio(2 * tp, 2 * tp + fp + fn),
-    )
-
-
 def best_f1_threshold(
     scores: Sequence[tuple[float, bool]],
 ) -> tuple[float, ConfusionMetrics]:
@@ -408,47 +362,6 @@ def _bootstrap_cis(
     if failed:  # the error bootstrap_ci raises running the statistics in turn
         raise RuntimeError(_EXHAUSTED.format(max_retries, failed[min(failed)]))
     return [_percentile_ci(v, level) for v in values]
-
-
-def fisher_exact(table: Sequence[Sequence[int]]) -> float:
-    """Two-sided Fisher's exact test by the minimum-likelihood rule.
-
-    Sums the hypergeometric probabilities (same margins) of every table at
-    most as probable as the observed one, with a 1e-12 slack absorbing
-    float ties; probabilities come from log-space factorials.
-    """
-    (a, b), (c, d) = table
-    counts = (a, b, c, d)
-    if any(x < 0 or x != int(x) for x in counts):
-        raise ValueError(f"table entries must be non-negative integers, got {table}")
-    a, b, c, d = (int(x) for x in counts)
-    n = a + b + c + d
-    if n == 0:
-        raise ValueError("Fisher's exact test is undefined for an all-zero table")
-    r1, r2, c1 = a + b, c + d, a + c
-    if 0 in (r1, r2, c1, b + d):
-        return 1.0  # a zero margin admits a single table
-
-    lf = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, n + 1)))))
-    const = lf[c1] + lf[n - c1] - lf[n] + lf[r1] + lf[r2]
-
-    def prob(k: int) -> float:
-        return math.exp(const - lf[k] - lf[r1 - k] - lf[c1 - k] - lf[r2 - c1 + k])
-
-    k_lo = max(0, c1 - r2)
-    k_hi = min(r1, c1)
-    p_obs = prob(a)
-    total = 0.0
-    excluded = 0
-    for k in range(k_lo, k_hi + 1):
-        p = prob(k)
-        if p <= p_obs + 1e-12:
-            total += p
-        else:
-            excluded += 1
-    if excluded == 0:
-        return 1.0  # the whole support is included; its exact sum is 1
-    return min(total, 1.0)
 
 
 # ---------------------------------------------------------------------------

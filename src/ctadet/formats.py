@@ -19,12 +19,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Optional, Sequence
 
 from .anchors import BoundingBox, Lesion
 from .config import load_json
-from .fpr import FprLabel, FprTrainingRecord
 from .postproc import CandidateDetection, Stage
+
+if TYPE_CHECKING:  # only the training-patch manifest needs the second stage
+    from .fpr import FprTrainingRecord
 
 # what a malformed record raises: bad JSON or values (ValueError), a
 # missing key (KeyError), or a value of the wrong JSON type
@@ -34,6 +36,8 @@ _RECORD_ERRORS = (ValueError, KeyError, TypeError, AttributeError)
 class FormatError(ValueError):
     """An input file that does not parse; the message names the file and,
     for JSON Lines, the line."""
+
+    exit_code = 3  # the CLI's data error
 
 
 def _write_jsonl(path, records) -> None:
@@ -135,6 +139,8 @@ def write_fpr_manifest(path, records: Sequence[FprTrainingRecord]) -> None:
 
 
 def _fpr_record(rec) -> FprTrainingRecord:
+    from .fpr import FprLabel, FprTrainingRecord
+
     return FprTrainingRecord(
         volume_id=str(rec["volume_id"]),
         center_vox=tuple(float(c) for c in rec["center_vox"]),

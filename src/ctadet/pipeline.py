@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Protocol, Sequence
+from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -45,6 +45,8 @@ from .volume import (
 
 class VolumeDataError(ValueError):
     """A volume that the pipeline cannot process; the message names it."""
+
+    exit_code = 3  # the CLI's data error
 
 
 class PluginOutputError(VolumeDataError):
@@ -178,13 +180,19 @@ def oracle_scorer_factory(
 
 
 def _decode_grid(
-    preds: np.ndarray, grid: AnchorGrid, floor: float, what: str
+    preds: np.ndarray,
+    grid: AnchorGrid,
+    floor: float,
+    what: str,
+    offsets: Iterable[tuple[int, int, int]] = ((0, 0, 0),),
 ) -> CandidateArrays:
     """Tile-local candidates of the rows with probability above ``floor``,
     by :func:`decode`'s arithmetic with its scalar ``math.exp``, so that
     their bits match a per-row loop.  A row that decodes to no box (an
-    overflowing, zero or infinite diameter, or an infinite center) raises
-    :class:`PluginOutputError`; ``what`` names the output."""
+    overflowing diameter, or a cube whose volume is 0, infinite or NaN
+    once shifted by any of ``offsets``, the tile's places in the volume
+    coordinates that NMS runs in) raises :class:`PluginOutputError`;
+    ``what`` names the output."""
     rows = np.flatnonzero(preds[:, 0] > floor)
     t, size = preds[rows], grid.size[rows]
     with np.errstate(over="ignore"):  # an infinite center is reported below
@@ -197,13 +205,16 @@ def _decode_grid(
             f"{what} row {rows[np.argmax(t[:, 4])]} has ds {max(ds)}, "
             "whose box diameter overflows"
         ) from None
-    bad = ~((diameter > 0) & (diameter < math.inf) & np.isfinite(center).all(axis=1))
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise PluginOutputError(
-            f"{what} row {rows[k]} decodes to a box of diameter {diameter[k]} "
-            f"at {tuple(center[k].tolist())}"
-        )
+    for offset in offsets:
+        with np.errstate(over="ignore", invalid="ignore"):
+            volume = cube_bounds(center + offset, diameter).volume
+        bad = ~((volume > 0) & (volume < math.inf))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise PluginOutputError(
+                f"{what} row {rows[k]} decodes to a box of diameter {diameter[k]} "
+                f"at {tuple(center[k].tolist())}, whose cube has volume {volume[k]}"
+            )
     return CandidateArrays.detected(center, diameter, t[:, 0], rows % len(grid.sizes))
 
 
@@ -263,7 +274,9 @@ def detect_volume(
     for tile in tiles:
         what = f"volume {volume.volume_id!r}, tile at {tile.origin}: scorer output"
         preds = _checked_output(scorer.score(v, tile, grid), (len(grid), 5), 1, what)
-        per_tile.append((tile, _decode_grid(preds, grid, cfg.sensitivity_floor, what)))
+        x, y, z = tile.origin  # the cube's place for merge_tiles and for reduce
+        offsets = dict.fromkeys([(x, y, z), (x, y, z + z_offset)])
+        per_tile.append((tile, _decode_grid(preds, grid, cfg.sensitivity_floor, what, offsets)))
     merged = merge_tiles(per_tile, cfg.nms_iou, cfg.sensitivity_floor)
     if z_offset:
         merged = [replace(c, box=c.box.translated((0, 0, z_offset))) for c in merged]

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
 from .anchors import BoundingBox, BoxBounds, box_iou, cube_bounds, overlapping_pairs
 from .config import RunConfig
-from .volume import PatchSpec
+
+if TYPE_CHECKING:  # eval reads candidates without loading the volume code
+    from .volume import PatchSpec
 
 
 class Stage(Enum):

@@ -379,6 +379,36 @@ def fisher_oracle(table) -> Fraction:
     return Fraction(total, denom)
 
 
+def fisher_exact_reference(table) -> float:
+    """The numpy ``fisher_exact`` that the plain-Python one replaced: its
+    log-factorial table is ``np.cumsum`` of ``np.log``."""
+    import numpy as np
+
+    (a, b), (c, d) = table
+    n = a + b + c + d
+    r1, r2, c1 = a + b, c + d, a + c
+    if 0 in (r1, r2, c1, b + d):
+        return 1.0
+    lf = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, n + 1)))))
+    const = lf[c1] + lf[n - c1] - lf[n] + lf[r1] + lf[r2]
+
+    def prob(k: int) -> float:
+        return math.exp(const - lf[k] - lf[r1 - k] - lf[c1 - k] - lf[r2 - c1 + k])
+
+    p_obs = prob(a)
+    total = 0.0
+    excluded = 0
+    for k in range(max(0, c1 - r2), min(r1, c1) + 1):
+        p = prob(k)
+        if p <= p_obs + 1e-12:
+            total += p
+        else:
+            excluded += 1
+    if excluded == 0:
+        return 1.0
+    return min(total, 1.0)
+
+
 def extract_patch_oracle(values, origin, size, pad_value):
     """Per-voxel triple loop."""
     import numpy as np

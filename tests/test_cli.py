@@ -751,6 +751,8 @@ one_row_short = _scorer(lambda preds: preds[:-1])
 nan_dx = _scorer(_nan_dx)
 ds_overflow = _scorer(_ds(1000.0))
 ds_zero = _scorer(_ds(-1000.0))
+ds_tiny = _scorer(_ds(-40.0))  # a positive diameter, but a cube of volume 0
+ds_huge = _scorer(_ds(240.0))  # a finite diameter, but a cube of volume inf
 nan_p = _scorer(_first_p(np.nan))
 p_above_one = _scorer(_first_p(1.5))
 
@@ -785,6 +787,8 @@ class TestPluginOutput:
             ("p_above_one", "outside [0, 1]"),
             ("ds_overflow", "diameter overflows"),
             ("ds_zero", "diameter 0.0"),
+            ("ds_tiny", "volume 0.0"),
+            ("ds_huge", "volume inf"),
         ],
     )
     def test_bad_scorer_output_exit_3(self, tmp_path, capsys, dataset, scorer, problem):

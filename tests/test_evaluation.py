@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -32,6 +33,7 @@ from oracles import (
     assignment_oracle,
     avg_sensitivity_oracle,
     contains_oracle,
+    fisher_exact_reference,
     fisher_oracle,
     froc_oracle,
     match_oracle,
@@ -692,6 +694,31 @@ class TestFisherExact:
                 continue
             want = stats.fisher_exact(table, alternative="two-sided")[1]
             assert fisher_exact(table) == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+class TestFisherBits:
+    """The plain-Python log-factorial table keeps the numpy one's bits."""
+
+    def test_every_small_table(self):
+        for table in itertools.product(range(13), repeat=4):
+            if any(table):
+                table = [table[:2], table[2:]]
+                assert fisher_exact(table) == fisher_exact_reference(table), table
+
+    def test_large_tables(self):
+        rng = np.random.default_rng(71)
+        tables = [[[9170, 1], [2, 9000]], [[4000, 6000], [5200, 4800]]]
+        for n in (2_000, 9_200, 20_000):
+            for _ in range(4):
+                a, b, c = np.sort(rng.integers(0, n, 3)).tolist()
+                tables.append([[a, b - a], [c - b, n - c]])
+        for table in tables:
+            assert fisher_exact(table) == fisher_exact_reference(table), table
+
+    def test_log_factorials_equal_to_a_million(self):
+        lf = list(itertools.accumulate(map(math.log, range(1, 10**6 + 1)), initial=0.0))
+        want = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, 10**6 + 1)))))
+        assert lf == want.tolist()
 
 
 class TestStratifiedAndReport:

@@ -153,6 +153,22 @@ class TestDetectReadsPixelsOnRequest:
 
 
 class TestDecodeGrid:
+    def test_cube_checked_in_input_coordinates(self):
+        # an 8.6e-15 edge is a cube at z = 0 of the truncated volume, where
+        # merge_tiles sees it, but of volume 0 at z = 100 of the input
+        # volume, where the candidate file puts it and reduce sees it
+        vol = Volume(np.zeros((96, 96, 300), dtype=np.int16), (1, 1, 1), "tall", "+z")
+
+        class TinyScorer:
+            def score(self, volume, tile, grid):
+                preds = np.zeros((len(grid), 5))
+                if tile.origin == (0, 0, 0):
+                    preds[0] = 0.5, -0.4, -0.4, -0.4, -34.0
+                return preds
+
+        with pytest.raises(PluginOutputError, match=r"tile at \(0, 0, 0\).* volume 0\.0"):
+            detect_volume(vol, [], RunConfig(), 0, lambda v, lesions, cfg, seed: TinyScorer())
+
     FLOOR = RunConfig.sensitivity_floor
 
     @staticmethod
@@ -172,8 +188,10 @@ class TestDecodeGrid:
         preds[rows, 0] = rng.uniform(0.1, 1, len(rows))
         preds[rows, 1:4] = rng.normal(0, 2, (len(rows), 3))
         preds[rows, 4] = rng.normal(0, 1, len(rows))
-        preds[rows[:40], 4] = rng.uniform(-700.5, -699.5, 40)  # tiny diameters
-        preds[rows[40:80], 4] = rng.uniform(699.5, 700.5, 40)  # huge diameters
+        # tiny and huge diameters whose cubes still have a finite, positive
+        # volume (ds near -40 or 240 gives volume 0 or inf: a bad row)
+        preds[rows[:40], 4] = rng.uniform(-30.5, -29.5, 40)
+        preds[rows[40:80], 4] = rng.uniform(199.5, 200.5, 40)
         preds[rows[80:100], 0] = self.FLOOR  # not decoded
         preds[rows[100:120], 0] = np.nextafter(self.FLOOR, 1.0)
         got = _decode_grid(preds, grid, self.FLOOR, "test output")
@@ -184,7 +202,7 @@ class TestDecodeGrid:
     @pytest.mark.parametrize(
         "column, value, problem",
         [(4, 710.0, "overflows"), (4, -1000.0, "diameter 0.0"), (4, 709.0, "diameter inf"),
-         (1, 1e308, "inf")],
+         (1, 1e308, "inf"), (4, -700.0, "volume 0.0"), (4, 700.0, "volume inf")],
     )
     def test_row_without_a_box(self, column, value, problem):
         grid = anchor_grid()
@@ -193,6 +211,19 @@ class TestDecodeGrid:
         preds[500, column] = value
         with pytest.raises(PluginOutputError, match=f"test output row 500 .*{problem}"):
             _decode_grid(preds, grid, self.FLOOR, "test output")
+
+    @pytest.mark.parametrize("ds, volume", [(-40.0, "0.0"), (240.0, "inf")])
+    def test_cube_checked_where_nms_sees_it(self, ds, volume):
+        # a 2e-17 edge is a cube of volume 0 at 48 but not at the tile's
+        # origin; an edge of 1e104 overflows the volume anywhere
+        grid = anchor_grid()
+        preds = np.zeros((len(grid), 5))
+        preds[0] = 0.5, -0.4, -0.4, -0.4, ds  # centered on the tile's origin
+        what = "test output"
+        if ds < 0:
+            assert len(_decode_grid(preds, grid, self.FLOOR, what)) == 1
+        with pytest.raises(PluginOutputError, match=f"row 0 .*volume {volume}"):
+            _decode_grid(preds, grid, self.FLOOR, what, [(0, 0, 0), (48, 48, 48)])
 
 
 class TestReduceVolume:
