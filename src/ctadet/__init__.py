@@ -20,24 +20,20 @@ _EXPORTS = {
         "match_lesions", "roc_auc", "sensitivity_at_fppv", "threshold_for_operating_point",
         "volume_score",
     ),
-    "fpr": (
-        "FprLabel", "FprPatchSet", "extract_fpr_patches", "label_candidate", "rescore",
-        "select_candidates",
-    ),
+    "fpr": ("FprPatchSet", "extract_fpr_patches", "rescore", "select_candidates"),
     "loss": (
         "AnchorPrediction", "GradCheckReport", "LossParams", "anchor_loss", "grad_check",
         "patch_loss",
     ),
-    "postproc": ("CandidateDetection", "Stage", "merge_tiles", "nms", "to_volume_coords"),
+    "postproc": ("CandidateDetection", "Stage", "merge_tiles", "nms"),
     "stats": ("confusion_at_threshold", "fisher_exact"),
     "synth": (
         "OracleDetectorSpec", "PhantomSpec", "generate_phantom", "oracle_detect",
         "perfect_classifier", "reference_classifier",
     ),
     "volume": (
-        "AugmentParams", "PatchSpec", "Volume", "augment", "extract_patch", "normalize_hu",
-        "read_volume", "sample_training_patches", "tile_volume", "truncate_cranial",
-        "write_volume",
+        "PatchSpec", "Volume", "extract_patch", "normalize_hu", "read_volume", "tile_volume",
+        "truncate_cranial", "write_volume",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

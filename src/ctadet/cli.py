@@ -83,6 +83,9 @@ def _load_config(args) -> RunConfig:
         if getattr(args, name) is not None:
             cfg = dataclasses.replace(cfg, **{name: getattr(args, name)})
     fppvs = cfg.fppv_grid + cfg.operating_fppvs
+    detector_ranges = (cfg.detector_fp_prob_range, cfg.detector_tp_prob_range)
+    detector_amounts = (cfg.detector_fp_per_volume, cfg.detector_center_jitter,
+                        cfg.detector_diameter_jitter)
     for ok, problem in (  # each test is False for NaN
         (cfg.jobs >= 1, f"--jobs must be >= 1, got {cfg.jobs}"),
         (cfg.seed >= 0, f"seed must be >= 0, got {cfg.seed}"),
@@ -108,6 +111,17 @@ def _load_config(args) -> RunConfig:
         (cfg.fppv_grid, "fppv_grid must not be empty"),
         (all(f >= 0 for f in fppvs),
          f"fppv_grid and operating_fppvs entries must be >= 0, got {fppvs}"),
+        (len(cfg.vessel_radius_range) == 2 and len(cfg.aneurysm_diameter_range) == 2,
+         f"vessel_radius_range and aneurysm_diameter_range need 2 entries each, got "
+         f"{cfg.vessel_radius_range} and {cfg.aneurysm_diameter_range}"),
+        (0 <= cfg.detector_hit_prob <= 1,
+         f"detector_hit_prob must be in [0, 1], got {cfg.detector_hit_prob}"),
+        (all(len(r) == 2 and 0 <= r[0] <= r[1] <= 1 for r in detector_ranges),
+         f"detector_fp_prob_range and detector_tp_prob_range must be [lo, hi] with "
+         f"0 <= lo <= hi <= 1, got {detector_ranges[0]} and {detector_ranges[1]}"),
+        (all(x >= 0 for x in detector_amounts),
+         f"detector_fp_per_volume, detector_center_jitter and detector_diameter_jitter "
+         f"must be >= 0, got {detector_amounts}"),
     ):
         if not ok:
             raise ConfigError(problem)

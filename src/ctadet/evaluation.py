@@ -37,15 +37,13 @@ class MatchResult:
     ``lesion_hit_probs[j]`` is the highest probability of any candidate
     centered inside lesion j (-inf when none), so lesion j is found at
     threshold t iff ``lesion_hit_probs[j] >= t``.  A candidate inside two
-    overlapping lesions counts for both lesions' hit status but is
-    assigned to at most one of them.
+    overlapping lesions counts for both lesions' hit status.
     """
 
     n_lesions: int
     lesion_hit_probs: tuple[float, ...]
     candidate_probs: tuple[float, ...]
     candidate_is_tp: tuple[bool, ...]
-    candidate_lesion: tuple[Optional[int], ...]
 
     @property
     def fp_probs(self) -> tuple[float, ...]:
@@ -63,22 +61,11 @@ def match_lesions(
     inside = box_contains(box_bounds(boxes), centers)  # (candidates, lesions)
     probs = np.array([c.probability for c in cands], dtype=float)[:, None]
     hit_probs = np.where(inside, probs, -math.inf).max(axis=0, initial=-math.inf)
-    # assignment: highest-probability candidates claim lesions first
-    order = sorted(range(len(cands)), key=lambda i: (-cands[i].probability, i))
-    assigned: list[Optional[int]] = [None] * len(cands)
-    claimed = set()
-    for i in order:
-        for j in np.flatnonzero(inside[i]).tolist():
-            if j not in claimed:
-                assigned[i] = j
-                claimed.add(j)
-                break
     return MatchResult(
         n_lesions=len(boxes),
         lesion_hit_probs=tuple(hit_probs.tolist()),
         candidate_probs=tuple(c.probability for c in cands),
         candidate_is_tp=tuple(inside.any(axis=1).tolist()),
-        candidate_lesion=tuple(assigned),
     )
 
 
@@ -157,10 +144,6 @@ class _FrocPool:
         return FrocCurve(tuple(self.thresholds.tolist()), points, n_volumes, n_lesions)
 
 
-def _curve_from_matches(matches: Sequence[MatchResult], n_volumes: int) -> FrocCurve:
-    return _FrocPool(matches).curve(n_volumes)
-
-
 def froc(dataset: Sequence[tuple[Sequence, Sequence[CandidateDetection]]]) -> FrocCurve:
     """FROC over a dataset of (lesions, candidates) pairs, one per volume.
 
@@ -168,7 +151,7 @@ def froc(dataset: Sequence[tuple[Sequence, Sequence[CandidateDetection]]]) -> Fr
     denominator.
     """
     matches = [match_lesions(cands, lesions) for lesions, cands in dataset]
-    return _curve_from_matches(matches, len(dataset))
+    return _FrocPool(matches).curve(len(dataset))
 
 
 def sensitivity_at_fppv(curve: FrocCurve, fppv: float) -> float:

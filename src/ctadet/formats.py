@@ -19,14 +19,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .anchors import BoundingBox, Lesion
 from .config import load_json
 from .postproc import CandidateDetection, Stage
-
-if TYPE_CHECKING:  # only the training-patch manifest needs the second stage
-    from .fpr import FprTrainingRecord
 
 # what a malformed record raises: bad JSON or values (ValueError), a
 # missing key (KeyError), or a value of the wrong JSON type
@@ -119,39 +116,6 @@ def _candidate(rec) -> tuple[str, CandidateDetection]:
 
 def read_candidates(path) -> list[tuple[str, CandidateDetection]]:
     return list(_read_jsonl(path, _candidate))
-
-
-def write_fpr_manifest(path, records: Sequence[FprTrainingRecord]) -> None:
-    """Training-patch manifest: one line per (candidate, scale) patch."""
-    _write_jsonl(
-        path,
-        (
-            {
-                "volume_id": r.volume_id,
-                "center_vox": list(r.center_vox),
-                "label": r.label.value,
-                "scale": r.scale,
-                "patch_file": r.patch_file,
-            }
-            for r in records
-        ),
-    )
-
-
-def _fpr_record(rec) -> FprTrainingRecord:
-    from .fpr import FprLabel, FprTrainingRecord
-
-    return FprTrainingRecord(
-        volume_id=str(rec["volume_id"]),
-        center_vox=tuple(float(c) for c in rec["center_vox"]),
-        label=FprLabel(rec["label"]),
-        scale=int(rec["scale"]),
-        patch_file=str(rec["patch_file"]),
-    )
-
-
-def read_fpr_manifest(path) -> list[FprTrainingRecord]:
-    return list(_read_jsonl(path, _fpr_record))
 
 
 @dataclass(frozen=True)

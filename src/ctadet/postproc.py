@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
@@ -159,24 +159,14 @@ def nms(
     return table.detections(order[_greedy_keep(bounds, iou_thresh)])
 
 
-def to_volume_coords(
-    cands: Sequence[CandidateDetection], tile: PatchSpec
-) -> list[CandidateDetection]:
-    """Translate tile-local candidates into parent-volume coordinates."""
-    return [
-        replace(c, box=c.box.translated(tile.origin), source_tile=tile)
-        for c in cands
-    ]
-
-
 def merge_tiles(
     per_tile: Sequence[tuple[PatchSpec, Union[Sequence[CandidateDetection], CandidateArrays]]],
     iou_thresh: float = RunConfig.nms_iou,
     prob_thresh: float = RunConfig.nms_prob,
 ) -> list[CandidateDetection]:
     """Globalize per-tile candidates, concatenate, and run one NMS pass:
-    :func:`to_volume_coords` on the rows of each tile's table, then
-    :func:`nms`.
+    each tile's rows are shifted by the tile origin into volume
+    coordinates, then :func:`nms` runs on them all.
 
     The output does not depend on the order of the tile list.
     """

@@ -1,4 +1,4 @@
-"""Volume data model, raw-file I/O, preprocessing, tiling, and augmentation.
+"""Volume data model, raw-file I/O, preprocessing, and tiling.
 
 A volume is a 3D scalar grid in Hounsfield units with per-axis spacing.
 On disk a volume is a pair of files: ``<id>.vol.raw`` (x-fastest voxel
@@ -16,11 +16,10 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .anchors import BoundingBox
 from .config import RunConfig, load_json
 
 AIR_HU = -1000.0
@@ -77,25 +76,6 @@ class PatchSpec:
         object.__setattr__(self, "size", tuple(int(s) for s in self.size))
         if any(s < 1 for s in self.size):
             raise ValueError(f"patch size must be >= 1 per axis, got {self.size}")
-
-
-@dataclass(frozen=True)
-class AugmentParams:
-    """Deterministic augmentation: geometry (shift/zoom/flip) plus intensity
-    (contrast scale, additive Gaussian noise seeded by ``seed``)."""
-
-    shift: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    zoom: float = 1.0
-    flip: tuple[bool, bool, bool] = (False, False, False)
-    contrast_scale: float = 1.0
-    noise_sigma: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.zoom <= 0:
-            raise ValueError(f"zoom must be positive, got {self.zoom}")
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
 
 
 def _volume_paths(path) -> tuple[Path, Path]:
@@ -271,127 +251,3 @@ def extract_patch(v: Volume, spec: PatchSpec) -> Volume:
         dst.append(slice(lo - o, hi - o))
     out[tuple(dst)] = v.values[tuple(src)]
     return Volume(out, v.spacing, v.volume_id, v.cranial_axis)
-
-
-def _integer_shift(arr: np.ndarray, shift: Sequence[int], pad_value: float) -> np.ndarray:
-    out = np.full_like(arr, pad_value)
-    src = []
-    dst = []
-    for s, n in zip(shift, arr.shape):
-        if abs(s) >= n:
-            return out
-        src.append(slice(max(-s, 0), n - max(s, 0)))
-        dst.append(slice(max(s, 0), n + min(s, 0)))
-    out[tuple(dst)] = arr[tuple(src)]
-    return out
-
-
-def _forward_point(
-    c: Sequence[float],
-    shape: Sequence[int],
-    params: AugmentParams,
-) -> tuple[float, float, float]:
-    out = []
-    for ax in range(3):
-        x = float(c[ax])
-        if params.flip[ax]:
-            x = (shape[ax] - 1) - x
-        m = (shape[ax] - 1) / 2.0
-        x = params.zoom * (x - m) + m + params.shift[ax]
-        out.append(x)
-    return tuple(out)
-
-
-def augment(
-    patch: Volume,
-    boxes: Sequence[BoundingBox],
-    params: AugmentParams,
-    pad_value: float = AIR_HU,
-) -> tuple[Volume, list[BoundingBox]]:
-    """Apply flip -> zoom (about the patch center) -> shift to voxels and
-    boxes alike, then contrast scaling and seeded Gaussian noise to voxels
-    only.  Identity parameters return the input unchanged; equal seeds give
-    bit-equal outputs.
-    """
-    arr = patch.values
-    shape = arr.shape
-    integral_shift = all(float(s).is_integer() for s in params.shift)
-    if params.zoom == 1.0 and integral_shift:
-        out = arr
-        for ax in range(3):
-            if params.flip[ax]:
-                out = np.flip(out, axis=ax)
-        ishift = [int(s) for s in params.shift]
-        if any(s != 0 for s in ishift):
-            out = _integer_shift(out, ishift, pad_value)
-    else:
-        # imported here so that the CLI, which never augments, skips scipy's import
-        from scipy import ndimage
-
-        # inverse map: output voxel o samples input at flip((o - shift - m)/zoom + m)
-        grids = []
-        for ax in range(3):
-            o = np.arange(shape[ax], dtype=np.float64)
-            m = (shape[ax] - 1) / 2.0
-            x = (o - params.shift[ax] - m) / params.zoom + m
-            if params.flip[ax]:
-                x = (shape[ax] - 1) - x
-            grids.append(x)
-        coords = np.meshgrid(*grids, indexing="ij")
-        out = ndimage.map_coordinates(
-            arr.astype(np.float32),
-            coords,
-            order=1,
-            mode="constant",
-            cval=pad_value,
-        )
-    if params.contrast_scale != 1.0:
-        out = out * params.contrast_scale
-    if params.noise_sigma > 0.0:
-        rng = np.random.default_rng(params.seed)
-        out = out + rng.normal(0.0, params.noise_sigma, shape)
-    new_boxes = [
-        BoundingBox(_forward_point(b.center, shape, params), b.diameter * params.zoom)
-        for b in boxes
-    ]
-    return Volume(out, patch.spacing, patch.volume_id, patch.cranial_axis), new_boxes
-
-
-def sample_training_patches(
-    v: Volume,
-    lesions: Sequence[BoundingBox],
-    n: int,
-    positive_fraction: float = 0.5,
-    seed: int = 0,
-    patch_size=RunConfig.patch_size,
-    pad_value: float = AIR_HU,
-) -> list[PatchSpec]:
-    """Draw patch locations, balanced between lesion-centered and uniform.
-
-    Each spec is lesion-centered with probability ``positive_fraction``;
-    those place the lesion center uniformly within the central half of the
-    patch.  Uniform specs are placed fully inside the volume where it is
-    large enough.
-    """
-    if not 0.0 <= positive_fraction <= 1.0:
-        raise ValueError(f"positive_fraction must be in [0, 1], got {positive_fraction}")
-    if positive_fraction > 0 and not lesions:
-        raise ValueError("positive_fraction > 0 requires a nonempty lesion list")
-    if isinstance(patch_size, int):
-        patch_size = (patch_size,) * 3
-    rng = np.random.default_rng(seed)
-    specs = []
-    for _ in range(int(n)):
-        if positive_fraction > 0 and rng.random() < positive_fraction:
-            box = lesions[int(rng.integers(len(lesions)))]
-            origin = tuple(
-                int(math.floor(c - rng.uniform(p / 4.0, 3.0 * p / 4.0 - 1.0)))
-                for c, p in zip(box.center, patch_size)
-            )
-        else:
-            origin = tuple(
-                int(rng.integers(0, max(d - p, 0) + 1))
-                for d, p in zip(v.dims, patch_size)
-            )
-        specs.append(PatchSpec(origin, patch_size, pad_value))
-    return specs

@@ -312,22 +312,6 @@ def match_oracle(cands, boxes):
     return is_tp, hit_probs
 
 
-def assignment_oracle(cands, boxes):
-    """Lesion claimed by each candidate: in descending probability (ties in
-    list order), each takes the lowest-index unclaimed lesion holding its
-    center."""
-    order = sorted(range(len(cands)), key=lambda i: (-cands[i].probability, i))
-    claimed = set()
-    assigned = [None] * len(cands)
-    for i in order:
-        for j, box in enumerate(boxes):
-            if j not in claimed and contains_oracle(box, cands[i].box.center):
-                assigned[i] = j
-                claimed.add(j)
-                break
-    return assigned
-
-
 def froc_oracle(dataset):
     """FROC points re-derived by rescanning all candidates per threshold."""
     thresholds = sorted(

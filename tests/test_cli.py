@@ -113,6 +113,16 @@ class TestSynth:
         bad.write_text('{"bogus": 1}')
         assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("field, value", [
+        ("vessel_radius_range", [2.0]),
+        ("aneurysm_diameter_range", []),
+    ])
+    def test_short_phantom_range_exit_2(self, tmp_path, capsys, field, value):
+        config = small_config(tmp_path, **{field: value})
+        capsys.readouterr()
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+        assert field in capsys.readouterr().err
+
     def test_unwritable_out_exit_2(self, tmp_path):
         config = small_config(tmp_path)
         blocker = tmp_path / "blocked"
@@ -649,6 +659,11 @@ class TestConfigValues:
         ("eval", "bootstrap_level", 1.5),
         ("detect", "seed", -1),
         ("eval", "seed", -1),
+        ("detect", "detector_fp_prob_range", [0.2]),
+        ("detect", "detector_hit_prob", 2),
+        ("detect", "detector_tp_prob_range", [0.2, 0.1]),
+        ("detect", "detector_fp_per_volume", -1),
+        ("detect", "detector_center_jitter", -1),
     ]
 
     @pytest.mark.parametrize(

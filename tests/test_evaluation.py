@@ -23,14 +23,12 @@ from ctadet.evaluation import (
     stratified_sensitivities,
     threshold_for_operating_point,
     volume_score,
-    _curve_from_matches,
     _FrocPool,
     _rank_auc,
     _score_arrays,
 )
 from ctadet.postproc import CandidateDetection
 from oracles import (
-    assignment_oracle,
     avg_sensitivity_oracle,
     contains_oracle,
     fisher_exact_reference,
@@ -103,7 +101,6 @@ class TestMatchLesions:
         m = match_lesions([cand((10, 10, 10), 0.9)], [box])
         assert m.candidate_is_tp == (True,)
         assert m.lesion_hit_probs == (0.9,)
-        assert m.candidate_lesion == (0,)
 
     def test_boundary_center_counts(self):
         box = lesion((10.0, 10.0, 10.0), 6.0)
@@ -121,8 +118,6 @@ class TestMatchLesions:
         assert m.candidate_is_tp == (True, True, False)
         assert m.fp_probs == (0.8,)
         assert m.lesion_hit_probs == (0.9,)
-        # only the strongest candidate claims the lesion
-        assert m.candidate_lesion == (0, None, None)
 
     def test_candidate_in_two_overlapping_lesions_hits_both(self):
         a = lesion((10.0, 10.0, 10.0), 6.0)
@@ -130,7 +125,6 @@ class TestMatchLesions:
         m = match_lesions([cand((11.0, 10.0, 10.0), 0.6)], [a, b])
         assert m.lesion_hit_probs == (0.6, 0.6)
         assert m.candidate_is_tp == (True,)
-        assert m.candidate_lesion == (0,)
 
     def test_matches_oracle_on_random_instances(self):
         rng = np.random.default_rng(19)
@@ -150,7 +144,6 @@ class TestMatchLesions:
             is_tp, hit_probs = match_oracle(cands, lesions)
             assert list(m.candidate_is_tp) == is_tp
             assert list(m.lesion_hit_probs) == hit_probs
-            assert list(m.candidate_lesion) == assignment_oracle(cands, lesions)
             for c in cands:
                 hits = [b for b in lesions if contains_oracle(b, c.box.center)]
                 in_two += len(hits) >= 2
@@ -517,7 +510,7 @@ class TestArrayStatistics:
 
     @staticmethod
     def reference_avg(matches, idx):
-        return avg_sensitivity(_curve_from_matches([matches[j] for j in idx], len(idx)))
+        return avg_sensitivity(_FrocPool([matches[j] for j in idx]).curve(len(idx)))
 
     @staticmethod
     def reference_auc(scores, idx):
@@ -591,7 +584,7 @@ class TestArrayStatistics:
         matches = [match_lesions(v.candidates, v.lesions) for v in vols]
         scores = [(volume_score(v.candidates), v.has_lesion) for v in vols]
         report = build_report(vols, n_resamples=200, seed=seed)
-        ref = lambda ms: avg_sensitivity(_curve_from_matches(ms, len(ms)))
+        ref = lambda ms: avg_sensitivity(_FrocPool(ms).curve(len(ms)))
         assert report.avg_sensitivity_ci == bootstrap_ci(ref, matches, 200, seed=seed)
         assert report.auc_ci == bootstrap_ci(
             lambda s: roc_auc(s)[1], scores, 200, seed=seed
@@ -604,7 +597,7 @@ class TestArrayStatistics:
         matches, scores, _, _ = self.statistics(vols)
         monkeypatch.setattr(evaluation, "_BOOTSTRAP_CELLS", cells)
         report = build_report(vols, n_resamples=300, seed=2)
-        ref = lambda ms: avg_sensitivity(_curve_from_matches(ms, len(ms)))
+        ref = lambda ms: avg_sensitivity(_FrocPool(ms).curve(len(ms)))
         assert report.avg_sensitivity_ci == bootstrap_ci(ref, matches, 300, seed=2)
         assert report.auc_ci == bootstrap_ci(lambda s: roc_auc(s)[1], scores, 300, seed=2)
 
@@ -628,7 +621,7 @@ class TestArrayStatistics:
         assert attempts.count(0) == 400  # attempt 0 is drawn once for both CIs
         assert len(attempts) > 600
         matches, scores, _, _ = self.statistics(vols)
-        ref = lambda ms: avg_sensitivity(_curve_from_matches(ms, len(ms)))
+        ref = lambda ms: avg_sensitivity(_FrocPool(ms).curve(len(ms)))
         assert report.avg_sensitivity_ci == bootstrap_ci(ref, matches, 400, seed=8)
         assert report.auc_ci == bootstrap_ci(lambda s: roc_auc(s)[1], scores, 400, seed=8)
 
@@ -640,7 +633,7 @@ class TestArrayStatistics:
         vols = [EvalVolume("pos", (Lesion(lesion((10.0, 10.0, 10.0))),), ()),
                 EvalVolume("neg", (), ())]
         matches, scores, pool, (values, flags) = self.statistics(vols)
-        ref = lambda ms: avg_sensitivity(_curve_from_matches(ms, len(ms)))
+        ref = lambda ms: avg_sensitivity(_FrocPool(ms).curve(len(ms)))
         with pytest.raises(RuntimeError) as want:
             bootstrap_ci(ref, matches, 200, seed=4, max_retries=3)
         with pytest.raises(RuntimeError) as got:
@@ -761,7 +754,7 @@ class TestStratifiedAndReport:
             ),
         ]
         matches = [match_lesions(v.candidates, v.lesions) for v in vols]
-        curve = _curve_from_matches(matches, 2)
+        curve = _FrocPool(matches).curve(2)
         strata = stratified_sensitivities(vols, matches, curve, ["k"], (0.25, 1.0))
         assert set(strata["k"]) == {"x"}
         row = strata["k"]["x"]
@@ -772,7 +765,7 @@ class TestStratifiedAndReport:
     def test_strata_counts_sum_to_total(self):
         vols = self.dataset()
         matches = [match_lesions(v.candidates, v.lesions) for v in vols]
-        curve = _curve_from_matches(matches, len(vols))
+        curve = _FrocPool(matches).curve(len(vols))
         strata = stratified_sensitivities(
             vols, matches, curve, ["size_class", "location"]
         )
@@ -789,7 +782,7 @@ class TestStratifiedAndReport:
             )
         ]
         matches = [match_lesions(v.candidates, v.lesions) for v in vols]
-        curve = _curve_from_matches(matches, 1)
+        curve = _FrocPool(matches).curve(1)
         with pytest.raises(ValueError, match="lacks label"):
             stratified_sensitivities(vols, matches, curve, ["size_class"])
 
@@ -806,7 +799,7 @@ class TestStratifiedAndReport:
             ),
         ]
         matches = [match_lesions(v.candidates, v.lesions) for v in vols]
-        curve = _curve_from_matches(matches, 1)
+        curve = _FrocPool(matches).curve(1)
         strata = stratified_sensitivities(vols, matches, curve, ["k"], (0.25, 1.0))
         # tau(0.25) = 0.9 (any lower threshold admits the FP at fppv 1.0)
         assert strata["k"]["s"]["sensitivity_at_fppv"]["0.25"] == 1.0

@@ -5,10 +5,8 @@ from ctadet.anchors import BoundingBox
 from ctadet.config import RunConfig
 from ctadet.evaluation import froc, sensitivity_at_fppv
 from ctadet.fpr import (
-    FprLabel,
     FprPatchSet,
     extract_fpr_patches,
-    label_candidate,
     rescore,
     select_candidates,
 )
@@ -84,58 +82,6 @@ class TestExtractFprPatches:
             FprPatchSet(cand((16.0, 16.0, 16.0)), (p, p))
 
 
-class TestLabelCandidate:
-    PATCH = (32, 32, 16)
-
-    def test_center_inside_lesion_positive(self):
-        lesion = BoundingBox((50, 50, 50), 6.0)
-        assert label_candidate(cand((50, 50, 50)), [lesion], self.PATCH) is FprLabel.POSITIVE
-
-    def test_far_from_everything_negative(self):
-        lesion = BoundingBox((50, 50, 50), 6.0)
-        assert label_candidate(cand((150, 50, 50)), [lesion], self.PATCH) is FprLabel.NEGATIVE
-
-    def test_near_miss_excluded(self):
-        lesion = BoundingBox((50.0, 50.0, 50.0), 6.0)
-        # just outside the box (dy > 3) but within half the patch extent on
-        # every axis: (3, 3.5, 0) < (16, 16, 8)
-        c = cand((53.0, 53.5, 50.0))
-        assert not lesion.contains(c.box.center)
-        assert label_candidate(c, [lesion], self.PATCH) is FprLabel.EXCLUDED
-
-    def test_positive_dominates_excluded(self):
-        lesion = BoundingBox((50, 50, 50), 6.0)
-        c = cand((51.0, 50.0, 50.0))  # inside the lesion and near its center
-        assert label_candidate(c, [lesion], self.PATCH) is FprLabel.POSITIVE
-
-    def test_exclusion_is_per_axis(self):
-        lesion = BoundingBox((50.0, 50.0, 50.0), 2.0)
-        # 10 voxels off along z: inside half-x (16) and half-y (16) but not
-        # half-z (8) -> must stay negative
-        assert label_candidate(cand((50.0, 50.0, 61.0)), [lesion], self.PATCH) is FprLabel.NEGATIVE
-        # 10 voxels off along x is within half-x -> excluded
-        assert label_candidate(cand((60.0, 50.0, 50.0)), [lesion], self.PATCH) is FprLabel.EXCLUDED
-
-    def test_exhaustive_and_exclusive(self):
-        rng = np.random.default_rng(11)
-        lesions = [BoundingBox(tuple(rng.uniform(20, 80, 3)), float(rng.uniform(2, 10)))
-                   for _ in range(3)]
-        for _ in range(300):
-            c = cand(tuple(rng.uniform(0, 100, 3)))
-            label = label_candidate(c, lesions, self.PATCH)
-            inside = any(l.contains(c.box.center) for l in lesions)
-            near = any(
-                all(abs(a - b) < s / 2 for a, b, s in zip(c.box.center, l.center, self.PATCH))
-                for l in lesions
-            )
-            if inside:
-                assert label is FprLabel.POSITIVE
-            elif near:
-                assert label is FprLabel.EXCLUDED
-            else:
-                assert label is FprLabel.NEGATIVE
-
-
 class TestRescore:
     def test_mean(self):
         out = rescore(cand((1, 1, 1), p=0.9), (0.9, 0.6, 0.3))
@@ -155,59 +101,6 @@ class TestRescore:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             rescore(cand((1, 1, 1)), (0.5, 1.2, 0.1))
-
-
-class TestExportTrainingPatches:
-    def test_export_writes_patches_and_labels(self, tmp_path):
-        import numpy as np
-
-        from ctadet.formats import read_fpr_manifest, write_fpr_manifest
-        from ctadet.fpr import export_training_patches
-        from ctadet.volume import read_volume
-
-        spec = PhantomSpec(seed=13, n_aneurysms=2, aneurysm_diameter_range=(6.0, 10.0))
-        vol, lesions = generate_phantom(spec, "train-0")
-        boxes = [l.box for l in lesions]
-        cands = oracle_detect(
-            boxes,
-            OracleDetectorSpec(fp_per_volume=3.0, fp_prob_range=(0.3, 0.9), seed=1),
-            vol.dims,
-        )
-        records = export_training_patches(vol, cands, boxes, tmp_path)
-        assert len(records) == 3 * len(cands)
-        for r in records:
-            assert r.scale in (0, 1, 2)
-            patch = read_volume(tmp_path / r.patch_file)
-            assert patch.dims == RunConfig.fpr_patch_sizes[r.scale]
-            expected = label_candidate(
-                cand(r.center_vox), boxes, RunConfig.fpr_patch_sizes[r.scale]
-            )
-            assert r.label is expected
-        # true detections label positive, injected ones negative or excluded
-        labels_by_hit = {True: set(), False: set()}
-        for r in records:
-            hit = any(b.contains(r.center_vox) for b in boxes)
-            labels_by_hit[hit].add(r.label)
-        assert labels_by_hit[True] == {FprLabel.POSITIVE}
-        assert FprLabel.POSITIVE not in labels_by_hit[False]
-
-        manifest_path = tmp_path / "fpr-train.jsonl"
-        write_fpr_manifest(manifest_path, records)
-        assert read_fpr_manifest(manifest_path) == records
-
-    def test_manifest_line_shape(self, tmp_path):
-        import json
-
-        from ctadet.formats import write_fpr_manifest
-        from ctadet.fpr import FprTrainingRecord
-
-        record = FprTrainingRecord("v", (1.0, 2.0, 3.0), FprLabel.EXCLUDED, 1, "p.vol.json")
-        path = tmp_path / "m.jsonl"
-        write_fpr_manifest(path, [record])
-        rec = json.loads(path.read_text().splitlines()[0])
-        assert set(rec) == {"volume_id", "center_vox", "label", "scale", "patch_file"}
-        assert rec["label"] == "excluded"
-        assert rec["scale"] == 1
 
 
 class TestPerfectClassifierAblation:

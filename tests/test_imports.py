@@ -23,12 +23,12 @@ SRC = str(Path(ctadet.__file__).resolve().parents[1])
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
 
-# argv: "block-numpy" or "-", then the command line; prints the exit code
-# and the ctadet modules loaded, plus "numpy" if it was
+# argv: "block-numpy", "block-scipy" or "-", then the command line; prints
+# the exit code and the ctadet modules loaded, plus "numpy" if it was
 _PROBE = """
 import json, sys
-if sys.argv[1] == "block-numpy":
-    sys.modules["numpy"] = None
+if sys.argv[1] != "-":
+    sys.modules[sys.argv[1].removeprefix("block-")] = None
 from ctadet.cli import main
 code = main(sys.argv[2:])
 loaded = sorted(m for m, mod in sys.modules.items()
@@ -37,9 +37,9 @@ print(json.dumps([code, loaded]))
 """
 
 
-def _probe(cwd, argv, block_numpy=False) -> set:
+def _probe(cwd, argv, block=None) -> set:
     out = subprocess.run(
-        [sys.executable, "-c", _PROBE, "block-numpy" if block_numpy else "-", *argv],
+        [sys.executable, "-c", _PROBE, f"block-{block}" if block else "-", *argv],
         cwd=cwd, env=ENV, capture_output=True, text=True, timeout=120,
     )
     assert out.returncode == 0, out.stderr
@@ -88,8 +88,20 @@ def test_compare_loads_no_numpy(chain):
 
 def test_compare_runs_with_numpy_blocked(chain):
     root, argv = chain
-    _probe(root, argv["compare"], block_numpy=True)
+    _probe(root, argv["compare"], block="numpy")
     assert (root / "cmp.json-rerun").read_bytes() == (root / "cmp.json").read_bytes()
+
+
+def test_chain_runs_with_scipy_blocked(chain):
+    root, argv = chain
+    for args in argv.values():
+        first = root / args[-1].removesuffix("-rerun")
+        out = f"{first.name}-noscipy"
+        _probe(root, [*args[:-1], out], block="scipy")
+        if first.is_file():
+            assert (root / out).read_bytes() == first.read_bytes()
+        else:
+            assert tree_digest(root / out) == tree_digest(first)
 
 
 @pytest.mark.parametrize("command, unused", [

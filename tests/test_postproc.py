@@ -10,7 +10,6 @@ from ctadet.postproc import (
     _sort_key,
     merge_tiles,
     nms,
-    to_volume_coords,
 )
 from ctadet.volume import PatchSpec
 from oracles import greedy_nms_reference, iou3d_reference, nms_oracle
@@ -215,34 +214,13 @@ class TestPrunedNms:
         assert 0 < len(kept) < len(cands)
 
 
-class TestToVolumeCoords:
-    def test_zero_origin_identity(self):
-        tile = PatchSpec((0, 0, 0), (96, 96, 96))
-        c = cand((2, 2, 2), 4.0, 0.9)
-        out = to_volume_coords([c], tile)
-        assert out[0].box == c.box
-        assert out[0].source_tile == tile
-
-    def test_translation(self):
-        tile = PatchSpec((80, 0, 0), (96, 96, 96))
-        out = to_volume_coords([cand((2, 2, 2), 4.0, 0.9)], tile)
-        assert out[0].box.center == (82.0, 2.0, 2.0)
-        assert out[0].box.diameter == 4.0
-
-    def test_roundtrip_with_inverse(self):
-        tile = PatchSpec((10, 20, 30), (8, 8, 8))
-        inverse = PatchSpec((-10, -20, -30), (8, 8, 8))
-        c = cand((1.5, 2.5, 3.5), 2.0, 0.7)
-        back = to_volume_coords(to_volume_coords([c], tile), inverse)
-        assert back[0].box == c.box
-
-
 class TestMergeTiles:
     def test_single_tile_equals_nms(self):
         tile = PatchSpec((16, 0, 0), (96, 96, 96))
         rng = np.random.default_rng(37)
         cands = random_candidates(rng, 10)
-        assert merge_tiles([(tile, cands)]) == nms(to_volume_coords(cands, tile))
+        shifted = [replace(c, box=c.box.translated(tile.origin), source_tile=tile) for c in cands]
+        assert merge_tiles([(tile, cands)]) == nms(shifted)
 
     def test_duplicate_across_tiles_suppressed(self):
         t1 = PatchSpec((0, 0, 0), (96, 96, 96))

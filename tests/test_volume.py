@@ -1,17 +1,13 @@
 import numpy as np
 import pytest
 
-from ctadet.anchors import BoundingBox
 from ctadet.config import RunConfig
 from ctadet.volume import (
-    AugmentParams,
     PatchSpec,
     Volume,
-    augment,
     extract_patch,
     normalize_hu,
     read_volume,
-    sample_training_patches,
     tile_volume,
     truncate_cranial,
     write_volume,
@@ -277,117 +273,3 @@ class TestExtractPatch:
             assert np.array_equal(got, extract_patch_oracle(v.values, origin, size, -1000.0))
             if layout != "c":
                 assert got.flags.f_contiguous
-
-
-class TestAugment:
-    def patch(self, seed=0):
-        return make_volume((12, 12, 12), seed=seed)
-
-    def boxes(self):
-        return [BoundingBox((4.0, 5.0, 6.0), 3.0), BoundingBox((8.0, 2.0, 9.0), 2.0)]
-
-    def test_identity(self):
-        p = self.patch()
-        out, boxes = augment(p, self.boxes(), AugmentParams())
-        assert np.array_equal(out.values, p.values)
-        assert boxes == self.boxes()
-
-    def test_flip_involution(self):
-        p = self.patch(seed=5)
-        params = AugmentParams(flip=(True, False, False))
-        once, boxes_once = augment(p, self.boxes(), params)
-        twice, boxes_twice = augment(once, boxes_once, params)
-        assert np.array_equal(twice.values, p.values)
-        assert boxes_twice == self.boxes()
-
-    def test_equal_seeds_bit_equal(self):
-        p = self.patch(seed=6)
-        params = AugmentParams(
-            shift=(1.5, -2.0, 0.25), zoom=1.2, flip=(False, True, False),
-            contrast_scale=1.1, noise_sigma=12.0, seed=99,
-        )
-        a, boxes_a = augment(p, self.boxes(), params)
-        b, boxes_b = augment(p, self.boxes(), params)
-        assert np.array_equal(a.values, b.values)
-        assert boxes_a == boxes_b
-
-    def test_integer_shift_moves_content(self):
-        p = self.patch(seed=7)
-        out, boxes = augment(p, self.boxes(), AugmentParams(shift=(2, 0, 0)))
-        assert np.array_equal(out.values[2:], p.values[:-2])
-        assert (out.values[:2] == -1000).all()
-        assert boxes[0].center == (6.0, 5.0, 6.0)
-
-    def test_zoom_scales_boxes(self):
-        p = self.patch(seed=8)
-        out, boxes = augment(p, self.boxes(), AugmentParams(zoom=2.0))
-        assert boxes[0].diameter == 6.0
-        # center moves away from the patch midpoint by the zoom factor
-        mid = (12 - 1) / 2
-        assert boxes[0].center[0] == pytest.approx(2.0 * (4.0 - mid) + mid)
-
-    def test_zoom_magnifies_center_structure(self):
-        values = np.zeros((16, 16, 16))
-        values[7:9, 7:9, 7:9] = 1000.0
-        v = Volume(values, (1, 1, 1))
-        out, _ = augment(v, [], AugmentParams(zoom=2.0), pad_value=0.0)
-        assert (out.values > 500).sum() > (values > 500).sum()
-
-    def test_contrast_and_noise_leave_boxes(self):
-        p = self.patch(seed=9)
-        out, boxes = augment(
-            p, self.boxes(), AugmentParams(contrast_scale=1.3, noise_sigma=5.0, seed=1)
-        )
-        assert boxes == self.boxes()
-        assert not np.array_equal(out.values, p.values)
-
-    def test_invalid_zoom(self):
-        with pytest.raises(ValueError):
-            AugmentParams(zoom=0.0)
-
-
-class TestSampleTrainingPatches:
-    def test_zero_fraction_all_uniform(self):
-        v = make_volume((50, 50, 50))
-        specs = sample_training_patches(v, [], 20, positive_fraction=0.0, seed=1,
-                                        patch_size=(16, 16, 16))
-        assert len(specs) == 20
-        for s in specs:
-            assert all(0 <= o <= 50 - 16 for o in s.origin)
-
-    def test_positive_fraction_without_lesions_rejected(self):
-        v = make_volume((50, 50, 50))
-        with pytest.raises(ValueError):
-            sample_training_patches(v, [], 5, positive_fraction=0.5, seed=1)
-
-    def test_deterministic(self):
-        v = make_volume((60, 60, 60))
-        lesions = [BoundingBox((30, 30, 30), 5.0)]
-        a = sample_training_patches(v, lesions, 50, seed=42, patch_size=(16, 16, 16))
-        b = sample_training_patches(v, lesions, 50, seed=42, patch_size=(16, 16, 16))
-        assert a == b
-
-    def test_balanced_count_within_binomial_bound(self):
-        # small patch in a big volume so uniform draws essentially never
-        # land the lesion center in the central half by accident
-        v = make_volume((200, 200, 200))
-        lesion = BoundingBox((100.0, 100.0, 100.0), 6.0)
-        specs = sample_training_patches(
-            v, [lesion], 10000, positive_fraction=0.5, seed=7, patch_size=(16, 16, 16)
-        )
-        centered = 0
-        for s in specs:
-            local = [c - o for c, o in zip(lesion.center, s.origin)]
-            if all(p / 4 <= lc <= 3 * p / 4 for lc, p in zip(local, s.size)):
-                centered += 1
-        assert 4800 <= centered <= 5200
-
-    def test_lesion_centered_specs_place_center_in_central_half(self):
-        v = make_volume((200, 200, 200))
-        lesion = BoundingBox((77.3, 120.9, 64.2), 5.0)
-        specs = sample_training_patches(
-            v, [lesion], 300, positive_fraction=1.0, seed=3, patch_size=(24, 24, 24)
-        )
-        for s in specs:
-            local = [c - o for c, o in zip(lesion.center, s.origin)]
-            assert all(p / 4 <= lc <= 3 * p / 4 for lc, p in zip(local, s.size))
