@@ -69,6 +69,12 @@ class ConsistencyError(Exception):
     exit_code = 4
 
 
+# Cap on the oracle detector's mean false positives per volume: far larger
+# values overflow numpy's Poisson draw, or give every scan that many
+# candidates.  The benchmark's crowded workload uses 400.
+_MAX_DETECTOR_FP_PER_VOLUME = 10_000
+
+
 def _load_config(args) -> RunConfig:
     if args.config:
         try:
@@ -122,6 +128,12 @@ def _load_config(args) -> RunConfig:
         (all(x >= 0 for x in detector_amounts),
          f"detector_fp_per_volume, detector_center_jitter and detector_diameter_jitter "
          f"must be >= 0, got {detector_amounts}"),
+        (cfg.detector_fp_per_volume <= _MAX_DETECTOR_FP_PER_VOLUME,
+         f"detector_fp_per_volume must be <= {_MAX_DETECTOR_FP_PER_VOLUME}, "
+         f"got {cfg.detector_fp_per_volume}"),
+        (cfg.n_volumes >= 0, f"n_volumes must be >= 0, got {cfg.n_volumes}"),
+        (0 <= cfg.negative_fraction <= 1,
+         f"negative_fraction must be in [0, 1], got {cfg.negative_fraction}"),
     ):
         if not ok:
             raise ConfigError(problem)

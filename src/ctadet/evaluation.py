@@ -247,20 +247,23 @@ def roc_auc(scores: Sequence[tuple[float, bool]]) -> tuple[RocCurve, float]:
 def best_f1_threshold(
     scores: Sequence[tuple[float, bool]],
 ) -> tuple[float, ConfusionMetrics]:
-    """Exhaustive sweep of distinct scores (plus an accept-all threshold);
-    ties broken toward the higher threshold."""
-    if not any(flag for _, flag in scores):
+    """Sweep of the distinct scores (plus an accept-all threshold); ties
+    broken toward the higher threshold.  One pass over the sorted scores
+    keeps the counts above each threshold."""
+    n_pos = sum(flag for _, flag in scores)
+    if not n_pos:
         raise ValueError("best F1 threshold requires at least one positive volume")
     distinct = sorted({s for s, _ in scores})
-    candidates = [distinct[0] - 1.0] + distinct
-    best: Optional[tuple[float, ConfusionMetrics]] = None
-    for t in candidates:
-        m = confusion_at_threshold(scores, t)
-        if math.isnan(m.f1):
-            continue
-        if best is None or m.f1 >= best[1].f1:
-            best = (t, m)
-    return best
+    ordered = sorted(scores)
+    tp, fp, i = n_pos, len(scores) - n_pos, 0
+    best_t, best_f1 = math.nan, -math.inf
+    for t in [distinct[0] - 1.0] + distinct:
+        while i < len(ordered) and ordered[i][0] <= t:  # no longer above t
+            tp, fp, i = tp - ordered[i][1], fp - (not ordered[i][1]), i + 1
+        f1 = 2 * tp / (2 * tp + fp + n_pos - tp)  # n_pos > 0: never 0/0
+        if f1 >= best_f1:
+            best_t, best_f1 = t, f1
+    return best_t, confusion_at_threshold(scores, best_t)
 
 
 _BOOTSTRAP_CELLS = 1 << 15  # array cells per block of weight rows in a bootstrap
@@ -270,6 +273,152 @@ _EXHAUSTED = "statistic undefined on {} consecutive redraws of resample {}"
 def _draw(seed: int, i: int, attempt: int, n: int) -> np.ndarray:
     """The volume indices of bootstrap resample ``i``, attempt ``attempt``."""
     return np.random.default_rng([seed, i, attempt]).integers(0, n, n)
+
+
+# numpy's SeedSequence (hash-mix over a pool of four uint32 words) and
+# PCG64 (128-bit LCG with XSL-RR output) constants.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_SPARE_OUTPUTS = 2  # 64-bit outputs drawn per row beyond ceil(n/2), for rejections
+_DRAW_ROW_CELLS = 32  # cells a drawn row's seeding state costs, whatever its n
+
+
+def _entropy_words(x: int) -> list[int]:
+    """SeedSequence's uint32 words of a non-negative integer, low word first."""
+    if x < 0:
+        raise ValueError("expected non-negative integer")
+    words = [x & _MASK32]
+    while x := x >> 32:
+        words.append(x & _MASK32)
+    return words
+
+
+def _hasher(init: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
+    """SeedSequence's uint32 hash: each call mixes in the next constant."""
+    h = init
+
+    def hashmix(v: np.ndarray) -> np.ndarray:
+        nonlocal h
+        v = v ^ np.uint32(h)
+        h = h * mult & _MASK32
+        v = v * np.uint32(h)
+        return v ^ (v >> np.uint32(16))
+
+    return hashmix
+
+
+def _seed_state(entropy: list[np.ndarray]) -> list[np.ndarray]:
+    """``SeedSequence(entropy).generate_state(8)`` per element of the uint32
+    word arrays in ``entropy``."""
+    hashmix = _hasher(_INIT_A, _MULT_A)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        r = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+        return r ^ (r >> np.uint32(16))
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    output = _hasher(_INIT_B, _MULT_B)
+    return [output(pool[k % 4]) for k in range(8)]
+
+
+def _mul_128(x: tuple[np.ndarray, np.ndarray], y: tuple[np.ndarray, np.ndarray]):
+    """``x * y mod 2**128`` on (high, low) uint64 halves, broadcast."""
+    (xh, xl), (yh, yl) = x, y
+    m32, s32 = np.uint64(_MASK32), np.uint64(32)
+    x0, x1, y0, y1 = xl & m32, xl >> s32, yl & m32, yl >> s32
+    # in place where it can be: these arrays are (rows, outputs) wide
+    p01, p10 = x0 * y1, x1 * y0
+    hi = x0 * y0 >> s32
+    hi += p01 & m32
+    hi += p10 & m32
+    hi >>= s32  # the carry out of the middle word of the low product
+    for p in (p01, p10):
+        p >>= s32
+        hi += p
+    del p01, p10, p
+    for a, b in ((x1, y1), (xh, yl), (xl, yh)):
+        hi += a * b
+    return hi, xl * yl
+
+
+def _halves(values: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """128-bit integers as (high, low) uint64 arrays."""
+    return (np.array([v >> 64 for v in values], dtype=np.uint64),
+            np.array([v & (1 << 64) - 1 for v in values], dtype=np.uint64))
+
+
+def _pcg_outputs(c: tuple[np.ndarray, np.ndarray], inc: tuple[np.ndarray, np.ndarray],
+                 m: int) -> np.ndarray:
+    """The first ``m`` 64-bit PCG64 outputs of each row, from (rows, 1)
+    halves of ``c`` (seed plus increment) and ``inc`` (increment).  The
+    state behind output k is ``A·c + B·inc mod 2**128`` with
+    ``A = MULT**(k+1)`` and ``B = MULT**k + ... + 1``, so every state is one
+    multiply-add instead of a walk through the ones before it."""
+    jumps_a, jumps_b, a, b = [], [], _PCG_MULT, 1
+    mask = (1 << 128) - 1
+    for _ in range(m):
+        a, b = a * _PCG_MULT & mask, (b * _PCG_MULT + 1) & mask
+        jumps_a.append(a)
+        jumps_b.append(b)
+    hi, lo = _mul_128(c, _halves(jumps_a))
+    qh, ql = _mul_128(inc, _halves(jumps_b))
+    lo += ql
+    hi += qh
+    hi += lo < ql  # the carry out of the low half
+    del qh, ql
+    # XSL-RR: rotate (high ^ low) right by the top six bits of the state
+    lo ^= hi
+    hi >>= np.uint64(58)
+    out = lo >> hi
+    out |= lo << (-hi & np.uint64(63))
+    return out
+
+
+def _resample_weights(seed: int, rows: np.ndarray, attempt: int, n: int) -> np.ndarray:
+    """Row r is ``np.bincount(_draw(seed, rows[r], attempt, n), minlength=n)``,
+    bit for bit, from array arithmetic over all rows at once: SeedSequence's
+    hash-mix, PCG64 seeding and jump-ahead, and numpy's 32-bit Lemire
+    rejection (arXiv:1805.10941) on the low then the high half of each
+    output.  A row that rejects too many of the values drawn for it, and
+    an ``n`` or row of 2**32 or more, are drawn by ``_draw`` itself."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if n >= 1 << 32 or (rows.size and rows.max() >= 1 << 32):
+        return np.array([np.bincount(_draw(seed, i, attempt, n), minlength=n)
+                         for i in rows], dtype=np.int64).reshape(len(rows), n)
+
+    def same(x: int) -> list[np.ndarray]:
+        return [np.full(len(rows), w, np.uint32) for w in _entropy_words(x)]
+
+    entropy = [*same(seed), rows.astype(np.uint32), *same(attempt)]
+    st = [v.astype(np.uint64)[:, None] for v in _seed_state(entropy)]
+    # PCG64 seeds from uint64 words (high first): state s, sequence q
+    s_hi, s_lo, q_hi, q_lo = (st[2 * k] | st[2 * k + 1] << np.uint64(32) for k in range(4))
+    inc = (q_hi << np.uint64(1) | q_lo >> np.uint64(63), q_lo << np.uint64(1) | np.uint64(1))
+    c_lo = s_lo + inc[1]
+    c = (s_hi + inc[0] + (c_lo < s_lo), c_lo)
+    m = max(0, (n + 1) // 2 + _SPARE_OUTPUTS)
+    out = _pcg_outputs(c, inc, m)
+    draws = np.stack([out & np.uint64(_MASK32), out >> np.uint64(32)], axis=2)
+    draws = draws.reshape(len(rows), 2 * m)
+    draws *= np.uint64(n)  # the index is the high word; a low word below 2**32 % n is rejected
+    accept = draws & np.uint64(_MASK32) >= np.uint64((1 << 32) % n)
+    keep = accept & (np.cumsum(accept, axis=1, dtype=np.int32) <= n)
+    draws >>= np.uint64(32)
+    draws += np.arange(len(rows), dtype=np.uint64)[:, None] * np.uint64(n)
+    w = np.bincount(draws.view(np.int64)[keep], minlength=len(rows) * n).reshape(len(rows), n)
+    for r in np.flatnonzero(keep.sum(axis=1) < n):
+        w[r] = np.bincount(_draw(seed, rows[r], attempt, n), minlength=n)
+    return w
 
 
 def _percentile_ci(values: np.ndarray, level: float) -> tuple[float, float]:
@@ -312,6 +461,33 @@ def bootstrap_ci(
     return _percentile_ci(values, level)
 
 
+def _distinct_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(holder, inverse)``: ``w[holder]`` holds each distinct row of ``w``
+    once and ``w[holder][inverse]`` equals ``w``.  Rows are keyed on their
+    bytes (``np.unique`` would import ``numpy.ma``)."""
+    data, size = np.ascontiguousarray(w).tobytes(), w.shape[1] * w.itemsize
+    index: dict[bytes, int] = {}  # distinct row's bytes -> its position
+    inverse = np.array(
+        [index.setdefault(data[r * size:(r + 1) * size], len(index)) for r in range(len(w))],
+        dtype=np.intp,
+    )
+    holder = np.empty(len(index), dtype=np.intp)
+    holder[inverse] = np.arange(len(w))  # some row holding each distinct row
+    return holder, inverse
+
+
+def _distinct_scores(
+    statistic: Callable[[np.ndarray], np.ndarray], w: np.ndarray, width: int
+) -> np.ndarray:
+    """``statistic(w)``, computed once per distinct row of ``w`` in blocks
+    of ``_BOOTSTRAP_CELLS // width`` rows and spread back over its copies."""
+    holder, inverse = _distinct_rows(w)
+    distinct = w if len(holder) == len(w) else w[holder]  # all distinct: holder is 0, 1, ...
+    sub = max(1, _BOOTSTRAP_CELLS // max(1, width))
+    scores = [statistic(distinct[s:s + sub]) for s in range(0, len(distinct), sub)]
+    return np.concatenate(scores)[inverse] if scores else np.empty(0)
+
+
 def _bootstrap_cis(
     statistics: Sequence[Callable[[np.ndarray], np.ndarray]], n: int, width: int,
     n_resamples: int, level: float, seed: int, max_retries: int = 100,
@@ -319,29 +495,29 @@ def _bootstrap_cis(
     """:func:`bootstrap_ci` of each statistic over ``n`` volumes, with the
     same draws, redraws and bits.  A statistic maps a (rows, n) matrix of
     per-volume weights (each volume's count in the drawn indices) to one
-    value per row, NaN where undefined.  Blocks keep arrays ``width`` cells
-    wide per row near ``_BOOTSTRAP_CELLS`` cells.  Attempt 0 is drawn once;
-    a row is redrawn only for a statistic undefined on it."""
-
-    def weights(rows: np.ndarray, attempt: int) -> np.ndarray:
-        return np.array([np.bincount(_draw(seed, i, attempt, n), minlength=n) for i in rows])
-
+    value per row, NaN where undefined, and reads ``width`` cells per row.
+    Blocks hold about ``_BOOTSTRAP_CELLS`` weight cells.  Each attempt
+    draws, in one :func:`_resample_weights` call, the rows of a block that
+    some statistic is still undefined on; each statistic then scores the
+    distinct ones among its own rows."""
     values = np.empty((len(statistics), n_resamples))
     failed: dict[int, int] = {}  # statistic -> first resample that ran out
-    block = max(1, _BOOTSTRAP_CELLS // max(1, n, width))
+    block = max(1, _BOOTSTRAP_CELLS // max(n, _DRAW_ROW_CELLS))
     for start in range(0, n_resamples, block):
         rows = np.arange(start, min(start + block, n_resamples))
-        first = weights(rows, 0)
-        for k, statistic in enumerate(statistics):
-            todo = rows
-            for attempt in range(max_retries):
-                w = first if attempt == 0 else weights(todo, attempt)
-                values[k, todo] = statistic(w)
-                todo = todo[np.isnan(values[k, todo])]
-                if not todo.size:
-                    break
-            else:
-                failed.setdefault(k, int(todo[0]))
+        undefined = np.ones((len(statistics), len(rows)), dtype=bool)
+        for attempt in range(max_retries):
+            drawn = undefined.any(axis=0)
+            if not drawn.any():
+                break
+            w = _resample_weights(seed, rows[drawn], attempt, n)
+            for k, statistic in enumerate(statistics):
+                mine = undefined[k]
+                got = _distinct_scores(statistic, w[mine[drawn]], width)
+                values[k, rows[mine]] = got
+                undefined[k, mine] = np.isnan(got)
+        for k in np.flatnonzero(undefined.any(axis=1)):
+            failed.setdefault(int(k), int(rows[undefined[k].argmax()]))
     if failed:  # the error bootstrap_ci raises running the statistics in turn
         raise RuntimeError(_EXHAUSTED.format(max_retries, failed[min(failed)]))
     return [_percentile_ci(v, level) for v in values]

@@ -292,6 +292,25 @@ def reference_classifier_reference(patch_set, threshold=0.15):
     return tuple(scores)
 
 
+def best_f1_threshold_reference(scores):
+    """The exhaustive loop that ``evaluation.best_f1_threshold`` replaced:
+    one confusion count per distinct score (plus an accept-all threshold),
+    ties toward the higher threshold."""
+    from ctadet.stats import confusion_at_threshold
+
+    if not any(flag for _, flag in scores):
+        raise ValueError("best F1 threshold requires at least one positive volume")
+    distinct = sorted({s for s, _ in scores})
+    best = None
+    for t in [distinct[0] - 1.0] + distinct:
+        m = confusion_at_threshold(scores, t)
+        if math.isnan(m.f1):
+            continue
+        if best is None or m.f1 >= best[1].f1:
+            best = (t, m)
+    return best
+
+
 def contains_oracle(box, point) -> bool:
     for c, p in zip(box.center, point):
         if p < c - box.diameter / 2.0 or p > c + box.diameter / 2.0:

@@ -663,6 +663,7 @@ class TestConfigValues:
         ("detect", "detector_hit_prob", 2),
         ("detect", "detector_tp_prob_range", [0.2, 0.1]),
         ("detect", "detector_fp_per_volume", -1),
+        ("detect", "detector_fp_per_volume", 1e300),
         ("detect", "detector_center_jitter", -1),
     ]
 
@@ -684,6 +685,24 @@ class TestConfigValues:
         capsys.readouterr()
         assert main(args) == 2
         assert field in capsys.readouterr().err
+
+    SYNTH_CASES = [("n_volumes", -1), ("negative_fraction", 2), ("negative_fraction", -0.5)]
+
+    @pytest.mark.parametrize("field, value", SYNTH_CASES,
+                             ids=[f"{field}={value}" for field, value in SYNTH_CASES])
+    def test_bad_synth_value_exit_2(self, tmp_path, capsys, field, value):
+        config = small_config(tmp_path, phantom_dims=[64, 64, 48], **{field: value})
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["synth", "--config", str(config), "--out", str(out)]) == 2
+        assert field in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_crowded_detector_fp_per_volume_accepted(self, tmp_path):
+        # the crowded benchmark workload's 400 sits below the cap
+        config = small_config(tmp_path, n_volumes=1, phantom_dims=[64, 64, 48],
+                              detector_fp_per_volume=400.0)
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "d")]) == 0
 
     @pytest.mark.parametrize("command", ["synth", "detect", "reduce", "eval"])
     def test_negative_seed_override_exit_2(self, tmp_path, capsys, dataset, command):

@@ -1,5 +1,7 @@
+import collections
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from ctadet.evaluation import (
 from ctadet.postproc import CandidateDetection
 from oracles import (
     avg_sensitivity_oracle,
+    best_f1_threshold_reference,
     contains_oracle,
     fisher_exact_reference,
     fisher_oracle,
@@ -429,6 +432,29 @@ class TestBestF1:
                 assert t == max(better_or_equal)
 
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sorted_sweep_equals_reference_loop(self, seed):
+        # tied scores, one-class sets, and scores where ``min - 1.0`` rounds
+        # back to the minimum, so the accept-all threshold accepts nothing
+        rng = np.random.default_rng([seed, 17])
+        for _ in range(200):
+            n = int(rng.integers(1, 30))
+            levels = [rng.uniform(0, 1, 4), rng.uniform(0, 1, 40),
+                      np.array([1e17, 2e17, 3e17])][int(rng.integers(3))]
+            positive = float(rng.choice([0.0, 0.3, 1.0]))  # 0 and 1: one class
+            scores = [(float(rng.choice(levels)), bool(rng.random() < positive))
+                      for _ in range(n)]
+            try:
+                expected = best_f1_threshold_reference(scores)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    best_f1_threshold(scores)
+                continue
+            got = best_f1_threshold(scores)
+            assert got == expected
+            assert math.copysign(1.0, got[0]) == math.copysign(1.0, expected[0])
+
+
 class TestBootstrap:
     @staticmethod
     def mean(items):
@@ -488,6 +514,101 @@ class TestBootstrap:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             bootstrap_ci(self.mean, [], seed=0)
+
+
+def reference_weights(seed, rows, attempt, n):
+    """Per row: the volume counts of ``default_rng([seed, i, attempt])``'s draw."""
+    return np.array(
+        [np.bincount(np.random.default_rng([seed, int(i), attempt]).integers(0, n, n),
+                     minlength=n) for i in rows],
+        dtype=np.int64,
+    ).reshape(len(rows), n)
+
+
+class TestResampleWeights:
+    """The array draw kernel equals ``default_rng`` plus ``bincount`` bit
+    for bit; it reimplements SeedSequence, PCG64 and numpy's Lemire draw."""
+
+    ROWS = np.array([0, 1, 2, 999, 2**31 + 7, 2**32 - 1])
+
+    # one-word seeds, then seeds with two and three words: with the row and
+    # the attempt they fill SeedSequence's four-word pool or overflow it
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**70 + 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 200, 65537])
+    @pytest.mark.parametrize("attempt", [0, 1, 99])
+    def test_equals_default_rng(self, seed, n, attempt):
+        got = evaluation._resample_weights(seed, self.ROWS, attempt, n)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, reference_weights(seed, self.ROWS, attempt, n))
+
+    def test_many_rows_and_sizes(self):
+        rows = np.arange(0, 3000, 7)
+        for n in range(1, 40):
+            got = evaluation._resample_weights(12345, rows, 3, n)
+            assert np.array_equal(got, reference_weights(12345, rows, 3, n))
+
+    @pytest.mark.parametrize("spare, fallback", [(0, False), (-1, True)])
+    def test_forced_margin(self, monkeypatch, spare, fallback):
+        # spare 0: the draws hold exactly the values an even n needs; spare
+        # -1: every row is short and must come from the scalar draw
+        drawn = []
+        draw = evaluation._draw
+
+        def counted_draw(seed, i, attempt, n):
+            drawn.append(i)
+            return draw(seed, i, attempt, n)
+
+        monkeypatch.setattr(evaluation, "_SPARE_OUTPUTS", spare)
+        monkeypatch.setattr(evaluation, "_draw", counted_draw)
+        for n in (1, 2, 3, 200, 201):
+            drawn.clear()
+            got = evaluation._resample_weights(2**33 + 5, self.ROWS, 4, n)
+            assert np.array_equal(got, reference_weights(2**33 + 5, self.ROWS, 4, n))
+            assert drawn == (self.ROWS.tolist() if fallback else [])
+
+    def test_rows_beyond_one_word_fall_back(self):
+        rows = np.array([2**32 - 1, 2**32, 2**40 + 3])
+        assert np.array_equal(evaluation._resample_weights(9, rows, 0, 5),
+                              reference_weights(9, rows, 0, 5))
+
+    def test_no_rows(self):
+        assert evaluation._resample_weights(0, np.arange(0), 0, 4).shape == (0, 4)
+
+    def test_negative_seed_rejected_like_default_rng(self):
+        with pytest.raises(ValueError):
+            np.random.default_rng([-1, 0, 0])
+        with pytest.raises(ValueError):
+            evaluation._resample_weights(-1, self.ROWS, 0, 3)
+
+
+class TestBootstrapMemory:
+    def test_peak_bounded_by_block_cells(self):
+        # the two statistics build_report bootstraps, on 500 volumes
+        rng = np.random.default_rng(59)
+        vols = []
+        for i in range(500):
+            lesions, cands = random_volume_data(rng)
+            vols.append(EvalVolume(f"v{i}", tuple(Lesion(b) for b in lesions), tuple(cands)))
+        matches = [match_lesions(v.candidates, v.lesions) for v in vols]
+        pool = _FrocPool(matches)
+        values, flags = _score_arrays([(volume_score(v.candidates), v.has_lesion)
+                                       for v in vols])
+        statistics = [lambda w: pool.avg_sensitivity(w, RunConfig.fppv_grid),
+                      lambda w: _rank_auc(values, flags, w)]
+        width = sum(len(v.candidates) for v in vols) + 1
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for n_resamples in (300, 3000):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                evaluation._bootstrap_cis(statistics, len(vols), width, n_resamples, 0.95, 0)
+                peaks[n_resamples] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # only the two CIs' value arrays and their percentile copies grow
+        assert abs(peaks[3000] - peaks[300]) <= 32 * (3000 - 300)
+        assert peaks[3000] <= 10 * evaluation._BOOTSTRAP_CELLS * 8
 
 
 class TestArrayStatistics:
@@ -608,18 +729,18 @@ class TestArrayStatistics:
                        (cand((10.0, 10.0, 10.0), 0.7), cand((40.0, 40.0, 40.0), 0.4))),
             EvalVolume("neg", (), (cand((30.0, 30.0, 30.0), 0.6),)),
         ]
-        attempts = []
-        draw = evaluation._draw
+        attempts = collections.Counter()  # attempt -> rows drawn for it
+        kernel = evaluation._resample_weights
 
-        def counted_draw(seed, i, attempt, n):
-            attempts.append(attempt)
-            return draw(seed, i, attempt, n)
+        def counted_kernel(seed, rows, attempt, n):
+            attempts[attempt] += len(rows)
+            return kernel(seed, rows, attempt, n)
 
-        monkeypatch.setattr(evaluation, "_draw", counted_draw)
+        monkeypatch.setattr(evaluation, "_resample_weights", counted_kernel)
         report = build_report(vols, n_resamples=400, seed=8)
         monkeypatch.undo()
-        assert attempts.count(0) == 400  # attempt 0 is drawn once for both CIs
-        assert len(attempts) > 600
+        assert attempts[0] == 400  # attempt 0 is drawn once for both CIs
+        assert attempts.total() > 600
         matches, scores, _, _ = self.statistics(vols)
         ref = lambda ms: avg_sensitivity(_FrocPool(ms).curve(len(ms)))
         assert report.avg_sensitivity_ci == bootstrap_ci(ref, matches, 400, seed=8)
