@@ -17,6 +17,7 @@ import dataclasses
 import importlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -131,6 +132,9 @@ def _load_config(args) -> RunConfig:
         (cfg.detector_fp_per_volume <= _MAX_DETECTOR_FP_PER_VOLUME,
          f"detector_fp_per_volume must be <= {_MAX_DETECTOR_FP_PER_VOLUME}, "
          f"got {cfg.detector_fp_per_volume}"),
+        (len(cfg.phantom_dims) == 3, f"phantom_dims needs 3 entries, got {cfg.phantom_dims}"),
+        (len(cfg.phantom_spacing) == 3,
+         f"phantom_spacing needs 3 entries, got {cfg.phantom_spacing}"),
         (cfg.n_volumes >= 0, f"n_volumes must be >= 0, got {cfg.n_volumes}"),
         (0 <= cfg.negative_fraction <= 1,
          f"negative_fraction must be in [0, 1], got {cfg.negative_fraction}"),
@@ -148,6 +152,13 @@ def _run_tasks(worker, tasks, jobs: int) -> list:
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(worker, tasks))
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has it
+        return os.cpu_count() or 1
 
 
 def _resolve_plugin(spec: str):
@@ -183,8 +194,8 @@ def _phantom_spec(cfg: RunConfig, seed: int, n_aneurysms: int) -> PhantomSpec:
 
 def _synth_worker(task):
     _load("synth", "volume")  # a spawned worker starts with nothing bound
-    vid, spec, out_dir = task
-    volume, lesions = generate_phantom(spec, volume_id=vid)
+    vid, spec, out_dir, overlap = task
+    volume, lesions = generate_phantom(spec, volume_id=vid, overlap=overlap)
     write_volume(volume, Path(out_dir) / vid)
     return vid, lesions
 
@@ -203,6 +214,9 @@ def cmd_synth(args) -> int:
     except OSError as e:
         raise ConfigError(f"output directory not writable: {out_dir} ({e})") from e
 
+    # a phantom's noise is drawn on a helper thread only where a core is
+    # spare: with every core running a worker, the thread only adds cost
+    overlap = max(1, min(cfg.jobs, cfg.n_volumes)) < _usable_cpus()
     try:
         tasks = []
         for i in range(cfg.n_volumes):
@@ -215,7 +229,7 @@ def cmd_synth(args) -> int:
                 < cfg.negative_fraction
             )
             n_an = 0 if negative else cfg.n_aneurysms
-            tasks.append((vid, _phantom_spec(cfg, cfg.seed + i, n_an), str(out_dir)))
+            tasks.append((vid, _phantom_spec(cfg, cfg.seed + i, n_an), str(out_dir), overlap))
         results = _run_tasks(_synth_worker, tasks, cfg.jobs)
     except ValueError as e:
         raise ConfigError(f"invalid phantom configuration: {e}") from e

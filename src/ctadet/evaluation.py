@@ -87,6 +87,17 @@ def _pooled(per_volume: Sequence[Sequence[float]]) -> tuple[np.ndarray, np.ndarr
     return probs[order], vols[order]
 
 
+def _distinct_sorted(values) -> np.ndarray:
+    """``np.unique`` of float values that hold no NaN, by numpy's own sorted
+    path (``np.unique`` itself imports ``numpy.ma``): the sort keeps the
+    first of each run of equal values, so a -0.0/0.0 tie keeps its bits."""
+    aux = np.sort(np.asarray(values, dtype=np.float64), axis=None)
+    keep = np.empty(aux.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(aux[1:], aux[:-1], out=keep[1:])
+    return aux[keep]
+
+
 def _weighted_count_ge(
     pooled: tuple[np.ndarray, np.ndarray], w: np.ndarray, thresholds: np.ndarray
 ) -> np.ndarray:
@@ -115,7 +126,7 @@ class _FrocPool:
             [[p for p in m.lesion_hit_probs if p > -math.inf] for m in matches]
         )
         self.fps = _pooled([m.fp_probs for m in matches])
-        self.thresholds = np.unique([p for m in matches for p in m.candidate_probs])[::-1]
+        self.thresholds = _distinct_sorted([p for m in matches for p in m.candidate_probs])[::-1]
 
     def counts(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """For a (rows, n_volumes) weight matrix: false-positive and hit
@@ -235,7 +246,7 @@ def roc_auc(scores: Sequence[tuple[float, bool]]) -> tuple[RocCurve, float]:
     auc = float(_rank_auc(values, flags, np.ones((1, len(values)), dtype=np.int64))[0])
     if math.isnan(auc):
         raise StatisticUndefined("AUC requires both positive and negative volumes")
-    thresholds = np.unique(values)[::-1]
+    thresholds = _distinct_sorted(values)[::-1]
     pos = np.sort(values[flags])
     neg = np.sort(values[~flags])
     fpr = (neg.size - np.searchsorted(neg, thresholds, side="left")) / neg.size
@@ -422,9 +433,27 @@ def _resample_weights(seed: int, rows: np.ndarray, attempt: int, n: int) -> np.n
 
 
 def _percentile_ci(values: np.ndarray, level: float) -> tuple[float, float]:
+    """``np.percentile(values, [alpha, 100 - alpha])`` of a nonempty 1-D
+    array, in the arithmetic of numpy's default ``linear`` method:
+    virtual index ``(n - 1) * q``, neighbours from the same partition, and
+    ``_lerp``.  ``np.percentile`` itself imports ``numpy.ma``."""
     alpha = 100.0 * (1.0 - level) / 2.0
-    lo, hi = np.percentile(values, [alpha, 100.0 - alpha])
-    return float(lo), float(hi)
+    arr = np.array(values, dtype=np.float64).ravel()
+    n = len(arr)
+    virtual = (n - 1) * (np.array([alpha, 100.0 - alpha]) / 100)
+    below = np.floor(virtual)
+    above = below + 1
+    last = virtual >= n - 1
+    below[last] = above[last] = -1
+    below, above = below.astype(np.intp), above.astype(np.intp)
+    arr.partition(np.array(sorted({0, -1, *below.tolist(), *above.tolist()}), dtype=np.intp))
+    if np.isnan(arr[-1]):  # a NaN sorts last and is every percentile
+        return float(arr[-1]), float(arr[-1])
+    a, b, t = arr[below], arr[above], virtual - below
+    diff = b - a
+    out = a + diff * t
+    np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)
+    return float(out[0]), float(out[1])
 
 
 def bootstrap_ci(

@@ -12,9 +12,12 @@ its bright center is.
 from __future__ import annotations
 
 import math
+import queue
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -162,27 +165,93 @@ def _separated(a: BoundingBox, b: BoundingBox, margin: float) -> bool:
     )
 
 
-def generate_phantom(spec: PhantomSpec, volume_id: str = "phantom"):
+def _fill_noise(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with standard normals: every noise number of a phantom
+    is drawn here."""
+    return rng.standard_normal(out=out)
+
+
+def _draw_ahead(rng, sizes, free: queue.SimpleQueue, ready: queue.SimpleQueue) -> None:
+    """The noise thread: for each slab, take a free buffer, fill its first
+    ``sizes[i]`` planes and pass it on, until the sizes or a ``None``
+    buffer end it.  An exception is passed on in place of a buffer."""
+    try:
+        for m in sizes:
+            buf = free.get()
+            if buf is None:
+                return
+            _fill_noise(rng, buf[:m])
+            ready.put(buf)
+    except BaseException as e:  # the consumer re-raises it
+        ready.put(e)
+
+
+@contextmanager
+def _noise_slabs(rng, sizes, plane, ahead: bool) -> Iterator[Iterator[np.ndarray]]:
+    """An iterator over standard-normal slabs of ``sizes[i]`` planes of
+    shape ``plane``, drawn from ``rng`` in order, so they hold the numbers
+    of one whole draw.  A slab is valid until the next one is taken.
+
+    With ``ahead`` and any slab to draw, a helper thread owns ``rng`` and draws each slab while
+    the one before it is in use, into two alternating buffers (the draw
+    releases the GIL); the thread is joined on exit, also on an error.
+    Otherwise each slab is drawn, into one buffer, when it is taken.
+    """
+    shape = (max(sizes, default=0), *plane)
+    if not (ahead and sizes):
+        buf = np.empty(shape)
+        yield (_fill_noise(rng, buf[:m]) for m in sizes)
+        return
+    free, ready = queue.SimpleQueue(), queue.SimpleQueue()
+    for _ in range(2):
+        free.put(np.empty(shape))
+    helper = threading.Thread(
+        target=_draw_ahead, args=(rng, sizes, free, ready), name="phantom-noise", daemon=True
+    )
+    helper.start()
+
+    def slabs():
+        for m in sizes:
+            buf = ready.get()
+            if isinstance(buf, BaseException):
+                raise buf
+            yield buf[:m]
+            free.put(buf)
+
+    try:
+        yield slabs()
+    finally:
+        free.put(None)
+        helper.join()
+
+
+def generate_phantom(spec: PhantomSpec, volume_id: str = "phantom", *, overlap: bool = False):
     """Build a phantom volume and its ground-truth lesion list.
 
-    Deterministic given ``spec.seed``.  Lesion annotations carry a
-    size-class label (from the physical diameter) and the index of the
-    vessel they attach to.  Raises if the requested lesions cannot be
+    Deterministic given ``spec.seed``, and independent of ``overlap``.
+    Lesion annotations carry a size-class label (from the physical
+    diameter) and the index of the vessel they attach to.  Raises if a
+    vessel does not fit the dims, or if the requested lesions cannot be
     placed without overlap after bounded retries.
+
+    Every draw for vessels and lesions comes first; the noise follows in
+    x-slabs of about ``_SLAB_VOXELS // 2`` voxels.  With ``overlap`` a
+    helper thread draws each noise slab while the one before it is
+    filled; it pays only where a core is spare.  The phantom is
+    Fortran-ordered (x-fastest), the layout of the raw file.
     """
     rng = np.random.default_rng(spec.seed)
     dims = tuple(int(d) for d in spec.dims)
-    # tissue labels index `hu`: 0 background, 1 vessel, 2 aneurysm
-    labels = np.zeros(dims, dtype=np.uint8)
-    hu = np.array([spec.background_hu, spec.vessel_hu, spec.aneurysm_hu], dtype=np.float64)
-
     vessels = []
     for _ in range(spec.n_vessels):
         radius = rng.uniform(*spec.vessel_radius_range)
-        path = _vessel_path(rng, dims, margin=2.0 + radius)
-        vessels.append((path, radius))
-    for path, radius in vessels:
-        _paint_balls(labels, path, radius, 1)
+        margin = 2.0 + radius
+        if min(dims) - 1.0 - margin < margin:  # where the path's start draw would fail
+            raise ValueError(
+                f"phantom_dims {list(dims)} are too small for vessel radius {radius:.6g}: "
+                f"each dim must be at least 5 + 2 * radius"
+            )
+        vessels.append((_vessel_path(rng, dims, margin), radius))
 
     lesions: list[Lesion] = []
     for _ in range(spec.n_aneurysms):
@@ -213,24 +282,30 @@ def generate_phantom(spec: PhantomSpec, volume_id: str = "phantom"):
                 f"could not place {spec.n_aneurysms} non-overlapping lesions "
                 f"in dims {dims} after 200 retries"
             )
-    for lesion in lesions:
-        _paint_balls(labels, lesion.box.center, lesion.box.diameter / 2.0, 2)
 
-    # x-slabs in C order draw the same noise numbers as one whole-volume
-    # draw; one slab buffer (and one noise buffer) serves every slab
-    values = np.empty(dims, dtype=np.int16)
-    step = min(dims[0], max(1, _SLAB_VOXELS // (dims[1] * dims[2])))
-    buf = np.empty((step, *dims[1:]))
-    noise = np.empty_like(buf) if spec.noise_sigma > 0 else None
-    for x in range(0, dims[0], step):
-        m = min(step, dims[0] - x)
-        slab = np.take(hu, labels[x : x + m], out=buf[:m], mode="clip")
-        if noise is not None:
-            z = rng.standard_normal(out=noise[:m])
-            z *= spec.noise_sigma
-            slab += z
-        np.clip(np.rint(slab, out=slab), -32768, 32767, out=slab)
-        values[x : x + m] = slab
+    # x-slabs in C order draw the same noise numbers as one whole-volume draw
+    step = min(dims[0], max(1, _SLAB_VOXELS // 2 // (dims[1] * dims[2])))
+    starts = range(0, dims[0], step)
+    sizes = [min(step, dims[0] - x) for x in starts]
+    noisy = spec.noise_sigma > 0
+    with _noise_slabs(rng, sizes if noisy else [], dims[1:], overlap) as noise:
+        # tissue labels index `hu`: 0 background, 1 vessel, 2 aneurysm
+        labels = np.zeros(dims, dtype=np.uint8)
+        for path, radius in vessels:
+            _paint_balls(labels, path, radius, 1)
+        for lesion in lesions:
+            _paint_balls(labels, lesion.box.center, lesion.box.diameter / 2.0, 2)
+        hu = np.array([spec.background_hu, spec.vessel_hu, spec.aneurysm_hu], dtype=np.float64)
+        values = np.empty(dims, dtype=np.int16, order="F")
+        buf = np.empty((step, *dims[1:]))
+        for x, m in zip(starts, sizes):
+            slab = np.take(hu, labels[x : x + m], out=buf[:m], mode="clip")
+            if noisy:
+                z = next(noise)
+                z *= spec.noise_sigma
+                slab += z
+            np.clip(np.rint(slab, out=slab), -32768, 32767, out=slab)
+            values[x : x + m] = slab
     volume = Volume(values, spec.spacing, volume_id, cranial_axis="+z")
     return volume, lesions
 

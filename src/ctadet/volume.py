@@ -100,11 +100,13 @@ def write_volume(v: Volume, path) -> None:
     if not np.issubdtype(arr.dtype, np.integer):
         if not np.all(np.isfinite(arr)) or np.any(arr != np.rint(arr)):
             raise ValueError("raw volume files store int16 HU; values must be integral")
-    lo, hi = arr.min(), arr.max()
-    if lo < -32768 or hi > 32767:
-        raise ValueError(f"HU values [{lo}, {hi}] exceed the int16 range")
+    if arr.dtype != np.int16:  # int16 values cannot leave the int16 range
+        lo, hi = arr.min(), arr.max()
+        if lo < -32768 or hi > 32767:
+            raise ValueError(f"HU values [{lo}, {hi}] exceed the int16 range")
     raw_path, json_path = _volume_paths(path)
-    # z-slabs; .T puts x fastest in each slab's bytes
+    # z-slabs; .T puts x fastest in each slab's bytes, which for Fortran-ordered
+    # int16 values (as read_volume and generate_phantom give) is a view, not a copy
     step = max(1, _SLAB_VOXELS // (arr.shape[0] * arr.shape[1]))
     with open(raw_path, "wb") as f:
         for z in range(0, arr.shape[2], step):

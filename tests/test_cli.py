@@ -123,6 +123,29 @@ class TestSynth:
         assert main(["synth", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [
+        ("phantom_dims", [64, 64]),
+        ("phantom_dims", [64, 64, 48, 48]),
+        ("phantom_spacing", [1.0, 1.0]),
+    ])
+    def test_phantom_geometry_needs_3_entries_exit_2(self, tmp_path, capsys, field, value):
+        config = small_config(tmp_path, **{field: value})
+        capsys.readouterr()
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert f"{field} needs 3 entries" in err and "broadcast" not in err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_dims_too_small_for_vessels_exit_2(self, tmp_path, capsys, jobs):
+        config = small_config(tmp_path, n_volumes=2, phantom_dims=[8, 8, 8])
+        out = tmp_path / "x"
+        capsys.readouterr()
+        assert main(["synth", "--config", str(config), "--jobs", jobs, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "phantom_dims [8, 8, 8]" in err and "vessel radius" in err
+        assert "high - low" not in err
+        assert not (out / "manifest.json").exists()
+
     def test_unwritable_out_exit_2(self, tmp_path):
         config = small_config(tmp_path)
         blocker = tmp_path / "blocked"

@@ -581,6 +581,66 @@ class TestResampleWeights:
             evaluation._resample_weights(-1, self.ROWS, 0, 3)
 
 
+def _same_bits(got, want) -> bool:
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# every size up to 200, where the sort and partition kernels switch
+# strategies, then a spread up to 2,000
+SIZES = [*range(1, 200), *range(200, 2001, 61), 2000]
+
+
+def _samples(n: int):
+    """Float samples of size n: distinct, heavily tied, tied around zero,
+    and mixed -0.0/0.0 ties."""
+    rng = np.random.default_rng(n)
+    yield rng.random(n)
+    yield rng.integers(0, 5, n) / 4.0
+    yield np.round(rng.normal(size=n), 1)
+    yield rng.choice([-0.0, 0.0, 0.5], n)
+
+
+class TestNumpyBits:
+    """The sort-based unique and the percentile in numpy's ``linear``
+    arithmetic equal ``np.unique`` and ``np.percentile`` bit for bit; the
+    numpy calls would import ``numpy.ma``."""
+
+    def test_distinct_sorted_equals_unique(self):
+        for n in SIZES:
+            for values in _samples(n):
+                assert _same_bits(evaluation._distinct_sorted(values), np.unique(values)), n
+        listed = _samples(300).__next__().tolist()
+        assert _same_bits(evaluation._distinct_sorted(listed), np.unique(listed))
+        assert _same_bits(evaluation._distinct_sorted([]), np.unique([]))
+
+    @pytest.mark.parametrize("pair", [[-0.0, 0.0], [0.0, -0.0]])
+    def test_signed_zero_pair(self, pair):
+        got, want = evaluation._distinct_sorted(pair), np.unique(pair)
+        assert _same_bits(got, want)
+        assert np.signbit(got).tolist() == np.signbit(want).tolist()
+        for level in (0.5, 0.9):
+            alpha = 100.0 * (1.0 - level) / 2.0
+            assert _same_bits(evaluation._percentile_ci(np.array(pair), level),
+                              np.percentile(pair, [alpha, 100.0 - alpha]))
+
+    @pytest.mark.parametrize("level", [0.5, 0.9, 0.95, 0.999])
+    def test_percentile_ci_equals_percentile(self, level):
+        alpha = 100.0 * (1.0 - level) / 2.0
+        for n in SIZES:
+            for values in _samples(n):
+                want = np.percentile(values, [alpha, 100.0 - alpha])
+                assert _same_bits(evaluation._percentile_ci(values, level), want), n
+
+    def test_percentile_ci_leaves_input_and_reads_nan_like_numpy(self):
+        values = np.array([0.3, np.nan, 0.1, 0.2])
+        kept = values.copy()
+        got = evaluation._percentile_ci(values, 0.9)
+        assert _same_bits(values, kept)
+        assert all(math.isnan(v) for v in got)
+        assert np.isnan(np.percentile(values, [5.0, 95.0])).all()
+
+
 class TestBootstrapMemory:
     def test_peak_bounded_by_block_cells(self):
         # the two statistics build_report bootstraps, on 500 volumes

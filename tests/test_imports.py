@@ -24,15 +24,16 @@ ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
 
 # argv: "block-numpy", "block-scipy" or "-", then the command line; prints
-# the exit code and the ctadet modules loaded, plus "numpy" if it was
+# the exit code and the ctadet modules loaded, plus "numpy" and "numpy.ma"
+# if they were
 _PROBE = """
 import json, sys
 if sys.argv[1] != "-":
     sys.modules[sys.argv[1].removeprefix("block-")] = None
 from ctadet.cli import main
 code = main(sys.argv[2:])
-loaded = sorted(m for m, mod in sys.modules.items()
-                if mod is not None and (m.startswith("ctadet") or m == "numpy"))
+loaded = sorted(m for m, mod in sys.modules.items() if mod is not None
+                and (m.startswith("ctadet") or m in ("numpy", "numpy.ma")))
 print(json.dumps([code, loaded]))
 """
 
@@ -105,7 +106,7 @@ def test_chain_runs_with_scipy_blocked(chain):
 
 
 @pytest.mark.parametrize("command, unused", [
-    ("eval", _modules("synth", "pipeline", "fpr", "volume", "loss")),
+    ("eval", _modules("synth", "pipeline", "fpr", "volume", "loss") | {"numpy.ma"}),
     ("detect", _modules("evaluation", "loss")),
     ("reduce", _modules("evaluation", "loss")),
     ("synth", _modules("pipeline", "evaluation", "loss")),

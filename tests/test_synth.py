@@ -1,8 +1,12 @@
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from ctadet import synth
 from ctadet.anchors import BoundingBox, iou3d
 from ctadet.config import RunConfig
 from ctadet.pipeline import FprBatch
@@ -86,43 +90,177 @@ class TestGeneratePhantom:
             generate_phantom(spec)
 
 
-RAGGED_DIMS = (45, 160, 160)  # x-slabs of 40 planes and a last one of 5
+RAGGED_DIMS = (45, 160, 160)  # x-slabs of 20 planes and a last one of 5
+WIDE_DIMS = (11, 725, 725)  # a y-z plane above half a slab: one plane per slab
+
+
+PHANTOM_CASES = {
+    "default": {},
+    "sigma-0": {"noise_sigma": 0.0},
+    "half-hu-sigma-0": {"vessel_hu": 300.5, "background_hu": -0.5, "noise_sigma": 0.0},
+    "half-hu": {"vessel_hu": 300.5, "background_hu": -0.5},
+    "clip": {"aneurysm_hu": 40000.0},
+    "ragged-slabs": {"dims": RAGGED_DIMS, "n_aneurysms": 1},
+    "plane-slabs": {"dims": WIDE_DIMS, "n_vessels": 1, "vessel_radius_range": (2.0, 2.5),
+                    "n_aneurysms": 0},
+    "dims-1-9-7": {"dims": (1, 9, 7), "n_vessels": 0, "n_aneurysms": 0},
+}
+
+
+def _assert_matches_reference(overrides, overlap):
+    spec = PhantomSpec(seed=17, **overrides)
+    got, got_lesions = generate_phantom(spec, "p", overlap=overlap)
+    want, want_lesions = generate_phantom_reference(spec, "p")
+    assert got.values.dtype == want.values.dtype == np.int16
+    assert got.values.flags.f_contiguous  # the raw file's x-fastest layout
+    assert np.array_equal(got.values, want.values)
+    assert got_lesions == want_lesions
+    assert (got.spacing, got.volume_id, got.cranial_axis) == (
+        want.spacing, want.volume_id, want.cranial_axis)
 
 
 class TestPhantomMatchesReference:
-    """Slab-wise filling reproduces the float64-canvas phantom bit for bit."""
+    """Slab-wise filling reproduces the float64-canvas phantom bit for bit,
+    with the noise drawn inline or one slab ahead on a helper thread."""
 
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            {},
-            {"noise_sigma": 0.0},
-            {"vessel_hu": 300.5, "background_hu": -0.5, "noise_sigma": 0.0},
-            {"vessel_hu": 300.5, "background_hu": -0.5},
-            {"aneurysm_hu": 40000.0},
-            {"dims": RAGGED_DIMS, "n_aneurysms": 1},
-            {"dims": (1, 9, 7), "n_vessels": 0, "n_aneurysms": 0},
-        ],
-        ids=["default", "sigma-0", "half-hu-sigma-0", "half-hu", "clip", "ragged-slabs",
-             "dims-1-9-7"],
-    )
+    @pytest.mark.parametrize("overrides", list(PHANTOM_CASES.values()), ids=list(PHANTOM_CASES))
     def test_equals_reference(self, overrides):
-        spec = PhantomSpec(seed=17, **overrides)
-        got, got_lesions = generate_phantom(spec, "p")
-        want, want_lesions = generate_phantom_reference(spec, "p")
-        assert got.values.dtype == want.values.dtype == np.int16
-        assert np.array_equal(got.values, want.values)
-        assert got_lesions == want_lesions
-        assert (got.spacing, got.volume_id, got.cranial_axis) == (
-            want.spacing, want.volume_id, want.cranial_axis)
+        _assert_matches_reference(overrides, overlap=False)
+
+    @pytest.mark.parametrize("overrides", list(PHANTOM_CASES.values()), ids=list(PHANTOM_CASES))
+    def test_equals_reference_drawn_ahead(self, overrides):
+        _assert_matches_reference(overrides, overlap=True)
 
     def test_ragged_dims_span_several_slabs(self):
-        step = _SLAB_VOXELS // (RAGGED_DIMS[1] * RAGGED_DIMS[2])
-        assert RAGGED_DIMS[0] > step and RAGGED_DIMS[0] % step != 0
+        step = _SLAB_VOXELS // 2 // (RAGGED_DIMS[1] * RAGGED_DIMS[2])
+        assert RAGGED_DIMS[0] // step >= 2 and RAGGED_DIMS[0] % step != 0
+
+    def test_wide_dims_take_one_plane_per_slab(self):
+        assert WIDE_DIMS[1] * WIDE_DIMS[2] > _SLAB_VOXELS // 2 and WIDE_DIMS[0] > 1
 
     def test_half_hu_rounds_to_even(self):
         spec = PhantomSpec(seed=3, vessel_hu=300.5, background_hu=-0.5, noise_sigma=0.0)
         assert set(np.unique(generate_phantom(spec)[0].values)) == {0, 300, 400}
+
+    @pytest.mark.parametrize("radius", [2.0, 2.5, 3.3])
+    def test_too_small_dims_raise_where_numpy_did(self, radius):
+        # the float64-canvas builder fails in numpy's uniform draw exactly
+        # when a dim is below 5 + 2 * radius; the package names the key there
+        outcomes = set()
+        for d in range(int(5 + 2 * radius) - 2, int(5 + 2 * radius) + 3):
+            spec = PhantomSpec(dims=(d + 4, d, d + 2), vessel_radius_range=(radius, radius),
+                               n_vessels=2, n_aneurysms=0, seed=1)
+            try:
+                generate_phantom_reference(spec)
+            except ValueError as e:
+                assert "high - low" in str(e)
+                with pytest.raises(ValueError, match=r"phantom_dims .* radius"):
+                    generate_phantom(spec)
+                outcomes.add("refused")
+            else:
+                generate_phantom(spec)
+                outcomes.add("accepted")
+        assert outcomes == {"accepted", "refused"}
+
+
+def _call_with_timeout(fn, timeout=60.0):
+    """``fn()`` on a thread joined with a timeout: returns its result, or
+    the exception it raised; a call that hangs fails the test."""
+    box = {}
+
+    def run():
+        try:
+            box["result"] = fn()
+        except BaseException as e:
+            box["error"] = e
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"call still running after {timeout} s"
+    return box.get("error", box.get("result"))
+
+
+class TestNoiseThread:
+    """The noise hand-off keeps every bit under contention, an error on
+    either side of it comes out of generate_phantom, and the helper thread
+    is joined first."""
+
+    def test_concurrent_calls_keep_their_bits(self, monkeypatch):
+        # 2-plane slabs give 48 hand-offs per phantom; more callers than
+        # cores and a short switch interval shake the buffer exchange
+        monkeypatch.setattr(synth, "_SLAB_VOXELS", 4096)
+        specs = [PhantomSpec(dims=(96, 32, 32), n_vessels=2, n_aneurysms=1,
+                             aneurysm_diameter_range=(3.0, 5.0), seed=s)
+                 for s in range((os.cpu_count() or 1) + 2)]
+        want = [generate_phantom(spec)[0].values for spec in specs]
+        got = [None] * len(specs)
+
+        def run(i):
+            got[i] = generate_phantom(specs[i], overlap=True)[0].values
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,), daemon=True)
+                       for i in range(len(specs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for g, w in zip(got, want):
+            assert g is not None and np.array_equal(g, w)
+
+    @pytest.mark.parametrize("overlap", [False, True], ids=["inline", "ahead"])
+    def test_noise_error_propagates(self, monkeypatch, overlap):
+        error = RuntimeError("noise draw failed")
+        calls = []
+        fill = synth._fill_noise
+
+        def failing_fill(rng, out):
+            calls.append(len(out))
+            if len(calls) == 2:  # after one good slab
+                raise error
+            return fill(rng, out)
+
+        monkeypatch.setattr(synth, "_fill_noise", failing_fill)
+        before = threading.active_count()
+        got = _call_with_timeout(lambda: generate_phantom(PhantomSpec(seed=2), overlap=overlap))
+        assert got is error
+        assert len(calls) == 2
+        assert threading.active_count() == before
+
+    def test_paint_error_after_helper_started(self, monkeypatch):
+        error = RuntimeError("painting failed")
+        seen = []
+
+        def failing_paint(*args):
+            seen.append([t.name for t in threading.enumerate()])
+            raise error
+
+        monkeypatch.setattr(synth, "_paint_balls", failing_paint)
+        before = threading.active_count()
+        got = _call_with_timeout(lambda: generate_phantom(PhantomSpec(seed=2), overlap=True))
+        assert got is error
+        assert "phantom-noise" in seen[0]  # the helper was running
+        assert threading.active_count() == before
+
+    def test_no_helper_without_overlap_or_noise(self, monkeypatch):
+        seen = []
+        paint = synth._paint_balls
+
+        def watching_paint(*args):
+            seen.append(threading.active_count())
+            return paint(*args)
+
+        monkeypatch.setattr(synth, "_paint_balls", watching_paint)
+        before = threading.active_count()
+        generate_phantom(PhantomSpec(seed=2))
+        generate_phantom(PhantomSpec(seed=2, noise_sigma=0.0), overlap=True)
+        assert set(seen) == {before}
 
 
 def _assert_paints_like_loop(dims, centers, radius):
