@@ -274,7 +274,7 @@ def _load_dataset(manifest_path) -> tuple[Manifest, Path, dict]:
 def _read_task_volume(vid, path):
     try:
         return read_volume(path)
-    except (FileNotFoundError, ValueError, KeyError, TypeError) as e:
+    except (OSError, ValueError) as e:
         raise DataError(f"cannot read volume {vid!r}: {e}") from e
 
 

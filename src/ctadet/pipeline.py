@@ -222,16 +222,20 @@ def _checked_output(out, shape: tuple[int, int], n_probs: int, what: str) -> np.
     """A plugin's output as a float64 array, or PluginOutputError when it is
     not ``shape``, not finite, or has a probability outside [0, 1]; the
     probabilities are its first ``n_probs`` columns.  ``what`` names the
-    output and where it came from."""
+    output and where it came from.  The checks are min/max reductions (a
+    NaN anywhere makes both NaN), so they allocate nothing of the output's
+    size."""
     try:
         arr = np.asarray(out, dtype=float)
     except (TypeError, ValueError) as e:
         raise PluginOutputError(f"{what} is not numeric: {e}") from e
     if arr.shape != shape:
         problem = f"has shape {arr.shape}, expected {shape}"
-    elif not np.isfinite(arr).all():
+    elif not arr.size:
+        return arr
+    elif not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
         problem = "holds NaN or Inf"
-    elif not ((arr[:, :n_probs] >= 0.0) & (arr[:, :n_probs] <= 1.0)).all():
+    elif not (arr[:, :n_probs].min() >= 0.0 and arr[:, :n_probs].max() <= 1.0):
         problem = "has a probability outside [0, 1]"
     else:
         return arr

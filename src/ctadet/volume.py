@@ -4,16 +4,22 @@ A volume is a 3D scalar grid in Hounsfield units with per-axis spacing.
 On disk a volume is a pair of files: ``<id>.vol.raw`` (x-fastest voxel
 order, little-endian int16 HU) and a ``<id>.vol.json`` sidecar holding
 dims, spacing, cranial direction and the volume id.  In memory, values
-are indexed ``[x, y, z]``.  :func:`read_volume` returns the file's own
-buffer as a Fortran-ordered (x-fastest) array, cranial truncation is a
-view of it, and extracted patches keep the source's memory order, so
-detection holds one whole-volume buffer.
+are indexed ``[x, y, z]``.  :func:`read_volume` maps the raw file
+read-only and returns a Fortran-ordered (x-fastest) view of the mapping,
+cranial truncation is a view of that, and extracted patches keep the
+source's memory order, so a command holds in memory only the voxels it
+reads.  :func:`write_volume` replaces the raw file rather than rewriting
+it, so a mapping of the old file stays valid.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import mmap
+import os
+import stat
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -106,11 +112,19 @@ def write_volume(v: Volume, path) -> None:
             raise ValueError(f"HU values [{lo}, {hi}] exceed the int16 range")
     raw_path, json_path = _volume_paths(path)
     # z-slabs; .T puts x fastest in each slab's bytes, which for Fortran-ordered
-    # int16 values (as read_volume and generate_phantom give) is a view, not a copy
+    # int16 values (as read_volume and generate_phantom give) is a view, not a copy.
+    # The slabs go to a sibling that then replaces the file, so a mapping of the
+    # old file (read_volume's values, perhaps these very ones) keeps its inode.
     step = max(1, _SLAB_VOXELS // (arr.shape[0] * arr.shape[1]))
-    with open(raw_path, "wb") as f:
-        for z in range(0, arr.shape[2], step):
-            f.write(np.ascontiguousarray(arr[:, :, z : z + step].T, dtype="<i2"))
+    tmp_path = raw_path.with_name(f".{raw_path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp_path, "wb") as f:
+            for z in range(0, arr.shape[2], step):
+                f.write(np.ascontiguousarray(arr[:, :, z : z + step].T, dtype="<i2"))
+        os.replace(tmp_path, raw_path)
+    except BaseException:
+        tmp_path.unlink(missing_ok=True)
+        raise
     header = {
         "dims": list(v.dims),
         "spacing_mm": list(v.spacing),
@@ -120,8 +134,24 @@ def write_volume(v: Volume, path) -> None:
     json_path.write_text(json.dumps(header, sort_keys=True, allow_nan=False) + "\n")
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def read_volume(path) -> Volume:
-    """Read a raw/sidecar pair written by :func:`write_volume`."""
+    """Map a raw/sidecar pair written by :func:`write_volume`.
+
+    The header must give three integral ``dims`` of at least 1 and three
+    finite positive ``spacing_mm``, and the raw file must be a regular file
+    of exactly the declared size; otherwise the ValueError names the file.
+    The values are a read-only, Fortran-ordered int16 view of a read-only
+    mapping of the raw file, not a copy: a voxel is read from the page
+    cache when it is first used, and processes that read one file share
+    its pages.  The mapping lives as long as any view of it; on Python
+    before 3.13 each live mapping also holds one file descriptor.  A file
+    truncated while it is mapped faults on access (SIGBUS), which is why
+    :func:`write_volume` replaces a file instead of rewriting it.
+    """
     raw_path, json_path = _volume_paths(path)
     if not json_path.exists():
         raise FileNotFoundError(f"missing volume header {json_path}")
@@ -131,25 +161,36 @@ def read_volume(path) -> Volume:
         header = load_json(json_path.read_text())
     except ValueError as e:  # JSON and UTF-8 decode errors
         raise ValueError(f"{json_path}: not a JSON header: {e}") from e
-    dims = tuple(int(d) for d in header["dims"])
-    spacing = tuple(float(s) for s in header["spacing_mm"])
-    if len(dims) != 3 or len(spacing) != 3:
+    if not isinstance(header, dict):
+        raise ValueError(f"{json_path}: the header is not a JSON object")
+    dims = header.get("dims")
+    if not (isinstance(dims, list) and len(dims) == 3
+            and all(_is_number(d) and d >= 1 and d == int(d) for d in dims)):
+        raise ValueError(f"{json_path}: dims must be 3 integers >= 1, got {dims!r}")
+    spacing = header.get("spacing_mm")
+    if not (isinstance(spacing, list) and len(spacing) == 3
+            and all(_is_number(s) and 0 < s < math.inf for s in spacing)):
         raise ValueError(
-            f"{json_path}: dims and spacing_mm need 3 entries each, "
-            f"got {len(dims)} and {len(spacing)}"
+            f"{json_path}: spacing_mm must be 3 finite positive numbers, got {spacing!r}"
         )
+    dims = tuple(int(d) for d in dims)
     expected = dims[0] * dims[1] * dims[2] * 2
-    size = raw_path.stat().st_size
-    if size != expected:
+    st = raw_path.stat()
+    if not stat.S_ISREG(st.st_mode):
+        raise ValueError(f"{raw_path}: not a regular file")
+    if st.st_size != expected:
         raise ValueError(
             f"{raw_path}: header declares dims {dims} ({expected} bytes) "
-            f"but file holds {size} bytes"
+            f"but file holds {st.st_size} bytes"
         )
-    # the file is x-fastest, so its one buffer is the Fortran-ordered [x, y, z]
-    values = np.fromfile(raw_path, "<i2").reshape(dims, order="F").astype(np.int16, copy=False)
+    no_fd = {"trackfd": False} if sys.version_info >= (3, 13) else {}  # keep no duplicate fd
+    with open(raw_path, "rb") as f:
+        mapping = mmap.mmap(f.fileno(), expected, access=mmap.ACCESS_READ, **no_fd)
+    # the file is x-fastest, so the mapping is the Fortran-ordered [x, y, z]
+    values = np.frombuffer(mapping, "<i2").reshape(dims, order="F").astype(np.int16, copy=False)
     return Volume(
         values=values,
-        spacing=spacing,
+        spacing=tuple(float(s) for s in spacing),
         volume_id=str(header.get("volume_id", "")),
         cranial_axis=header.get("cranial_axis"),
     )

@@ -515,12 +515,25 @@ def _corrupt(kind: str, data: Path, cand: Path) -> str:
         body = raw.read_bytes()
         raw.write_bytes(body[:-2] if kind == "raw-short" else body + b"\0\0")
         return "vol-0001.vol.raw: header declares dims"
-    # a volume header without dims, with two, or with a NaN spacing, read
-    # inside a --jobs 2 worker
+    # a volume header without dims, with two, with a fractional one or with
+    # a NaN spacing, or a raw path that is a directory, read inside a
+    # --jobs 2 worker
     header = data / "vol-0001.vol.json"
     doc = json.loads(header.read_text())
+    if kind == "raw-directory":
+        raw = data / "vol-0001.vol.raw"
+        raw.unlink()
+        raw.mkdir()
+        size = raw.stat().st_size  # give the directory's size where it can be declared
+        doc["dims"] = [size // 2, 1, 1] if size >= 2 and size % 2 == 0 else [32, 8, 8]
+        header.write_text(json.dumps(doc))
+        return "vol-0001.vol.raw: not a regular file"
     if kind == "volume-dims":
         doc["dims"] = doc["dims"][:2]
+    elif kind == "dims-fraction":
+        doc["dims"][2] += 0.7
+        header.write_text(json.dumps(doc))
+        return "vol-0001.vol.json: dims must be 3 integers >= 1"
     elif kind == "volume-nan":
         doc["spacing_mm"][0] = float("nan")
         header.write_text(json.dumps(doc))
@@ -542,7 +555,10 @@ class TestMalformedInput:
             ("manifest-keys", "eval"),
             ("volume-header", "detect"),
             ("volume-dims", "detect"),
+            ("dims-fraction", "detect"),
             ("volume-nan", "detect"),
+            ("raw-directory", "detect"),
+            ("raw-directory", "reduce"),
             ("raw-short", "detect"),
             ("raw-long", "detect"),
         ],
@@ -564,6 +580,21 @@ class TestMalformedInput:
             args += ["--candidates", str(cand)]
         assert main(args) == 3
         assert where in capsys.readouterr().err
+
+    def test_os_error_reading_a_volume_exit_3(self, tmp_path, capsys, monkeypatch):
+        config = small_config(tmp_path)
+        data = run_dataset(tmp_path, config)
+
+        def unreadable(path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(ctadet.cli, "read_volume", unreadable, raising=False)
+        capsys.readouterr()
+        assert main(["detect", "--config", str(config), "--jobs", "1",
+                     "--manifest", str(data / "manifest.json"),
+                     "--out", str(tmp_path / "cand")]) == 3
+        err = capsys.readouterr().err
+        assert "cannot read volume 'vol-0000'" in err and "Permission denied" in err
 
     @pytest.mark.parametrize("case", ["unflagged-too-tall", "keeps-no-slices"])
     def test_preprocessing_data_error_exit_3(self, tmp_path, capsys, case):
@@ -814,6 +845,22 @@ nan_p = _scorer(_first_p(np.nan))
 p_above_one = _scorer(_first_p(1.5))
 
 
+def _last_cell_nan(preds):
+    preds[-1, -1] = np.nan
+    return preds
+
+
+def _huge_offsets(preds):
+    quiet = preds[:, 0] == 0  # rows that decode to no candidate
+    preds[quiet, 1:] = 1e308
+    preds[quiet.nonzero()[0][::2], 1:] = -1e308
+    return preds
+
+
+last_cell_nan = _scorer(_last_cell_nan)
+huge_offsets = _scorer(_huge_offsets)
+
+
 def _classifier(spoil):
     def factory(volume, lesions, cfg):
         return lambda batch: spoil(np.full((len(batch.candidates), 3), 0.5))
@@ -841,6 +888,7 @@ class TestPluginOutput:
             ("one_row_short", "shape"),
             ("nan_dx", "NaN"),
             ("nan_p", "NaN"),
+            ("last_cell_nan", "NaN"),
             ("p_above_one", "outside [0, 1]"),
             ("ds_overflow", "diameter overflows"),
             ("ds_zero", "diameter 0.0"),
@@ -858,6 +906,16 @@ class TestPluginOutput:
         ]) == 3
         err = capsys.readouterr().err
         assert "volume 'vol-0000', tile at (0, 0, 0)" in err and problem in err
+
+    def test_huge_offsets_on_quiet_rows_accepted(self, tmp_path, dataset):
+        config, data = dataset
+        for name, detector in (("plain", "oracle"), ("huge", "bad_plugins:huge_offsets")):
+            assert main([
+                "detect", "--config", str(config),
+                "--manifest", str(data / "manifest.json"), "--out", str(tmp_path / name),
+                "--detector", detector,
+            ]) == 0
+        assert tree_digest(tmp_path / "huge") == tree_digest(tmp_path / "plain")
 
     @pytest.mark.parametrize(
         "classifier, problem",

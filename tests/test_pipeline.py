@@ -9,6 +9,7 @@ from ctadet.pipeline import (
     FprBatch,
     OracleTileScorer,
     PluginOutputError,
+    _checked_output,
     _decode_grid,
     detect_volume,
     reduce_volume,
@@ -224,6 +225,44 @@ class TestDecodeGrid:
             assert len(_decode_grid(preds, grid, self.FLOOR, what)) == 1
         with pytest.raises(PluginOutputError, match=f"row 0 .*volume {volume}"):
             _decode_grid(preds, grid, self.FLOOR, what, [(0, 0, 0), (48, 48, 48)])
+
+
+class TestCheckedOutput:
+    """Plugin output checks by min/max reductions keep the messages of
+    elementwise checks."""
+
+    def test_one_bad_cell_anywhere_is_caught(self):
+        good = np.full((4, 5), 0.5)
+        for bad in (np.nan, np.inf, -np.inf):
+            for i, j in np.ndindex(good.shape):
+                arr = good.copy()
+                arr[i, j] = bad
+                with pytest.raises(PluginOutputError, match=r"^out holds NaN or Inf$"):
+                    _checked_output(arr, (4, 5), 1, "out")
+
+    @pytest.mark.parametrize("value", [-1e-300, 1.0000000000000002, 2.0, -1.0])
+    def test_probability_out_of_range_in_any_probability_column(self, value):
+        for j in range(3):
+            arr = np.full((3, 3), 0.5)
+            arr[1, j] = value
+            with pytest.raises(PluginOutputError, match=r"outside \[0, 1\]"):
+                _checked_output(arr, (3, 3), 3, "out")
+
+    def test_huge_offsets_and_edge_probabilities_accepted(self):
+        arr = np.zeros((3, 5))
+        arr[:, 0] = 0.0, 1.0, 0.5
+        arr[0, 1:] = 1e308, -1e308, 1e308, -1e308
+        arr[2, 1:] = -1e308
+        got = _checked_output(arr.tolist(), (3, 5), 1, "out")
+        assert got.dtype == np.float64 and np.array_equal(got, arr)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (0, 5)])
+    def test_empty_output_accepted(self, shape):
+        assert _checked_output(np.empty(shape), shape, shape[1] - 2, "out").shape == shape
+
+    def test_empty_classifier_batch_accepted(self):
+        vol, _ = phantom(seed=8, n_aneurysms=0)
+        assert reduce_volume(vol, [], lambda batch: np.empty((0, 3)), RunConfig()) == []
 
 
 class TestReduceVolume:

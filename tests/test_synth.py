@@ -1,3 +1,4 @@
+import math
 import os
 import sys
 import threading
@@ -104,6 +105,7 @@ PHANTOM_CASES = {
     "plane-slabs": {"dims": WIDE_DIMS, "n_vessels": 1, "vessel_radius_range": (2.0, 2.5),
                     "n_aneurysms": 0},
     "dims-1-9-7": {"dims": (1, 9, 7), "n_vessels": 0, "n_aneurysms": 0},
+    "lesion-across-slabs": {"n_aneurysms": 3, "aneurysm_diameter_range": (8.0, 14.0)},
 }
 
 
@@ -134,6 +136,17 @@ class TestPhantomMatchesReference:
     def test_ragged_dims_span_several_slabs(self):
         step = _SLAB_VOXELS // 2 // (RAGGED_DIMS[1] * RAGGED_DIMS[2])
         assert RAGGED_DIMS[0] // step >= 2 and RAGGED_DIMS[0] % step != 0
+
+    def test_lesion_case_paints_across_a_slab_edge(self):
+        spec = PhantomSpec(seed=17, **PHANTOM_CASES["lesion-across-slabs"])
+        step = _SLAB_VOXELS // 2 // (spec.dims[1] * spec.dims[2])
+        _, lesions = generate_phantom(spec)
+        # some lesion holds voxel planes on both sides of a slab's first plane
+        assert any(
+            math.ceil(c - r) < edge <= math.floor(c + r)
+            for c, r in ((l.box.center[0], l.box.diameter / 2.0) for l in lesions)
+            for edge in range(step, spec.dims[0], step)
+        )
 
     def test_wide_dims_take_one_plane_per_slab(self):
         assert WIDE_DIMS[1] * WIDE_DIMS[2] > _SLAB_VOXELS // 2 and WIDE_DIMS[0] > 1
@@ -340,6 +353,50 @@ class TestPaintBallsMatchesLoop:
             tracemalloc.stop()
         assert canvas.any()
         assert peak < canvas.size * 8 / 4  # a quarter of a float64 canvas
+
+
+class TestPaintBallsInSlabs:
+    """Painting an x-slab with its offset sets the same voxels as the same
+    planes of painting the whole canvas."""
+
+    @pytest.mark.parametrize("step", [1, 3, 7, 19, 40])
+    @pytest.mark.parametrize("radius", [0.45, 2.0, 3.7])
+    def test_slabs_equal_rows_of_whole(self, step, radius):
+        dims = (40, 36, 30)
+        rng = np.random.default_rng(5)
+        path = _vessel_path(rng, dims, margin=-6.0)  # walks in and out of the canvas
+        lesions = [(tuple(path[i] + rng.normal(0, 2, 3)), d / 2.0)
+                   for i, d in ((10, 5.0), (40, 9.5), (70, 4.0))]
+        # half-lattice centers on slab edges, at an integral radius, put
+        # voxels exactly at d2 == r*r
+        edges = [(x - 0.5, 17.0, 13.5) for x in range(step, dims[0], step)][:6]
+
+        def paint(canvas, x0=0):
+            _paint_balls(canvas, path, radius, 1, x0)
+            _paint_balls(canvas, edges, float(round(radius)) or 1.0, 1, x0)
+            for center, r in lesions:
+                _paint_balls(canvas, center, r, 2, x0)
+
+        whole = np.zeros(dims, np.uint8)
+        paint(whole)
+        assert set(np.unique(whole)) == {0, 1, 2}
+        for x in range(0, dims[0], step):
+            slab = np.zeros((min(step, dims[0] - x), *dims[1:]), np.uint8)
+            paint(slab, x)
+            assert np.array_equal(slab, whole[x : x + step]), f"slab at x={x}"
+
+    def test_skips_balls_off_the_slab(self, monkeypatch):
+        # a ball whose cube ends just before the slab, or starts just past it,
+        # is never scored; one whose cube reaches it is
+        scored = []
+        put = np.put
+        monkeypatch.setattr(np, "put", lambda a, ind, v: (scored.append(len(ind)), put(a, ind, v)))
+        slab = np.zeros((4, 8, 8), np.uint8)
+        for cx in (6.4, 19.6):  # cubes of edge 7 from 3 and from 17 miss planes 10..13
+            _paint_balls(slab, (cx, 4.0, 4.0), 2.5, 1, 10)
+        assert scored == [] and not slab.any()
+        _paint_balls(slab, (8.6, 4.0, 4.0), 2.5, 1, 10)  # the cube from 6 reaches 12
+        assert len(scored) == 1 and slab[0].any() and not slab[2:].any()
 
 
 class TestVesselPathMatchesLoop:

@@ -1,3 +1,6 @@
+import json
+import mmap
+
 import numpy as np
 import pytest
 
@@ -90,14 +93,40 @@ class TestRoundtrip:
         assert (tmp_path / "w.vol.raw").read_bytes() == want
 
     def test_read_is_one_fortran_buffer(self, tmp_path):
+        # the one buffer is a read-only mapping of the raw file
         v = make_volume((6, 5, 4), seed=7)
         write_volume(v, tmp_path / "b")
         values = read_volume(tmp_path / "b").values
-        buffer = values.base
         assert values.dtype == np.int16 and values.flags.f_contiguous
-        assert buffer.ndim == 1 and buffer.nbytes == values.nbytes
-        assert np.shares_memory(values, buffer)
+        assert not values.flags.writeable and not values.flags.owndata
         assert np.array_equal(values, v.values)
+        base = values
+        while isinstance(base, np.ndarray):
+            base = base.base
+        assert isinstance(base, memoryview) and isinstance(base.obj, mmap.mmap)
+        # bytes written into the file in place show through: no private copy
+        with open(tmp_path / "b.vol.raw", "r+b") as f:
+            f.write(np.int16(12345).astype("<i2").tobytes())
+        assert values[0, 0, 0] == 12345
+
+    def test_writing_into_read_values_raises(self, tmp_path):
+        write_volume(make_volume((3, 4, 5)), tmp_path / "r")
+        values = read_volume(tmp_path / "r").values
+        with pytest.raises(ValueError, match="read-only"):
+            values[1, 2, 3] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            values += 1
+
+    @pytest.mark.parametrize("dims", [(6, 5, 4), (64, 64, 300)])  # one z-slab, several
+    def test_rewrite_over_own_file_round_trips(self, tmp_path, dims):
+        write_volume(make_volume(dims, seed=3), tmp_path / "s")
+        raw, sidecar = tmp_path / "s.vol.raw", tmp_path / "s.vol.json"
+        want = raw.read_bytes(), sidecar.read_bytes()
+        v = read_volume(tmp_path / "s")
+        write_volume(v, tmp_path / "s")
+        assert (raw.read_bytes(), sidecar.read_bytes()) == want
+        assert np.array_equal(v.values, read_volume(tmp_path / "s").values)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.vol.json", "s.vol.raw"]
 
     @pytest.mark.parametrize("extra", [-2, 2])
     def test_short_or_long_file_message(self, tmp_path, extra):
@@ -116,6 +145,69 @@ class TestRoundtrip:
         v = Volume(np.full((2, 2, 2), 0.5), (1, 1, 1), "f", "+z")
         with pytest.raises(ValueError, match="integral"):
             write_volume(v, tmp_path / "f")
+
+
+def _write_pair(tmp_path, raw_bytes=16, **header):
+    """A volume pair named "h" whose sidecar holds ``header`` over valid
+    defaults and whose raw file holds ``raw_bytes`` zero bytes (none is
+    written for None)."""
+    doc = {"dims": [2, 2, 2], "spacing_mm": [1.0, 1.0, 1.0], "cranial_axis": "+z",
+           "volume_id": "h", **header}
+    (tmp_path / "h.vol.json").write_text(json.dumps(doc))
+    if raw_bytes is not None:
+        (tmp_path / "h.vol.raw").write_bytes(bytes(raw_bytes))
+    return tmp_path / "h"
+
+
+class TestHeaderChecks:
+    """A header or raw file that read_volume refuses gives a ValueError
+    naming the file."""
+
+    @pytest.mark.parametrize(
+        "dims",
+        [[2, 2, 2.7], ["a", 2, 2], [2, 2, -1], [0, 4, 4], [2, 2], [2, 2, 2, 1], [True, 2, 2],
+         None, "2x2x2"],
+        ids=["fraction", "string", "negative", "zero", "two", "four", "bool", "missing",
+             "not-a-list"],
+    )
+    def test_bad_dims(self, tmp_path, dims):
+        path = _write_pair(tmp_path, dims=dims)
+        with pytest.raises(ValueError) as err:
+            read_volume(path)
+        assert str(err.value) == (
+            f"{tmp_path / 'h.vol.json'}: dims must be 3 integers >= 1, got {dims!r}")
+
+    def test_integral_float_dims_accepted(self, tmp_path):
+        assert read_volume(_write_pair(tmp_path, dims=[2.0, 2, 2])).dims == (2, 2, 2)
+
+    @pytest.mark.parametrize(
+        "spacing",
+        [[1.0, 0.0, 1.0], [1.0, 1.0, -0.5], [1.0, "1", 1.0], [1.0, 1.0], [1.0, None, 1.0],
+         [1.0, 1.0, False]],
+        ids=["zero", "negative", "string", "two", "null", "bool"],
+    )
+    def test_bad_spacing(self, tmp_path, spacing):
+        path = _write_pair(tmp_path, spacing_mm=spacing)
+        with pytest.raises(ValueError) as err:
+            read_volume(path)
+        assert str(err.value) == (f"{tmp_path / 'h.vol.json'}: spacing_mm must be 3 finite "
+                                  f"positive numbers, got {spacing!r}")
+
+    def test_header_not_an_object(self, tmp_path):
+        path = _write_pair(tmp_path)
+        (tmp_path / "h.vol.json").write_text("[2, 2, 2]")
+        with pytest.raises(ValueError, match=r"h\.vol\.json: the header is not a JSON object"):
+            read_volume(path)
+
+    def test_raw_directory_of_the_declared_size(self, tmp_path):
+        raw = tmp_path / "h.vol.raw"
+        raw.mkdir()
+        size = raw.stat().st_size  # a directory's size depends on the file system
+        dims = [size // 2, 1, 1] if size >= 2 and size % 2 == 0 else [32, 8, 8]
+        path = _write_pair(tmp_path, raw_bytes=None, dims=dims)
+        with pytest.raises(ValueError) as err:
+            read_volume(path)
+        assert str(err.value) == f"{raw}: not a regular file"
 
 
 class TestNormalizeHu:
