@@ -132,7 +132,8 @@ def _load_config(args) -> RunConfig:
         (cfg.detector_fp_per_volume <= _MAX_DETECTOR_FP_PER_VOLUME,
          f"detector_fp_per_volume must be <= {_MAX_DETECTOR_FP_PER_VOLUME}, "
          f"got {cfg.detector_fp_per_volume}"),
-        (len(cfg.phantom_dims) == 3, f"phantom_dims needs 3 entries, got {cfg.phantom_dims}"),
+        (len(cfg.phantom_dims) == 3 and all(d >= 1 for d in cfg.phantom_dims),
+         f"phantom_dims needs 3 entries of at least 1, got {list(cfg.phantom_dims)}"),
         (len(cfg.phantom_spacing) == 3,
          f"phantom_spacing needs 3 entries, got {cfg.phantom_spacing}"),
         (cfg.n_volumes >= 0, f"n_volumes must be >= 0, got {cfg.n_volumes}"),

@@ -31,6 +31,7 @@ if TYPE_CHECKING:
 
 SIZE_CLASS_BINS = ((3.0, "2.5-3mm"), (5.0, "3-5mm"), (10.0, "5-10mm"))
 SIZE_CLASS_TOP = ">10mm"
+_BLOCK_CELLS = 1 << 16  # cube cells per painting block, voxels per tissue-HU block
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,7 @@ def size_class(diameter_vox: float, spacing: Sequence[float]) -> str:
 def _random_unit(rng: np.random.Generator) -> np.ndarray:
     while True:
         v = rng.normal(0.0, 1.0, 3)
-        n = np.linalg.norm(v)
+        n = math.sqrt(v.dot(v))  # numpy's norm of a 1-D float array, without its overhead
         if n > 1e-6:
             return v / n
 
@@ -121,7 +122,7 @@ def _vessel_path(
     for i in range(n_steps):
         points[i] = pos
         direction = direction + kicks[i]
-        direction /= np.linalg.norm(direction)
+        direction /= math.sqrt(direction.dot(direction))
         pos = pos + direction
         for ax in range(3):
             if pos[ax] < lo[ax]:
@@ -146,15 +147,17 @@ def _paint_balls(vol: np.ndarray, centers, radius: float, value: int, x0: int = 
     cell in the slab, and the cells it adds past the cube lie more than ``r + 1``
     from the center.  Cells outside the slab are masked as cells outside the volume
     are, and a ball whose cube misses the slab is skipped, so painting a volume slab
-    by slab sets the voxels of painting it whole.  Blocks of at most
-    ``_SLAB_VOXELS`` cells bound the scratch memory.
+    by slab sets the voxels of painting it whole.  Balls are scored in blocks of
+    at most ``_BLOCK_CELLS`` cube cells (one ball's cube when that is larger), so
+    the scratch, about 18 bytes per cell, stays near 1 MiB; a block's size moves
+    neither the painted set nor the bits of ``d2``.
     """
     centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
     k = math.ceil(2.0 * radius) + 2
     kx = min(k, vol.shape[0])
     first = np.floor(centers[:, 0] - radius)
     centers = centers[(first + k > x0) & (first < x0 + vol.shape[0])]
-    step = max(1, _SLAB_VOXELS // (kx * k * k))
+    step = max(1, _BLOCK_CELLS // (kx * k * k))
     lo = np.array([x0, 0, 0])[:, None]
     hi = lo + np.array(vol.shape)[:, None]
     strides = np.array([vol.shape[1] * vol.shape[2], vol.shape[2], 1])[:, None]
@@ -180,9 +183,12 @@ def _separated(a: BoundingBox, b: BoundingBox, margin: float) -> bool:
     )
 
 
-def _fill_noise(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with standard normals: every noise number of a phantom
-    is drawn here."""
+def _fill_noise(rng: np.random.Generator | None, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with standard normals, or with zeros without ``rng`` (a
+    noise-free phantom): every noise number of a phantom is drawn here."""
+    if rng is None:
+        out.fill(0.0)
+        return out
     return rng.standard_normal(out=out)
 
 
@@ -205,15 +211,16 @@ def _draw_ahead(rng, sizes, free: queue.SimpleQueue, ready: queue.SimpleQueue) -
 def _noise_slabs(rng, sizes, plane, ahead: bool) -> Iterator[Iterator[np.ndarray]]:
     """An iterator over standard-normal slabs of ``sizes[i]`` planes of
     shape ``plane``, drawn from ``rng`` in order, so they hold the numbers
-    of one whole draw.  A slab is valid until the next one is taken.
+    of one whole draw; without ``rng`` the slabs hold zeros.  A slab is
+    valid, and the caller's to write into, until the next one is taken.
 
-    With ``ahead`` and any slab to draw, a helper thread owns ``rng`` and draws each slab while
-    the one before it is in use, into two alternating buffers (the draw
-    releases the GIL); the thread is joined on exit, also on an error.
+    With ``ahead``, ``rng`` and any slab to draw, a helper thread owns ``rng`` and draws each
+    slab while the one before it is in use, into two alternating buffers (the
+    draw releases the GIL); the thread is joined on exit, also on an error.
     Otherwise each slab is drawn, into one buffer, when it is taken.
     """
     shape = (max(sizes, default=0), *plane)
-    if not (ahead and sizes):
+    if not (ahead and rng is not None and sizes):
         buf = np.empty(shape)
         yield (_fill_noise(rng, buf[:m]) for m in sizes)
         return
@@ -250,11 +257,16 @@ def generate_phantom(spec: PhantomSpec, volume_id: str = "phantom", *, overlap: 
     placed without overlap after bounded retries.
 
     Every draw for vessels and lesions comes first; the phantom is then
-    filled in x-slabs of about ``_SLAB_VOXELS // 2`` voxels, each painted
-    into a slab-sized tissue-label canvas and given its noise.  With
-    ``overlap`` a helper thread draws each noise slab while the one before
-    it is painted and filled; it pays only where a core is spare.  The
-    phantom is Fortran-ordered (x-fastest), the layout of the raw file.
+    filled in x-slabs of about ``_SLAB_VOXELS // 2`` voxels.  Each slab is
+    painted into a slab-sized uint8 tissue-label canvas, and its tissue HU
+    is added into its scaled noise slab in place, through a block of
+    ``_BLOCK_CELLS`` float64 values: ``z * sigma + hu`` has the bits of
+    ``hu + z * sigma``, as IEEE addition commutes.  So the phantom, its
+    noise slab(s) and the canvas are all it holds that scale with the
+    volume.  With ``overlap`` a helper thread draws each noise slab while
+    the one before it is painted and filled; it pays only where a core is
+    spare.  The phantom is Fortran-ordered (x-fastest), the layout of the
+    raw file.
     """
     rng = np.random.default_rng(spec.seed)
     dims = tuple(int(d) for d in spec.dims)
@@ -303,16 +315,16 @@ def generate_phantom(spec: PhantomSpec, volume_id: str = "phantom", *, overlap: 
     step = min(dims[0], max(1, _SLAB_VOXELS // 2 // (dims[1] * dims[2])))
     starts = range(0, dims[0], step)
     sizes = [min(step, dims[0] - x) for x in starts]
-    noisy = spec.noise_sigma > 0
     hu = np.array([spec.background_hu, spec.vessel_hu, spec.aneurysm_hu], dtype=np.float64)
     # The phantom, then the noise buffers, then the slab buffers: with the slab
     # buffers first, glibc's heap placement kept a 128x128x96 synth worker's
     # peak about 3 MiB higher.
     values = np.empty(dims, dtype=np.int16, order="F")
-    with _noise_slabs(rng, sizes if noisy else [], dims[1:], overlap) as noise:
-        buf = np.empty((step, *dims[1:]))
+    noise_rng = rng if spec.noise_sigma > 0 else None  # a noise-free phantom draws nothing
+    with _noise_slabs(noise_rng, sizes, dims[1:], overlap) as noise:
         # tissue labels index `hu`: 0 background, 1 vessel, 2 aneurysm
         canvas = np.empty((step, *dims[1:]), dtype=np.uint8)
+        tissue = np.empty(min(_BLOCK_CELLS, canvas.size))
         for x, m in zip(starts, sizes):
             labels = canvas[:m]
             labels.fill(0)
@@ -320,12 +332,14 @@ def generate_phantom(spec: PhantomSpec, volume_id: str = "phantom", *, overlap: 
                 _paint_balls(labels, path, radius, 1, x)
             for lesion in lesions:
                 _paint_balls(labels, lesion.box.center, lesion.box.diameter / 2.0, 2, x)
-            slab = np.take(hu, labels, out=buf[:m], mode="clip")
-            if noisy:
-                z = next(noise)
-                z *= spec.noise_sigma
-                slab += z
-            np.clip(np.rint(slab, out=slab), -32768, 32767, out=slab)
+            slab = next(noise)
+            slab *= spec.noise_sigma
+            flat, flat_labels = slab.reshape(-1), labels.reshape(-1)
+            for i in range(0, flat.size, tissue.size):
+                block = flat[i : i + tissue.size]
+                block += np.take(hu, flat_labels[i : i + tissue.size], out=tissue[: block.size],
+                                 mode="clip")
+                np.clip(np.rint(block, out=block), -32768, 32767, out=block)
             values[x : x + m] = slab
     volume = Volume(values, spec.spacing, volume_id, cranial_axis="+z")
     return volume, lesions

@@ -135,6 +135,18 @@ class TestSynth:
         err = capsys.readouterr().err
         assert f"{field} needs 3 entries" in err and "broadcast" not in err
 
+    @pytest.mark.parametrize("dims", [[0, 64, 64], [-64, 64, 64], [64, 64, 0]])
+    @pytest.mark.parametrize("command", ["synth", "detect"])
+    def test_phantom_dims_below_1_exit_2(self, tmp_path, capsys, dims, command):
+        config = small_config(tmp_path, phantom_dims=dims)
+        capsys.readouterr()
+        args = ["--manifest", str(tmp_path / "manifest.json")] if command == "detect" else []
+        assert main([command, "--config", str(config), *args, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert f"phantom_dims needs 3 entries of at least 1, got {dims}" in err
+        assert "range()" not in err and "negative dimensions" not in err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_dims_too_small_for_vessels_exit_2(self, tmp_path, capsys, jobs):
         config = small_config(tmp_path, n_volumes=2, phantom_dims=[8, 8, 8])

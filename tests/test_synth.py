@@ -91,6 +91,32 @@ class TestGeneratePhantom:
             generate_phantom(spec)
 
 
+class TestFillScratch:
+    """Filling holds the phantom, its noise slab(s) and the uint8 label
+    canvas, plus a block-sized scratch: no slab-sized float64 copy."""
+
+    SLACK = 3 << 20  # a tissue-HU block (0.5 MiB), a painting block's scratch (~1.1 MiB), paths
+
+    @pytest.mark.parametrize("overlap,sigma,slabs", [(False, 15.0, 1), (True, 15.0, 2),
+                                                     (True, 0.0, 1)],
+                             ids=["inline", "ahead", "noise-free"])
+    def test_traced_peak_within_phantom_slabs_and_canvas(self, overlap, sigma, slabs):
+        spec = PhantomSpec(seed=0, noise_sigma=sigma)
+        plane = spec.dims[1] * spec.dims[2]
+        step = min(spec.dims[0], _SLAB_VOXELS // 2 // plane)
+        # a first call imports the modules numpy loads lazily; they are not scratch
+        generate_phantom(PhantomSpec(dims=(16, 16, 16), n_vessels=1, n_aneurysms=0,
+                                     vessel_radius_range=(2.0, 2.0)))
+        tracemalloc.start()
+        try:
+            vol, _ = generate_phantom(spec, overlap=overlap)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        budget = vol.values.nbytes + slabs * step * plane * 8 + step * plane + self.SLACK
+        assert peak <= budget, f"traced peak {peak / 2**20:.2f} MiB > {budget / 2**20:.2f} MiB"
+
+
 RAGGED_DIMS = (45, 160, 160)  # x-slabs of 20 planes and a last one of 5
 WIDE_DIMS = (11, 725, 725)  # a y-z plane above half a slab: one plane per slab
 
@@ -353,6 +379,7 @@ class TestPaintBallsMatchesLoop:
             tracemalloc.stop()
         assert canvas.any()
         assert peak < canvas.size * 8 / 4  # a quarter of a float64 canvas
+        assert peak < 2 << 20  # blocks of about 64 K cube cells, about 18 bytes each
 
 
 class TestPaintBallsInSlabs:
@@ -397,6 +424,15 @@ class TestPaintBallsInSlabs:
         assert scored == [] and not slab.any()
         _paint_balls(slab, (8.6, 4.0, 4.0), 2.5, 1, 10)  # the cube from 6 reaches 12
         assert len(scored) == 1 and slab[0].any() and not slab[2:].any()
+
+
+def test_numpy_norm_is_sqrt_of_dot():
+    # _vessel_path and _random_unit take math.sqrt(v.dot(v)) for numpy's norm
+    # of a 3-vector; phantom bits hold only while the two agree
+    rng = np.random.default_rng(0)
+    for scale in (1e-3, 0.35, 1.0, 1e3):
+        for v in rng.normal(0.0, scale, (500, 3)):
+            assert np.linalg.norm(v) == math.sqrt(v.dot(v)), v
 
 
 class TestVesselPathMatchesLoop:
