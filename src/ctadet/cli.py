@@ -15,13 +15,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import importlib
-import json
 import math
 import os
 import sys
 from pathlib import Path
 
-from .config import RunConfig, load_json
+from .config import RunConfig, dump_json, load_json
 from .stats import confusion_at_threshold, fisher_exact
 
 # The names the commands call, by defining module.  A command binds the
@@ -82,7 +81,7 @@ def _load_config(args) -> RunConfig:
             cfg = RunConfig.from_file(args.config)
         except FileNotFoundError as e:
             raise ConfigError(f"config file not found: {args.config}") from e
-        except (ValueError, TypeError, json.JSONDecodeError) as e:
+        except (ValueError, TypeError) as e:  # JSON decode errors are ValueErrors
             raise ConfigError(f"invalid config {args.config}: {e}") from e
     else:
         cfg = RunConfig()
@@ -151,7 +150,8 @@ def _run_tasks(worker, tasks, jobs: int) -> list:
     # imported here: the pool machinery costs every command tens of ms
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a fork pool starts all its workers at the first submit: start no idle ones
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         return list(pool.map(worker, tasks))
 
 
@@ -420,9 +420,7 @@ def cmd_eval(args) -> int:
         raise DataError(f"cannot evaluate dataset: {e}") from e
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.json").write_text(
-        json.dumps(report.to_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n"
-    )
+    (out_dir / "report.json").write_text(dump_json(report.to_dict(), indent=2))
     write_froc_csv(out_dir / "froc.csv", report.froc.thresholds, report.froc.points)
     roc = report.roc
     write_roc_csv(
@@ -534,7 +532,7 @@ def cmd_compare(args) -> int:
     }
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(comparison, sort_keys=True, indent=2, allow_nan=False) + "\n")
+    out.write_text(dump_json(comparison, indent=2))
     print(f"wrote comparison to {out}")
     return 0
 

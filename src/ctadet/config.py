@@ -1,6 +1,6 @@
 """Run configuration: every pipeline parameter with its documented default,
 serializable to and from a JSON config file without loss; and the strict
-JSON parsing every reader of the package's files uses."""
+JSON reading and writing that every file of the package goes through."""
 
 from __future__ import annotations
 
@@ -31,6 +31,12 @@ def load_json(text: str):
     :func:`json.loads` accepts but RFC 8259 does not, and number literals
     such as ``1e400`` that would read as infinite."""
     return _DECODER.decode(text)
+
+
+def dump_json(obj, indent=None) -> str:
+    """``obj`` as strict JSON text with sorted keys and a trailing newline,
+    so reruns write the same bytes; NaN and infinities raise ValueError."""
+    return json.dumps(obj, sort_keys=True, indent=indent, allow_nan=False) + "\n"
 
 
 @dataclass(frozen=True)
@@ -111,8 +117,6 @@ class RunConfig:
                     raise ValueError(f"expected a list, got {value!r}")
                 inner = template[0] if template else None
                 return tuple(restore(v, inner) for v in value)
-            if isinstance(template, bool):
-                return bool(value)
             if isinstance(value, bool) and isinstance(template, (int, float)):
                 raise ValueError(f"expected a number, got {value!r}")
             if isinstance(template, int):
@@ -132,9 +136,7 @@ class RunConfig:
         return cls(**kwargs)
 
     def to_file(self, path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n"
-        )
+        Path(path).write_text(dump_json(self.to_dict(), indent=2))
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":

@@ -16,13 +16,12 @@ does not parse.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .anchors import BoundingBox, Lesion
-from .config import load_json
+from .config import dump_json, load_json
 from .postproc import CandidateDetection, Stage
 
 # what a malformed record raises: bad JSON or values (ValueError), a
@@ -39,7 +38,7 @@ class FormatError(ValueError):
 
 def _write_jsonl(path, records) -> None:
     with open(path, "w") as f:
-        f.writelines(json.dumps(r, sort_keys=True, allow_nan=False) + "\n" for r in records)
+        f.writelines(map(dump_json, records))
 
 
 def _read_jsonl(path, parse: Callable[[dict], object]) -> Iterator:
@@ -148,13 +147,16 @@ def write_manifest(path, manifest: Manifest) -> None:
             for v in manifest.volumes
         ],
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
+    Path(path).write_text(dump_json(doc, indent=2))
 
 
 def read_manifest(path) -> Manifest:
+    """The manifest at ``path``.  Volume ids name the per-volume output
+    files, so each must be a plain file name (not empty, ``.`` or ``..``,
+    and without ``/`` or NUL) and must appear once."""
     try:
         doc = load_json(Path(path).read_text())
-        return Manifest(
+        manifest = Manifest(
             volumes=tuple(
                 ManifestVolume(
                     str(v["volume_id"]), str(v["volume"]), int(v.get("n_lesions", 0))
@@ -166,6 +168,14 @@ def read_manifest(path) -> Manifest:
         )
     except _RECORD_ERRORS as e:
         raise FormatError(f"{path}: invalid manifest: {e!r}") from e
+    seen = set()
+    for vid in manifest.volume_ids():
+        if vid in ("", ".", "..") or "/" in vid or "\0" in vid:
+            raise FormatError(f"{path}: volume id {vid!r} is not a plain file name")
+        if vid in seen:
+            raise FormatError(f"{path}: volume id {vid!r} appears more than once")
+        seen.add(vid)
+    return manifest
 
 
 def _write_curve_csv(path, header: str, thresholds, points) -> None:

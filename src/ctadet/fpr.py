@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import RunConfig
 from .postproc import CandidateDetection, Stage, nms
-from .volume import AIR_HU, PatchSpec, Volume, extract_patch, normalize_hu
+from .volume import PatchSpec, Volume, extract_patch, normalize_hu
 
 
 @dataclass(frozen=True)
@@ -69,10 +69,9 @@ def extract_fpr_patches(
     v: Volume,
     cand: CandidateDetection,
     patch_sizes: Sequence[tuple[int, int, int]] = RunConfig.fpr_patch_sizes,
-    pad_value: float = AIR_HU,
     window: tuple[float, float] = RunConfig.hu_window,
 ) -> FprPatchSet:
-    """Extract the three candidate-centered patches, padded and normalized.
+    """Extract the three candidate-centered patches, air-padded and normalized.
 
     The candidate center must lie inside the volume.
     """
@@ -82,7 +81,7 @@ def extract_fpr_patches(
             f"candidate center {cand.box.center} outside volume bounds {v.dims}"
         )
     patches = [
-        normalize_hu(extract_patch(v, PatchSpec(origin, size, pad_value)), window)
+        normalize_hu(extract_patch(v, PatchSpec(origin, size)), window)
         for origin, size in zip(origins[0], patch_sizes)
     ]
     return FprPatchSet(cand, tuple(patches))

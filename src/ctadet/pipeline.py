@@ -112,9 +112,7 @@ class FprBatch:
         the iteration reaches it, so that no more than one candidate's
         pixels are held at a time."""
         for cand in self.candidates:
-            yield extract_fpr_patches(
-                self.volume, cand, self.patch_sizes, window=self.window
-            )
+            yield extract_fpr_patches(self.volume, cand, self.patch_sizes, self.window)
 
 
 Classifier = Callable[[FprBatch], np.ndarray]

@@ -56,7 +56,7 @@ class CandidateArrays:
     """Candidates as columns, one row each, which NMS sorts and suppresses
     without building objects.  ``stage`` indexes ``_STAGES``,
     ``scale_index`` is -1 for none and ``tile`` indexes ``tiles``, -1 for
-    none.  A table made :meth:`of` objects keeps them in ``objects``."""
+    none."""
 
     center: np.ndarray  # (n, 3)
     diameter: np.ndarray  # (n,)
@@ -65,7 +65,6 @@ class CandidateArrays:
     stage: np.ndarray  # (n,) int
     tile: np.ndarray  # (n,) int
     tiles: tuple[PatchSpec, ...] = ()
-    objects: Optional[tuple[CandidateDetection, ...]] = None
 
     def __len__(self) -> int:
         return len(self.probability)
@@ -82,7 +81,6 @@ class CandidateArrays:
             np.array([_STAGES.index(c.stage) for c in cands], dtype=int),
             np.array([index.get(c.source_tile, -1) for c in cands], dtype=int),
             tiles,
-            tuple(cands),
         )
 
     @classmethod
@@ -103,10 +101,8 @@ class CandidateArrays:
         ))
 
     def detections(self, rows: np.ndarray) -> list[CandidateDetection]:
-        """The candidates at ``rows``: the kept objects, or new ones."""
+        """The candidates at ``rows``, built from the columns."""
         rows = rows.tolist()
-        if self.objects is not None:
-            return [self.objects[i] for i in rows]
         tiles = self.tiles + (None,)
         return [
             CandidateDetection(BoundingBox(tuple(c), d), p, _STAGES[s], tiles[t],
@@ -149,8 +145,8 @@ def nms(
     highest-probability survivor is kept and suppresses every remaining
     candidate with IoU strictly above ``iou_thresh``; ties in probability
     are broken by lexicographic box center so the result is deterministic.
-    Output is sorted by descending probability.  ``cands`` may be a
-    :class:`CandidateArrays`, whose objects are built only for kept rows.
+    Output is sorted by descending probability; candidates are built
+    only for the kept rows of the (given or built) :class:`CandidateArrays`.
     """
     table = cands if isinstance(cands, CandidateArrays) else CandidateArrays.of(cands)
     order = table.sort_order()
@@ -160,20 +156,18 @@ def nms(
 
 
 def merge_tiles(
-    per_tile: Sequence[tuple[PatchSpec, Union[Sequence[CandidateDetection], CandidateArrays]]],
+    per_tile: Sequence[tuple[PatchSpec, CandidateArrays]],
     iou_thresh: float = RunConfig.nms_iou,
     prob_thresh: float = RunConfig.nms_prob,
 ) -> list[CandidateDetection]:
-    """Globalize per-tile candidates, concatenate, and run one NMS pass:
+    """Globalize per-tile candidate tables, concatenate, and run one NMS pass:
     each tile's rows are shifted by the tile origin into volume
     coordinates, then :func:`nms` runs on them all.
 
     The output does not depend on the order of the tile list.
     """
     tiles = tuple(tile for tile, _ in per_tile)
-    parts = [CandidateArrays.of(())] + [
-        c if isinstance(c, CandidateArrays) else CandidateArrays.of(c) for _, c in per_tile
-    ]
+    parts = [CandidateArrays.of(())] + [c for _, c in per_tile]
 
     def stacked(column):
         return np.concatenate([getattr(p, column) for p in parts])

@@ -31,6 +31,8 @@ if TYPE_CHECKING:
 
 SIZE_CLASS_BINS = ((3.0, "2.5-3mm"), (5.0, "3-5mm"), (10.0, "5-10mm"))
 SIZE_CLASS_TOP = ">10mm"
+_FP_DIAMETER_RANGE = (2.5, 10.0)  # the oracle's false-positive box edges, in voxels
+_BRIGHT_THRESHOLD = 0.15  # the reference classifier's normalized-HU cut
 _BLOCK_CELLS = 1 << 16  # cube cells per painting block, voxels per tissue-HU block
 
 
@@ -73,7 +75,6 @@ class OracleDetectorSpec:
     fp_per_volume: float = RunConfig.detector_fp_per_volume
     fp_prob_range: tuple[float, float] = RunConfig.detector_fp_prob_range
     tp_prob_range: tuple[float, float] = RunConfig.detector_tp_prob_range
-    fp_diameter_range: tuple[float, float] = (2.5, 10.0)
     seed: int = 0
 
     def __post_init__(self):
@@ -381,7 +382,7 @@ def oracle_detect(
     for _ in range(int(r.poisson(spec.fp_per_volume))):
         for _attempt in range(100):
             center = tuple(r.uniform(2.0, d - 3.0) for d in dims)
-            diameter = float(r.uniform(*spec.fp_diameter_range))
+            diameter = float(r.uniform(*_FP_DIAMETER_RANGE))
             fp_box = BoundingBox(center, diameter)
             if all(_separated(fp_box, b, 4.0) for b in boxes):
                 prob = float(r.uniform(*spec.fp_prob_range))
@@ -390,7 +391,7 @@ def oracle_detect(
     return cands
 
 
-def reference_classifier(batch: "FprBatch", threshold: float = 0.15) -> np.ndarray:
+def reference_classifier(batch: "FprBatch") -> np.ndarray:
     """Analytic patch scorer: per candidate and patch scale, the bright
     fraction inside a central sphere minus the bright fraction in the
     surrounding shell, squashed to [0, 1]; an (n, 3) array.
@@ -398,13 +399,13 @@ def reference_classifier(batch: "FprBatch", threshold: float = 0.15) -> np.ndarr
     On phantom data this scores lesion-centered patches above vessel or
     background patches: a sphere fills the patch center while a tube
     continues into the shell.  A voxel is bright when its normalized HU
-    exceeds ``threshold``.  The int16 volume is read through views, one
-    per candidate, scale and mask; patch voxels outside the volume are air.
+    exceeds ``_BRIGHT_THRESHOLD``.  The int16 volume is read through views,
+    one per candidate, scale and mask; voxels outside the volume are air.
     """
     values = batch.volume.values
     if values.dtype != np.int16:
         raise ValueError(f"the reference classifier reads int16 HU, got {values.dtype}")
-    cut, pad_bright = _bright_cut(tuple(batch.window), threshold)
+    cut, pad_bright = _bright_cut(tuple(batch.window))
     order = "F" if abs(values.strides[0]) < abs(values.strides[2]) else "C"
     scores = np.empty((len(batch.origins), len(batch.patch_sizes)))
     for k, size in enumerate(batch.patch_sizes):
@@ -418,18 +419,19 @@ def reference_classifier(batch: "FprBatch", threshold: float = 0.15) -> np.ndarr
 
 
 @lru_cache(maxsize=8)
-def _bright_cut(window: tuple[float, float], threshold: float) -> tuple[int, bool]:
-    """The smallest int16 HU whose normalized value exceeds ``threshold``
-    (32768 when none does), and whether the air padding does.
+def _bright_cut(window: tuple[float, float]) -> tuple[int, bool]:
+    """The smallest int16 HU whose normalized value exceeds
+    ``_BRIGHT_THRESHOLD`` (32768 when none does), and whether the air
+    padding does.
 
-    :func:`normalize_hu` is non-decreasing in HU, so "normalized value >
-    threshold" is exactly "HU >= cut" on int16 data.
+    :func:`normalize_hu` is non-decreasing in HU, so "normalized value
+    above the threshold" is exactly "HU >= cut" on int16 data.
     """
     every = np.arange(-32768, 32768, dtype=np.int16).reshape(-1, 1, 1)
-    bright = normalize_hu(Volume(every, (1, 1, 1)), window).values.ravel() > threshold
+    bright = normalize_hu(Volume(every, (1, 1, 1)), window).values.ravel() > _BRIGHT_THRESHOLD
     cut = int(np.argmax(bright)) - 32768 if bright.any() else 32768
     air = normalize_hu(Volume(np.full((1, 1, 1), AIR_HU), (1, 1, 1)), window)
-    return cut, bool(air.values[0, 0, 0] > threshold)
+    return cut, bool(air.values[0, 0, 0] > _BRIGHT_THRESHOLD)
 
 
 def _bright_count(values, corners, mask, cut: int, pad_bright: bool) -> np.ndarray:

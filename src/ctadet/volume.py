@@ -14,7 +14,6 @@ it, so a mapping of the old file stays valid.
 
 from __future__ import annotations
 
-import json
 import math
 import mmap
 import os
@@ -26,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import RunConfig, load_json
+from .config import RunConfig, dump_json, load_json
 
 AIR_HU = -1000.0
 
@@ -70,12 +69,11 @@ class PatchSpec:
     """Location of a patch inside a parent volume.
 
     The origin may lie outside the volume; extraction fills out-of-bounds
-    voxels with ``pad_value``.
+    voxels with air (``AIR_HU``).
     """
 
     origin: tuple[int, int, int]
     size: tuple[int, int, int]
-    pad_value: float = AIR_HU
 
     def __post_init__(self):
         object.__setattr__(self, "origin", tuple(int(o) for o in self.origin))
@@ -131,7 +129,7 @@ def write_volume(v: Volume, path) -> None:
         "cranial_axis": v.cranial_axis,
         "volume_id": v.volume_id,
     }
-    json_path.write_text(json.dumps(header, sort_keys=True, allow_nan=False) + "\n")
+    json_path.write_text(dump_json(header))
 
 
 def _is_number(x) -> bool:
@@ -252,9 +250,8 @@ def _axis_origins(dim: int, patch: int, overlap: int) -> list[int]:
 
 def tile_volume(
     v: Volume,
-    patch_size=RunConfig.patch_size,
+    patch_size: tuple[int, int, int] = RunConfig.patch_size,
     overlap: int = RunConfig.tile_overlap,
-    pad_value: float = AIR_HU,
 ) -> list[PatchSpec]:
     """Cover the volume with overlapping patches.
 
@@ -263,16 +260,13 @@ def tile_volume(
     overlap by at least ``overlap`` voxels.  Padding only occurs when the
     volume is smaller than a single patch.
     """
-    if isinstance(patch_size, int):
-        patch_size = (patch_size,) * 3
-    patch_size = tuple(int(p) for p in patch_size)
     if any(p <= overlap for p in patch_size):
         raise ValueError(f"patch size {patch_size} must exceed overlap {overlap}")
     per_axis = [
         _axis_origins(d, p, overlap) for d, p in zip(v.dims, patch_size)
     ]
     return [
-        PatchSpec((ox, oy, oz), patch_size, pad_value)
+        PatchSpec((ox, oy, oz), patch_size)
         for ox in per_axis[0]
         for oy in per_axis[1]
         for oz in per_axis[2]
@@ -281,8 +275,8 @@ def tile_volume(
 
 def extract_patch(v: Volume, spec: PatchSpec) -> Volume:
     """Copy the voxels under ``spec`` in the source's memory order;
-    out-of-bounds voxels get the pad value."""
-    out = np.full_like(v.values, spec.pad_value, shape=spec.size)
+    out-of-bounds voxels are air."""
+    out = np.full_like(v.values, AIR_HU, shape=spec.size)
     src = []
     dst = []
     for o, s, d in zip(spec.origin, spec.size, v.dims):

@@ -3,7 +3,7 @@ at its stated tolerance and prints one pass/fail line (visible with
 ``pytest -s`` or on failure).
 
 Criterion 7 drives the shipped CLI end to end on 50 synthetic volumes and
-is the slowest test here (about 15 seconds); everything else is seconds.
+is the slowest test here (about 6 seconds); everything else is seconds.
 """
 
 import hashlib

@@ -217,6 +217,97 @@ class TestDetect:
         assert tree_digest(out_1) == tree_digest(out_2)
 
 
+class TestVolumeIds:
+    """A manifest volume id names the command's output files, so one that is
+    not a plain file name, or appears twice, is a data error."""
+
+    @pytest.fixture(scope="class")
+    def dataset(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("volume-ids")
+        config = small_config(root, n_volumes=2, phantom_dims=[64, 64, 48])
+        data = run_dataset(root, config)
+        cand = root / "cand"
+        assert main(["detect", "--config", str(config),
+                     "--manifest", str(data / "manifest.json"), "--out", str(cand)]) == 0
+        return config, data, cand
+
+    @staticmethod
+    def _manifest(tmp_path, data, ids) -> Path:
+        """A copy of the dataset's manifest, with absolute paths, listing the
+        volumes under ``ids``."""
+        doc = load_json((data / "manifest.json").read_text())
+        doc["annotations"] = str(data / doc["annotations"])
+        doc["volumes"] = [dict(v, volume_id=vid, volume=str(data / v["volume"]))
+                          for vid, v in zip(ids, doc["volumes"] * 2)]
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("command", ["detect", "reduce", "eval"])
+    @pytest.mark.parametrize("vid", ["../escaped", "", ".", "..", "a/b", "a\0b", "absolute",
+                                     "vol-0000"])
+    def test_bad_id_exit_3_writes_nothing(self, tmp_path, capsys, dataset, command, vid):
+        config, data, cand = dataset
+        if vid == "absolute":
+            vid = str(tmp_path / "escaped")
+        duplicate = vid == "vol-0000"
+        manifest = self._manifest(tmp_path, data, ["vol-0000", vid] if duplicate
+                                  else [vid, "vol-0001"])
+        out = tmp_path / "outdir" / "out"
+        args = [command, "--config", str(config), "--jobs", "1",
+                "--manifest", str(manifest), "--out", str(out)]
+        if command != "detect":
+            args += ["--candidates", str(cand)]
+        before = set(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert str(manifest) in err and repr(vid) in err
+        assert ("more than once" if duplicate else "not a plain file name") in err
+        assert all(out in p.parents for p in set(tmp_path.rglob("*")) - before)
+
+
+class TestRunTasks:
+    @pytest.fixture()
+    def pool_sizes(self, monkeypatch):
+        """Replace ProcessPoolExecutor with a pool that runs the tasks in
+        this process, so a test starts no process; the ``max_workers`` it
+        is given are listed in the returned list."""
+        import concurrent.futures
+
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        return sizes
+
+    @pytest.mark.parametrize("jobs, n_tasks, workers", [(64, 2, 2), (2, 5, 2)])
+    def test_pool_starts_no_idle_worker(self, pool_sizes, jobs, n_tasks, workers):
+        tasks = list(range(n_tasks))
+        assert ctadet.cli._run_tasks(str, tasks, jobs) == [str(t) for t in tasks]
+        assert pool_sizes == [workers]
+
+    def test_detect_huge_jobs_sizes_pool_to_volumes(self, tmp_path, pool_sizes):
+        config = small_config(tmp_path, n_volumes=2, phantom_dims=[64, 64, 48])
+        data = run_dataset(tmp_path, config)
+        assert main(["detect", "--config", str(config), "--jobs", "64",
+                     "--manifest", str(data / "manifest.json"),
+                     "--out", str(tmp_path / "cand")]) == 0
+        assert pool_sizes == [2]
+
+
 class TestReduceEvalCompare:
     @pytest.fixture()
     def pipeline(self, tmp_path):

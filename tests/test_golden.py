@@ -9,8 +9,12 @@ run from the tree root with relative paths, because ``report.json``
 records the paths it was given.
 
 A change that moves the digest on purpose must say why in CHANGES.md.
+On failure the message lists each output file's SHA-256 and path, in
+``sha256sum`` format, to diff against the same listing from a run of the
+parent commit.
 """
 
+import hashlib
 from pathlib import Path
 
 from ctadet.cli import main
@@ -24,6 +28,13 @@ GOLDEN_CONFIG = """\
 """
 
 GOLDEN_DIGEST = "0e5a9d93719a309c2f4acd0bcbbd40b2e360b878ba12faeac5b14202d7c17018"
+
+
+def _file_listing(root: Path) -> str:
+    return "\n".join(
+        f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.relative_to(root)}"
+        for p in sorted(root.rglob("*")) if p.is_file()
+    )
 
 
 def test_golden_digest(tmp_path, monkeypatch):
@@ -42,4 +53,4 @@ def test_golden_digest(tmp_path, monkeypatch):
     assert main(["compare", "--report-a", "eval-stage1/report.json",
                  "--report-b", "eval-reduced/report.json",
                  "--out", "comparison.json"]) == 0
-    assert _tree_digest(tmp_path) == GOLDEN_DIGEST
+    assert _tree_digest(tmp_path) == GOLDEN_DIGEST, "output files:\n" + _file_listing(tmp_path)

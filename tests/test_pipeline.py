@@ -412,7 +412,7 @@ class TestOracleTileScorer:
     @pytest.fixture(scope="class")
     def case(self):
         volume = Volume(np.zeros((160, 128, 96), np.int16), (1, 1, 1))
-        tiles = tile_volume(volume, 96, 16)
+        tiles = tile_volume(volume, (96, 96, 96), 16)
         assert [t.origin for t in tiles] == [(0, 0, 0), (0, 32, 0), (64, 0, 0), (64, 32, 0)]
         return anchor_grid(), tiles, scorer_test_candidates(np.random.default_rng(23))
 

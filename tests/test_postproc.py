@@ -5,6 +5,7 @@ import pytest
 
 from ctadet.anchors import BoundingBox, iou3d
 from ctadet.postproc import (
+    CandidateArrays,
     CandidateDetection,
     Stage,
     _sort_key,
@@ -220,7 +221,7 @@ class TestMergeTiles:
         rng = np.random.default_rng(37)
         cands = random_candidates(rng, 10)
         shifted = [replace(c, box=c.box.translated(tile.origin), source_tile=tile) for c in cands]
-        assert merge_tiles([(tile, cands)]) == nms(shifted)
+        assert merge_tiles([(tile, CandidateArrays.of(cands))]) == nms(shifted)
 
     def test_duplicate_across_tiles_suppressed(self):
         t1 = PatchSpec((0, 0, 0), (96, 96, 96))
@@ -228,19 +229,19 @@ class TestMergeTiles:
         # same physical detection seen from both tiles
         a = cand((85.0, 10.0, 10.0), 6.0, 0.8)
         b = cand((5.0, 10.0, 10.0), 6.0, 0.7)
-        merged = merge_tiles([(t1, [a]), (t2, [b])])
+        merged = merge_tiles([(t1, CandidateArrays.of([a])), (t2, CandidateArrays.of([b]))])
         assert len(merged) == 1
         assert merged[0].probability == 0.8
         assert merged[0].box.center == (85.0, 10.0, 10.0)
 
     def test_empty(self):
         assert merge_tiles([]) == []
-        assert merge_tiles([(PatchSpec((0, 0, 0), (8, 8, 8)), [])]) == []
+        assert merge_tiles([(PatchSpec((0, 0, 0), (8, 8, 8)), CandidateArrays.of([]))]) == []
 
     def test_tile_order_invariant(self):
         rng = np.random.default_rng(41)
         tiles = [PatchSpec((o, 0, 0), (32, 32, 32)) for o in (0, 16, 32)]
-        per_tile = [(t, random_candidates(rng, 6, span=32)) for t in tiles]
+        per_tile = [(t, CandidateArrays.of(random_candidates(rng, 6, span=32))) for t in tiles]
         base = merge_tiles(per_tile)
         assert merge_tiles(per_tile[::-1]) == base
         assert merge_tiles([per_tile[1], per_tile[2], per_tile[0]]) == base

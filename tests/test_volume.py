@@ -332,7 +332,7 @@ class TestExtractPatch:
 
     def test_negative_origin_padded(self):
         v = make_volume((10, 10, 10), seed=2)
-        out = extract_patch(v, PatchSpec((-2, 0, 0), (4, 4, 4), pad_value=-1000))
+        out = extract_patch(v, PatchSpec((-2, 0, 0), (4, 4, 4)))
         assert (out.values[:2] == -1000).all()
         assert np.array_equal(out.values[2:], v.values[:2, :4, :4])
 
@@ -343,7 +343,7 @@ class TestExtractPatch:
             v = Volume(rng.integers(-50, 50, dims).astype(np.int16), (1, 1, 1))
             origin = tuple(int(o) for o in rng.integers(-4, 8, 3))
             size = tuple(int(s) for s in rng.integers(1, 6, 3))
-            spec = PatchSpec(origin, size, pad_value=-1000)
+            spec = PatchSpec(origin, size)
             got = extract_patch(v, spec).values
             want = extract_patch_oracle(v.values, origin, size, -1000.0)
             assert np.array_equal(got, want)
@@ -361,7 +361,7 @@ class TestExtractPatch:
                 v = truncate_cranial(v, dims[2] - 1.0)
             origin = tuple(int(o) for o in rng.integers(-4, 8, 3))
             size = tuple(int(s) for s in rng.integers(1, 6, 3))
-            got = extract_patch(v, PatchSpec(origin, size, pad_value=-1000)).values
+            got = extract_patch(v, PatchSpec(origin, size)).values
             assert np.array_equal(got, extract_patch_oracle(v.values, origin, size, -1000.0))
             if layout != "c":
                 assert got.flags.f_contiguous
