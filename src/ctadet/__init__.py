@@ -15,10 +15,9 @@ _EXPORTS = {
     ),
     "config": ("RunConfig",),
     "evaluation": (
-        "EvalVolume", "EvaluationReport", "FrocCurve", "MatchResult", "StatisticUndefined",
-        "avg_sensitivity", "best_f1_threshold", "bootstrap_ci", "build_report", "froc",
-        "match_lesions", "roc_auc", "sensitivity_at_fppv", "threshold_for_operating_point",
-        "volume_score",
+        "EvalVolume", "FrocCurve", "MatchResult", "StatisticUndefined", "avg_sensitivity",
+        "best_f1_threshold", "bootstrap_ci", "build_report", "froc", "match_lesions",
+        "roc_auc", "sensitivity_at_fppv", "threshold_for_operating_point", "volume_score",
     ),
     "fpr": ("FprPatchSet", "extract_fpr_patches", "rescore", "select_candidates"),
     "loss": (

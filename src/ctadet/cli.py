@@ -30,8 +30,8 @@ from .stats import confusion_at_threshold, fisher_exact
 _LAZY = {
     "formats": (
         "FormatError", "Manifest", "ManifestVolume", "read_annotations", "read_candidates",
-        "read_manifest", "write_annotations", "write_candidates", "write_froc_csv",
-        "write_manifest", "write_roc_csv",
+        "read_manifest", "write_annotations", "write_candidates", "write_curve_csv",
+        "write_manifest",
     ),
     "evaluation": ("EvalVolume", "build_report"),
     "pipeline": ("detect_volume", "oracle_scorer_factory", "reduce_volume"),
@@ -110,6 +110,11 @@ def _load_config(args) -> RunConfig:
          f"fpr_patch_sizes must be 3 sizes of 3 positive integers, got {cfg.fpr_patch_sizes}"),
         (len(cfg.hu_window) == 2 and cfg.hu_window[0] < cfg.hu_window[1],
          f"hu_window must be [lo, hi] with lo < hi, got {cfg.hu_window}"),
+        (cfg.cranial_max_extent_mm > 0,
+         f"cranial_max_extent_mm must be > 0, got {cfg.cranial_max_extent_mm}"),
+        (0 <= cfg.nms_iou <= 1, f"nms_iou must be in [0, 1], got {cfg.nms_iou}"),
+        (0 <= cfg.sensitivity_floor < 1,
+         f"sensitivity_floor must be in [0, 1), got {cfg.sensitivity_floor}"),
         (cfg.bootstrap_resamples >= 1,
          f"bootstrap_resamples must be >= 1, got {cfg.bootstrap_resamples}"),
         (0 < cfg.bootstrap_level < 1,
@@ -420,12 +425,10 @@ def cmd_eval(args) -> int:
         raise DataError(f"cannot evaluate dataset: {e}") from e
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.json").write_text(dump_json(report.to_dict(), indent=2))
-    write_froc_csv(out_dir / "froc.csv", report.froc.thresholds, report.froc.points)
-    roc = report.roc
-    write_roc_csv(
-        out_dir / "roc.csv", roc.thresholds if roc else (), roc.points if roc else ()
-    )
+    (out_dir / "report.json").write_text(dump_json(report, indent=2))
+    write_curve_csv(out_dir / "froc.csv", ("threshold", "fppv", "sensitivity"),
+                    report["froc"]["points"])
+    write_curve_csv(out_dir / "roc.csv", ("threshold", "fpr", "tpr"), report["roc"] or ())
     print(f"wrote report to {out_dir / 'report.json'}")
     return 0
 

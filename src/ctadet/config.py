@@ -33,6 +33,12 @@ def load_json(text: str):
     return _DECODER.decode(text)
 
 
+def is_number(x) -> bool:
+    """Whether a parsed JSON value is a number (JSON's true and false are
+    not, though Python's bool is an int)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def dump_json(obj, indent=None) -> str:
     """``obj`` as strict JSON text with sorted keys and a trailing newline,
     so reruns write the same bytes; NaN and infinities raise ValueError."""

@@ -13,7 +13,7 @@ thresholds (a candidate is active at threshold t when its probability is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -32,7 +32,7 @@ class StatisticUndefined(ValueError):
 
 @dataclass(frozen=True)
 class MatchResult:
-    """Candidate/lesion matching for one volume.
+    """Candidate/lesion matching for one volume, as arrays.
 
     ``lesion_hit_probs[j]`` is the highest probability of any candidate
     centered inside lesion j (-inf when none), so lesion j is found at
@@ -40,16 +40,17 @@ class MatchResult:
     overlapping lesions counts for both lesions' hit status.
     """
 
-    n_lesions: int
-    lesion_hit_probs: tuple[float, ...]
-    candidate_probs: tuple[float, ...]
-    candidate_is_tp: tuple[bool, ...]
+    lesion_hit_probs: np.ndarray  # float64, one per lesion
+    candidate_probs: np.ndarray  # float64, one per candidate
+    candidate_is_tp: np.ndarray  # bool, one per candidate
 
     @property
-    def fp_probs(self) -> tuple[float, ...]:
-        return tuple(
-            p for p, tp in zip(self.candidate_probs, self.candidate_is_tp) if not tp
-        )
+    def n_lesions(self) -> int:
+        return len(self.lesion_hit_probs)
+
+    @property
+    def fp_probs(self) -> np.ndarray:
+        return self.candidate_probs[~self.candidate_is_tp]
 
 
 def match_lesions(
@@ -59,14 +60,9 @@ def match_lesions(
     boxes = _as_boxes(lesions)
     centers = np.array([c.box.center for c in cands], dtype=float).reshape(-1, 1, 3)
     inside = box_contains(box_bounds(boxes), centers)  # (candidates, lesions)
-    probs = np.array([c.probability for c in cands], dtype=float)[:, None]
-    hit_probs = np.where(inside, probs, -math.inf).max(axis=0, initial=-math.inf)
-    return MatchResult(
-        n_lesions=len(boxes),
-        lesion_hit_probs=tuple(hit_probs.tolist()),
-        candidate_probs=tuple(c.probability for c in cands),
-        candidate_is_tp=tuple(inside.any(axis=1).tolist()),
-    )
+    probs = np.array([c.probability for c in cands], dtype=float)
+    hit_probs = np.where(inside, probs[:, None], -math.inf).max(axis=0, initial=-math.inf)
+    return MatchResult(hit_probs, probs, inside.any(axis=1))
 
 
 @dataclass(frozen=True)
@@ -79,9 +75,14 @@ class FrocCurve:
     n_lesions: int
 
 
-def _pooled(per_volume: Sequence[Sequence[float]]) -> tuple[np.ndarray, np.ndarray]:
+def _concat(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """The float64 concatenation of ``arrays``, empty when there are none."""
+    return np.concatenate([np.empty(0), *arrays])
+
+
+def _pooled(per_volume: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Probabilities of all volumes sorted ascending, with their volume index."""
-    probs = np.array([p for ps in per_volume for p in ps], dtype=float)
+    probs = _concat(per_volume)
     vols = np.repeat(np.arange(len(per_volume)), [len(ps) for ps in per_volume])
     order = np.argsort(probs, kind="stable")
     return probs[order], vols[order]
@@ -122,11 +123,9 @@ class _FrocPool:
     def __init__(self, matches: Sequence[MatchResult]):
         self.n_volumes = len(matches)
         self.lesions = np.array([m.n_lesions for m in matches], dtype=np.int64)
-        self.hits = _pooled(
-            [[p for p in m.lesion_hit_probs if p > -math.inf] for m in matches]
-        )
+        self.hits = _pooled([m.lesion_hit_probs[m.lesion_hit_probs > -math.inf] for m in matches])
         self.fps = _pooled([m.fp_probs for m in matches])
-        self.thresholds = _distinct_sorted([p for m in matches for p in m.candidate_probs])[::-1]
+        self.thresholds = _distinct_sorted(_concat([m.candidate_probs for m in matches]))[::-1]
 
     def counts(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """For a (rows, n_volumes) weight matrix: false-positive and hit
@@ -569,88 +568,6 @@ class EvalVolume:
         return len(self.lesions) > 0
 
 
-@dataclass(frozen=True)
-class OperatingPoint:
-    name: str
-    threshold: float
-    score_rule: str  # "ge" for FPPV points, "gt" for score sweeps
-    lesion_sensitivity: Optional[float]
-    metrics: ConfusionMetrics
-
-
-@dataclass(frozen=True)
-class EvaluationReport:
-    froc: FrocCurve
-    avg_sensitivity: float
-    avg_sensitivity_ci: tuple[float, float]
-    auc: Optional[float]
-    auc_ci: Optional[tuple[float, float]]
-    roc: Optional[RocCurve]
-    operating_points: tuple[OperatingPoint, ...]
-    strata: Mapping[str, Mapping[str, dict]]
-    volume_scores: tuple[tuple[str, float, bool], ...]
-    fppv_grid: tuple[float, ...]
-    provenance: Mapping[str, object] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        def clean(x):  # NaN and an unreachable threshold (+inf) are null
-            return None if isinstance(x, float) and not math.isfinite(x) else x
-
-        def metrics_dict(m: ConfusionMetrics) -> dict:
-            return {
-                "threshold": clean(m.threshold),
-                "tp": m.tp,
-                "fp": m.fp,
-                "tn": m.tn,
-                "fn": m.fn,
-                "accuracy": clean(m.accuracy),
-                "sensitivity": clean(m.sensitivity),
-                "specificity": clean(m.specificity),
-                "f1": clean(m.f1),
-            }
-
-        return {
-            "froc": {
-                "n_volumes": self.froc.n_volumes,
-                "n_lesions": self.froc.n_lesions,
-                "points": [
-                    {"threshold": t, "fppv": f, "sensitivity": s}
-                    for t, (f, s) in zip(self.froc.thresholds, self.froc.points)
-                ],
-            },
-            "avg_sensitivity": {
-                "value": self.avg_sensitivity,
-                "ci": list(self.avg_sensitivity_ci),
-                "fppv_grid": list(self.fppv_grid),
-            },
-            "auc": None
-            if self.auc is None
-            else {"value": self.auc, "ci": list(self.auc_ci)},
-            "roc": None
-            if self.roc is None
-            else [
-                {"threshold": t, "fpr": f, "tpr": s}
-                for t, (f, s) in zip(self.roc.thresholds, self.roc.points)
-            ],
-            "operating_points": [
-                {
-                    "name": op.name,
-                    "threshold": clean(op.threshold),
-                    "score_rule": op.score_rule,
-                    "lesion_sensitivity": op.lesion_sensitivity,
-                    "metrics": metrics_dict(op.metrics),
-                }
-                for op in self.operating_points
-            ],
-            "strata": {k: dict(v) for k, v in self.strata.items()},
-            "volume_scores": [
-                {"volume_id": vid, "score": score, "has_lesion": flag}
-                for vid, score, flag in self.volume_scores
-            ],
-            "provenance": dict(self.provenance),
-        }
-
-
 def stratified_sensitivities(
     volumes: Sequence[EvalVolume],
     matches: Sequence[MatchResult],
@@ -667,7 +584,7 @@ def stratified_sensitivities(
     for key in strata_keys:
         buckets: dict[str, list[float]] = {}
         for vol, match in zip(volumes, matches):
-            for lesion, hit_prob in zip(vol.lesions, match.lesion_hit_probs):
+            for lesion, hit_prob in zip(vol.lesions, match.lesion_hit_probs.tolist()):
                 if key not in lesion.labels:
                     raise ValueError(
                         f"lesion in volume {vol.volume_id!r} lacks label {key!r}"
@@ -690,6 +607,25 @@ def _fppv_key(fppv: float) -> str:
     return f"{fppv:g}"
 
 
+def _null(x):
+    """``x`` as the report writes it: NaN, and the +inf threshold of an
+    unreachable operating point, are null."""
+    return None if isinstance(x, float) and not math.isfinite(x) else x
+
+
+def _points(curve, names: tuple[str, str, str]) -> list[dict]:
+    """A FROC or ROC curve as records of its threshold and point."""
+    return [dict(zip(names, (t, *p))) for t, p in zip(curve.thresholds, curve.points)]
+
+
+def _operating_point(
+    name: str, score_rule: str, lesion_sensitivity: Optional[float], m: ConfusionMetrics
+) -> dict:
+    metrics = {k: _null(v) for k, v in asdict(m).items()}
+    return {"name": name, "threshold": metrics["threshold"], "score_rule": score_rule,
+            "lesion_sensitivity": lesion_sensitivity, "metrics": metrics}
+
+
 def build_report(
     volumes: Sequence[EvalVolume],
     fppv_grid: Sequence[float] = RunConfig.fppv_grid,
@@ -699,13 +635,13 @@ def build_report(
     level: float = RunConfig.bootstrap_level,
     seed: int = 0,
     provenance: Optional[Mapping[str, object]] = None,
-) -> EvaluationReport:
-    """Assemble the full evaluation report for one candidate set."""
+) -> dict:
+    """The evaluation report of one candidate set: the JSON document that
+    :data:`REPORT_SCHEMA` describes."""
     matches = [match_lesions(v.candidates, v.lesions) for v in volumes]
     n = len(volumes)
     pool = _FrocPool(matches)
     curve = pool.curve(n)
-    fppv_grid = tuple(fppv_grid)
     avg = avg_sensitivity(curve, fppv_grid)
     statistics = [lambda w: pool.avg_sensitivity(w, fppv_grid)]
 
@@ -715,53 +651,31 @@ def build_report(
         values, flags = _score_arrays(scores)
         statistics.append(lambda w: _rank_auc(values, flags, w))
     except StatisticUndefined:
-        roc, auc = None, None
+        roc = None
     width = sum(len(v.candidates) for v in volumes) + 1  # cells per weight row
     cis = _bootstrap_cis(statistics, n, width, n_resamples, level, seed)
-    avg_ci, auc_ci = (*cis, None)[:2]  # no AUC statistic, no AUC CI
 
     ops = []
     for fppv in operating_fppvs:
         t = threshold_for_operating_point(curve, fppv)
-        ops.append(
-            OperatingPoint(
-                name=f"fppv_{_fppv_key(fppv)}",
-                threshold=t,
-                score_rule="ge",
-                lesion_sensitivity=sensitivity_at_fppv(curve, fppv),
-                metrics=confusion_at_threshold(scores, t, inclusive=True),
-            )
-        )
+        metrics = confusion_at_threshold(scores, t, inclusive=True)
+        sens = sensitivity_at_fppv(curve, fppv)
+        ops.append(_operating_point(f"fppv_{_fppv_key(fppv)}", "ge", sens, metrics))
     if any(flag for _, flag in scores):
-        t_f1, m_f1 = best_f1_threshold(scores)
-        ops.append(
-            OperatingPoint(
-                name="best_f1",
-                threshold=t_f1,
-                score_rule="gt",
-                lesion_sensitivity=None,
-                metrics=m_f1,
-            )
-        )
+        ops.append(_operating_point("best_f1", "gt", None, best_f1_threshold(scores)[1]))
 
-    strata = stratified_sensitivities(
-        volumes, matches, curve, strata_keys, operating_fppvs
-    )
-    return EvaluationReport(
-        froc=curve,
-        avg_sensitivity=avg,
-        avg_sensitivity_ci=avg_ci,
-        auc=auc,
-        auc_ci=auc_ci,
-        roc=roc,
-        operating_points=tuple(ops),
-        strata=strata,
-        volume_scores=tuple(
-            (v.volume_id, s, flag) for v, (s, flag) in zip(volumes, scores)
-        ),
-        fppv_grid=fppv_grid,
-        provenance=dict(provenance or {}),
-    )
+    return {
+        "froc": {"n_volumes": curve.n_volumes, "n_lesions": curve.n_lesions,
+                 "points": _points(curve, ("threshold", "fppv", "sensitivity"))},
+        "avg_sensitivity": {"value": avg, "ci": list(cis[0]), "fppv_grid": list(fppv_grid)},
+        "auc": None if roc is None else {"value": auc, "ci": list(cis[1])},
+        "roc": None if roc is None else _points(roc, ("threshold", "fpr", "tpr")),
+        "operating_points": ops,
+        "strata": stratified_sensitivities(volumes, matches, curve, strata_keys, operating_fppvs),
+        "volume_scores": [{"volume_id": v.volume_id, "score": score, "has_lesion": flag}
+                          for v, (score, flag) in zip(volumes, scores)],
+        "provenance": dict(provenance or {}),
+    }
 
 
 REPORT_SCHEMA = {

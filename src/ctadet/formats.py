@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .anchors import BoundingBox, Lesion
-from .config import dump_json, load_json
+from .config import dump_json, is_number, load_json
 from .postproc import CandidateDetection, Stage
 
 # what a malformed record raises: bad JSON or values (ValueError), a
@@ -34,6 +34,27 @@ class FormatError(ValueError):
     for JSON Lines, the line."""
 
     exit_code = 3  # the CLI's data error
+
+
+def _checked(rec: dict, key: str, ok: Callable[[object], bool], what: str):
+    """``rec[key]``, which must be ``what`` (TypeError otherwise)."""
+    value = rec[key]
+    if not ok(value):
+        raise TypeError(f"{key} must be {what}, got {value!r}")
+    return value
+
+
+def _volume_id(rec: dict) -> str:
+    return _checked(rec, "volume_id", lambda v: isinstance(v, str), "a string")
+
+
+def _is_point(c) -> bool:
+    return isinstance(c, list) and len(c) == 3 and all(map(is_number, c))
+
+
+def _box(rec: dict) -> BoundingBox:
+    center = _checked(rec, "center_vox", _is_point, "a list of 3 numbers")
+    return BoundingBox(tuple(center), _checked(rec, "diameter_vox", is_number, "a number"))
 
 
 def _write_jsonl(path, records) -> None:
@@ -71,11 +92,8 @@ def write_annotations(path, lesions_by_volume: Mapping[str, Sequence[Lesion]]) -
 
 
 def _lesion(rec) -> tuple[str, Lesion]:
-    lesion = Lesion(
-        BoundingBox(tuple(rec["center_vox"]), rec["diameter_vox"]),
-        {str(k): str(v) for k, v in rec.get("labels", {}).items()},
-    )
-    return str(rec["volume_id"]), lesion
+    lesion = Lesion(_box(rec), {str(k): str(v) for k, v in rec.get("labels", {}).items()})
+    return _volume_id(rec), lesion
 
 
 def read_annotations(path) -> dict[str, list[Lesion]]:
@@ -105,12 +123,8 @@ def write_candidates(
 
 
 def _candidate(rec) -> tuple[str, CandidateDetection]:
-    cand = CandidateDetection(
-        BoundingBox(tuple(rec["center_vox"]), rec["diameter_vox"]),
-        float(rec["prob"]),
-        Stage(rec["stage"]),
-    )
-    return str(rec["volume_id"]), cand
+    prob = float(_checked(rec, "prob", is_number, "a number"))
+    return _volume_id(rec), CandidateDetection(_box(rec), prob, Stage(rec["stage"]))
 
 
 def read_candidates(path) -> list[tuple[str, CandidateDetection]]:
@@ -158,9 +172,7 @@ def read_manifest(path) -> Manifest:
         doc = load_json(Path(path).read_text())
         manifest = Manifest(
             volumes=tuple(
-                ManifestVolume(
-                    str(v["volume_id"]), str(v["volume"]), int(v.get("n_lesions", 0))
-                )
+                ManifestVolume(_volume_id(v), str(v["volume"]), int(v.get("n_lesions", 0)))
                 for v in doc["volumes"]
             ),
             annotations=str(doc["annotations"]),
@@ -178,14 +190,8 @@ def read_manifest(path) -> Manifest:
     return manifest
 
 
-def _write_curve_csv(path, header: str, thresholds, points) -> None:
-    lines = [header] + [f"{t},{f},{s}" for t, (f, s) in zip(thresholds, points)]
+def write_curve_csv(path, columns: Sequence[str], records: Sequence[Mapping]) -> None:
+    """A header of ``columns``, then one line of each record's values in
+    that order."""
+    lines = [",".join(columns)] + [",".join(f"{r[c]}" for c in columns) for r in records]
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_froc_csv(path, thresholds, points) -> None:
-    _write_curve_csv(path, "threshold,fppv,sensitivity", thresholds, points)
-
-
-def write_roc_csv(path, thresholds, points) -> None:
-    _write_curve_csv(path, "threshold,fpr,tpr", thresholds, points)

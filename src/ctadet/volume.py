@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import RunConfig, dump_json, load_json
+from .config import RunConfig, dump_json, is_number, load_json
 
 AIR_HU = -1000.0
 
@@ -132,10 +132,6 @@ def write_volume(v: Volume, path) -> None:
     json_path.write_text(dump_json(header))
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 def read_volume(path) -> Volume:
     """Map a raw/sidecar pair written by :func:`write_volume`.
 
@@ -163,11 +159,11 @@ def read_volume(path) -> Volume:
         raise ValueError(f"{json_path}: the header is not a JSON object")
     dims = header.get("dims")
     if not (isinstance(dims, list) and len(dims) == 3
-            and all(_is_number(d) and d >= 1 and d == int(d) for d in dims)):
+            and all(is_number(d) and d >= 1 and d == int(d) for d in dims)):
         raise ValueError(f"{json_path}: dims must be 3 integers >= 1, got {dims!r}")
     spacing = header.get("spacing_mm")
     if not (isinstance(spacing, list) and len(spacing) == 3
-            and all(_is_number(s) and 0 < s < math.inf for s in spacing)):
+            and all(is_number(s) and 0 < s < math.inf for s in spacing)):
         raise ValueError(
             f"{json_path}: spacing_mm must be 3 finite positive numbers, got {spacing!r}"
         )

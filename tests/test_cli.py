@@ -805,6 +805,13 @@ class TestConfigValues:
         ("detect", "anchor_sizes", []),
         ("detect", "anchor_sizes", [0]),
         ("detect", "hu_window", [0, 0]),
+        ("detect", "cranial_max_extent_mm", 0),
+        ("detect", "cranial_max_extent_mm", -5),
+        ("detect", "nms_iou", -0.5),
+        ("reduce", "nms_iou", 1.5),
+        ("detect", "sensitivity_floor", -1),
+        ("detect", "sensitivity_floor", 1),
+        ("reduce", "sensitivity_floor", 1.5),
         ("detect", "patch_size", []),
         ("detect", "patch_size", [96, 96]),
         ("reduce", "fpr_patch_sizes", []),

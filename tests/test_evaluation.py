@@ -8,7 +8,7 @@ import pytest
 
 from ctadet import evaluation
 from ctadet.anchors import BoundingBox, Lesion
-from ctadet.config import RunConfig
+from ctadet.config import RunConfig, dump_json, load_json
 from ctadet.evaluation import (
     EvalVolume,
     StatisticUndefined,
@@ -118,16 +118,16 @@ class TestMatchLesions:
             cand((50, 50, 50), 0.8),
         ]
         m = match_lesions(cands, [box])
-        assert m.candidate_is_tp == (True, True, False)
-        assert m.fp_probs == (0.8,)
-        assert m.lesion_hit_probs == (0.9,)
+        assert m.candidate_is_tp.tolist() == [True, True, False]
+        assert m.fp_probs.tolist() == [0.8]
+        assert m.lesion_hit_probs.tolist() == [0.9]
 
     def test_candidate_in_two_overlapping_lesions_hits_both(self):
         a = lesion((10.0, 10.0, 10.0), 6.0)
         b = lesion((12.0, 10.0, 10.0), 6.0)
         m = match_lesions([cand((11.0, 10.0, 10.0), 0.6)], [a, b])
-        assert m.lesion_hit_probs == (0.6, 0.6)
-        assert m.candidate_is_tp == (True,)
+        assert m.lesion_hit_probs.tolist() == [0.6, 0.6]
+        assert m.candidate_is_tp.tolist() == [True]
 
     def test_matches_oracle_on_random_instances(self):
         rng = np.random.default_rng(19)
@@ -766,10 +766,12 @@ class TestArrayStatistics:
         scores = [(volume_score(v.candidates), v.has_lesion) for v in vols]
         report = build_report(vols, n_resamples=200, seed=seed)
         ref = lambda ms: avg_sensitivity(_FrocPool(ms).curve(len(ms)))
-        assert report.avg_sensitivity_ci == bootstrap_ci(ref, matches, 200, seed=seed)
-        assert report.auc_ci == bootstrap_ci(
-            lambda s: roc_auc(s)[1], scores, 200, seed=seed
+        assert report["avg_sensitivity"]["ci"] == list(
+            bootstrap_ci(ref, matches, 200, seed=seed)
         )
+        assert report["auc"]["ci"] == list(bootstrap_ci(
+            lambda s: roc_auc(s)[1], scores, 200, seed=seed
+        ))
 
     # one row per block, ragged blocks of several rows, one block in all
     @pytest.mark.parametrize("cells", [1, 1000, 1 << 30])
@@ -779,8 +781,10 @@ class TestArrayStatistics:
         monkeypatch.setattr(evaluation, "_BOOTSTRAP_CELLS", cells)
         report = build_report(vols, n_resamples=300, seed=2)
         ref = lambda ms: avg_sensitivity(_FrocPool(ms).curve(len(ms)))
-        assert report.avg_sensitivity_ci == bootstrap_ci(ref, matches, 300, seed=2)
-        assert report.auc_ci == bootstrap_ci(lambda s: roc_auc(s)[1], scores, 300, seed=2)
+        assert report["avg_sensitivity"]["ci"] == list(bootstrap_ci(ref, matches, 300, seed=2))
+        assert report["auc"]["ci"] == list(
+            bootstrap_ci(lambda s: roc_auc(s)[1], scores, 300, seed=2)
+        )
 
     def test_two_volumes_one_lesion_free(self, monkeypatch):
         # a quarter of the rows weight no lesion and half hold one class only
@@ -803,8 +807,10 @@ class TestArrayStatistics:
         assert attempts.total() > 600
         matches, scores, _, _ = self.statistics(vols)
         ref = lambda ms: avg_sensitivity(_FrocPool(ms).curve(len(ms)))
-        assert report.avg_sensitivity_ci == bootstrap_ci(ref, matches, 400, seed=8)
-        assert report.auc_ci == bootstrap_ci(lambda s: roc_auc(s)[1], scores, 400, seed=8)
+        assert report["avg_sensitivity"]["ci"] == list(bootstrap_ci(ref, matches, 400, seed=8))
+        assert report["auc"]["ci"] == list(
+            bootstrap_ci(lambda s: roc_auc(s)[1], scores, 400, seed=8)
+        )
 
     @pytest.mark.parametrize("cells", [1, 1 << 15])
     def test_exhausted_retries_same_error(self, monkeypatch, cells):
@@ -993,19 +999,40 @@ class TestStratifiedAndReport:
 
         from ctadet.evaluation import REPORT_SCHEMA
 
-        report = build_report(
-            self.dataset(),
-            strata_keys=("size_class", "location"),
-            n_resamples=50,
-            seed=3,
-            provenance={"manifest": "x.json"},
-        )
-        doc = report.to_dict()
-        jsonschema.validate(doc, REPORT_SCHEMA)
+        def report(vols, strata_keys=()):
+            doc = build_report(vols, strata_keys=strata_keys, n_resamples=50, seed=3,
+                               provenance={"manifest": "x.json"})
+            jsonschema.validate(doc, REPORT_SCHEMA)
+            assert load_json(dump_json(doc)) == doc  # plain JSON values only
+            return doc
+
+        doc = report(self.dataset(), ("size_class", "location"))
         assert doc["froc"]["n_volumes"] == 8
         assert 0.0 <= doc["avg_sensitivity"]["value"] <= 1.0
         lo, hi = doc["avg_sensitivity"]["ci"]
         assert lo <= doc["avg_sensitivity"]["value"] <= hi
+
+        # every volume positive: no AUC and no ROC
+        all_positive = [
+            EvalVolume(f"p{i}", (Lesion(lesion((10.0, 10.0, 10.0))),),
+                       (cand((10.0, 10.0, 10.0), p), cand((40.0, 40.0, 40.0), p / 2)))
+            for i, p in enumerate((0.9, 0.6, 0.3))
+        ]
+        doc = report(all_positive)
+        assert doc["auc"] is None and doc["roc"] is None
+        assert [op["name"] for op in doc["operating_points"]][-1] == "best_f1"
+
+        # false positives above every lesion: no threshold keeps 0.25 FPPV
+        outranked = [
+            EvalVolume("pos", (Lesion(lesion((10.0, 10.0, 10.0))),),
+                       (cand((10.0, 10.0, 10.0), 0.5), cand((40.0, 40.0, 40.0), 0.9))),
+            EvalVolume("neg", (), (cand((30.0, 30.0, 30.0), 0.95),)),
+        ]
+        doc = report(outranked)
+        op = {o["name"]: o for o in doc["operating_points"]}["fppv_0.25"]
+        assert op["threshold"] is None and op["metrics"]["threshold"] is None
+        assert op["lesion_sensitivity"] == 0.0
+        assert doc["auc"] is not None
 
     def test_metrics_invariant_under_permutations(self):
         vols = self.dataset()
@@ -1015,11 +1042,11 @@ class TestStratifiedAndReport:
             for v in reversed(vols)
         ]
         other = build_report(shuffled_vols, strata_keys=(), n_resamples=10, seed=0)
-        assert other.avg_sensitivity == base.avg_sensitivity
-        assert other.auc == base.auc
-        assert sorted(base.froc.points) == sorted(other.froc.points)
-        for a, b in zip(base.operating_points, other.operating_points):
-            assert (a.name, a.threshold) == (b.name, b.threshold)
-            assert (a.metrics.tp, a.metrics.fp, a.metrics.tn, a.metrics.fn) == (
-                b.metrics.tp, b.metrics.fp, b.metrics.tn, b.metrics.fn,
-            )
+        assert other["avg_sensitivity"]["value"] == base["avg_sensitivity"]["value"]
+        assert other["auc"]["value"] == base["auc"]["value"]
+        points = lambda r: sorted((p["fppv"], p["sensitivity"]) for p in r["froc"]["points"])
+        assert points(base) == points(other)
+        for a, b in zip(base["operating_points"], other["operating_points"]):
+            assert (a["name"], a["threshold"]) == (b["name"], b["threshold"])
+            counts = lambda op: [op["metrics"][k] for k in ("tp", "fp", "tn", "fn")]
+            assert counts(a) == counts(b)

@@ -1,10 +1,12 @@
 import json
+import re
 
 import pytest
 
 from ctadet.anchors import BoundingBox, Lesion
 from ctadet.config import RunConfig
 from ctadet.formats import (
+    FormatError,
     Manifest,
     ManifestVolume,
     read_annotations,
@@ -102,6 +104,63 @@ class TestManifest:
         write_manifest(tmp_path / "m1.json", manifest)
         write_manifest(tmp_path / "m2.json", manifest)
         assert (tmp_path / "m1.json").read_bytes() == (tmp_path / "m2.json").read_bytes()
+
+
+GOOD_CANDIDATE = {"volume_id": "v", "center_vox": [1, 2.5, 3], "diameter_vox": 4,
+                  "prob": 0.5, "stage": "detector"}
+GOOD_LESION = {"volume_id": "v", "center_vox": [1, 2.5, 3], "diameter_vox": 4.0,
+               "labels": {"location": "x"}}
+# JSON values of the wrong type that int() or float() would still accept
+WRONG_TYPES = [
+    ("center_vox", "123"), ("center_vox", [1, True, 3]), ("center_vox", [1, "2", 3]),
+    ("diameter_vox", True), ("diameter_vox", "4"), ("volume_id", 7), ("volume_id", None),
+]
+
+
+class TestRecordTypes:
+    """Records hold JSON numbers (not true or false) and string volume ids."""
+
+    @staticmethod
+    def write(path, good, key, value):
+        lines = [json.dumps(good), json.dumps({**good, key: value})]
+        path.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("key, value", WRONG_TYPES + [
+        ("prob", True), ("prob", "0.5"), ("prob", [0.5]),
+    ])
+    def test_candidate_exit_3_names_the_line(self, tmp_path, key, value):
+        path = tmp_path / "v.cand.jsonl"
+        self.write(path, GOOD_CANDIDATE, key, value)
+        with pytest.raises(FormatError, match=re.escape(f"{path}:2: ") + f".*{key}") as e:
+            read_candidates(path)
+        assert e.value.exit_code == 3
+
+    @pytest.mark.parametrize("key, value", WRONG_TYPES)
+    def test_annotation_exit_3_names_the_line(self, tmp_path, key, value):
+        path = tmp_path / "ann.jsonl"
+        self.write(path, GOOD_LESION, key, value)
+        with pytest.raises(FormatError, match=re.escape(f"{path}:2: ") + f".*{key}") as e:
+            read_annotations(path)
+        assert e.value.exit_code == 3
+
+    @pytest.mark.parametrize("volume_id", [7, 1.5, True, None, ["a"]])
+    def test_manifest_volume_id_must_be_a_string(self, tmp_path, volume_id):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"annotations": "ann.jsonl", "volumes": [
+            {"volume_id": volume_id, "volume": "a.vol.json"}]}))
+        with pytest.raises(FormatError, match=re.escape(f"{path}: ") + ".*volume_id") as e:
+            read_manifest(path)
+        assert e.value.exit_code == 3
+
+    def test_integral_numbers_accepted(self, tmp_path):
+        path = tmp_path / "v.cand.jsonl"
+        self.write(path, GOOD_CANDIDATE, "prob", 1)
+        (_, first), (_, second) = read_candidates(path)
+        assert first.box == BoundingBox((1.0, 2.5, 3.0), 4.0)
+        assert (first.probability, second.probability) == (0.5, 1.0)
+        path = tmp_path / "ann.jsonl"
+        self.write(path, GOOD_LESION, "diameter_vox", 4)
+        assert read_annotations(path)["v"][1].box == BoundingBox((1.0, 2.5, 3.0), 4.0)
 
 
 class TestRunConfig:
