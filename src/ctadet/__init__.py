@@ -26,10 +26,7 @@ _EXPORTS = {
     ),
     "postproc": ("CandidateDetection", "Stage", "merge_tiles", "nms"),
     "stats": ("confusion_at_threshold", "fisher_exact"),
-    "synth": (
-        "OracleDetectorSpec", "PhantomSpec", "generate_phantom", "oracle_detect",
-        "perfect_classifier", "reference_classifier",
-    ),
+    "synth": ("generate_phantom", "oracle_detect", "perfect_classifier", "reference_classifier"),
     "volume": (
         "PatchSpec", "Volume", "extract_patch", "normalize_hu", "read_volume", "tile_volume",
         "truncate_cranial", "write_volume",

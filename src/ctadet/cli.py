@@ -35,7 +35,7 @@ _LAZY = {
     ),
     "evaluation": ("EvalVolume", "build_report"),
     "pipeline": ("detect_volume", "oracle_scorer_factory", "reduce_volume"),
-    "synth": ("PhantomSpec", "generate_phantom", "perfect_classifier", "reference_classifier"),
+    "synth": ("generate_phantom", "perfect_classifier", "reference_classifier"),
     "volume": ("read_volume", "write_volume"),
 }
 
@@ -89,6 +89,7 @@ def _load_config(args) -> RunConfig:
         if getattr(args, name) is not None:
             cfg = dataclasses.replace(cfg, **{name: getattr(args, name)})
     fppvs = cfg.fppv_grid + cfg.operating_fppvs
+    phantom_ranges = (cfg.vessel_radius_range, cfg.aneurysm_diameter_range)
     detector_ranges = (cfg.detector_fp_prob_range, cfg.detector_tp_prob_range)
     detector_amounts = (cfg.detector_fp_per_volume, cfg.detector_center_jitter,
                         cfg.detector_diameter_jitter)
@@ -122,9 +123,13 @@ def _load_config(args) -> RunConfig:
         (cfg.fppv_grid, "fppv_grid must not be empty"),
         (all(f >= 0 for f in fppvs),
          f"fppv_grid and operating_fppvs entries must be >= 0, got {fppvs}"),
-        (len(cfg.vessel_radius_range) == 2 and len(cfg.aneurysm_diameter_range) == 2,
-         f"vessel_radius_range and aneurysm_diameter_range need 2 entries each, got "
-         f"{cfg.vessel_radius_range} and {cfg.aneurysm_diameter_range}"),
+        (all(len(r) == 2 and 0 < r[0] <= r[1] for r in phantom_ranges),
+         f"vessel_radius_range and aneurysm_diameter_range must be [lo, hi] with "
+         f"0 < lo <= hi, got {phantom_ranges[0]} and {phantom_ranges[1]}"),
+        (cfg.n_vessels >= 0 and cfg.n_aneurysms >= 0,
+         f"n_vessels and n_aneurysms must be >= 0, got {cfg.n_vessels} and {cfg.n_aneurysms}"),
+        (cfg.phantom_noise_sigma >= 0,
+         f"phantom_noise_sigma must be >= 0, got {cfg.phantom_noise_sigma}"),
         (0 <= cfg.detector_hit_prob <= 1,
          f"detector_hit_prob must be in [0, 1], got {cfg.detector_hit_prob}"),
         (all(len(r) == 2 and 0 <= r[0] <= r[1] <= 1 for r in detector_ranges),
@@ -181,27 +186,10 @@ def _resolve_plugin(spec: str):
 # synth
 # ---------------------------------------------------------------------------
 
-def _phantom_spec(cfg: RunConfig, seed: int, n_aneurysms: int) -> PhantomSpec:
-    _load("synth")
-    return PhantomSpec(
-        dims=cfg.phantom_dims,
-        spacing=cfg.phantom_spacing,
-        n_vessels=cfg.n_vessels,
-        vessel_radius_range=cfg.vessel_radius_range,
-        n_aneurysms=n_aneurysms,
-        aneurysm_diameter_range=cfg.aneurysm_diameter_range,
-        vessel_hu=cfg.vessel_hu,
-        aneurysm_hu=cfg.aneurysm_hu,
-        background_hu=cfg.background_hu,
-        noise_sigma=cfg.phantom_noise_sigma,
-        seed=seed,
-    )
-
-
 def _synth_worker(task):
     _load("synth", "volume")  # a spawned worker starts with nothing bound
-    vid, spec, out_dir, overlap = task
-    volume, lesions = generate_phantom(spec, volume_id=vid, overlap=overlap)
+    vid, cfg, out_dir, overlap = task
+    volume, lesions = generate_phantom(cfg, volume_id=vid, overlap=overlap)
     write_volume(volume, Path(out_dir) / vid)
     return vid, lesions
 
@@ -235,7 +223,8 @@ def cmd_synth(args) -> int:
                 < cfg.negative_fraction
             )
             n_an = 0 if negative else cfg.n_aneurysms
-            tasks.append((vid, _phantom_spec(cfg, cfg.seed + i, n_an), str(out_dir), overlap))
+            phantom_cfg = dataclasses.replace(cfg, seed=cfg.seed + i, n_aneurysms=n_an)
+            tasks.append((vid, phantom_cfg, str(out_dir), overlap))
         results = _run_tasks(_synth_worker, tasks, cfg.jobs)
     except ValueError as e:
         raise ConfigError(f"invalid phantom configuration: {e}") from e

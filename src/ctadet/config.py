@@ -22,14 +22,26 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _float_sized_int(text: str) -> int:
+    value = int(text)
+    try:
+        float(value)
+    except OverflowError:
+        digits = len(text.lstrip("-"))
+        raise ValueError(f"an integer of {digits} digits overflows a float") from None
+    return value
+
+
 # one decoder for every call: json.loads with a keyword builds a new one each time
-_DECODER = json.JSONDecoder(parse_constant=_refuse_constant, parse_float=_finite_float)
+_DECODER = json.JSONDecoder(
+    parse_constant=_refuse_constant, parse_float=_finite_float, parse_int=_float_sized_int
+)
 
 
 def load_json(text: str):
     """Parse JSON text, refusing the NaN, Infinity and -Infinity that
     :func:`json.loads` accepts but RFC 8259 does not, and number literals
-    such as ``1e400`` that would read as infinite."""
+    such as ``1e400`` or a 1 followed by 400 zeros that a float cannot hold."""
     return _DECODER.decode(text)
 
 
@@ -123,15 +135,17 @@ class RunConfig:
                     raise ValueError(f"expected a list, got {value!r}")
                 inner = template[0] if template else None
                 return tuple(restore(v, inner) for v in value)
-            if isinstance(value, bool) and isinstance(template, (int, float)):
+            if isinstance(template, str):
+                if not isinstance(value, str):
+                    raise ValueError(f"expected a string, got {value!r}")
+                return value
+            if not is_number(value):
                 raise ValueError(f"expected a number, got {value!r}")
             if isinstance(template, int):
                 if isinstance(value, float) and not value.is_integer():
                     raise ValueError(f"expected an integer, got {value!r}")
                 return int(value)
-            if isinstance(template, float):
-                return float(value)
-            return value
+            return float(value)
 
         kwargs = {}
         for name, value in data.items():

@@ -44,8 +44,16 @@ def _checked(rec: dict, key: str, ok: Callable[[object], bool], what: str):
     return value
 
 
+def _is_str(x) -> bool:
+    return isinstance(x, str)
+
+
+def _is_count(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
 def _volume_id(rec: dict) -> str:
-    return _checked(rec, "volume_id", lambda v: isinstance(v, str), "a string")
+    return _checked(rec, "volume_id", _is_str, "a string")
 
 
 def _is_point(c) -> bool:
@@ -170,13 +178,19 @@ def read_manifest(path) -> Manifest:
     and without ``/`` or NUL) and must appear once."""
     try:
         doc = load_json(Path(path).read_text())
+        # n_lesions and seed are optional: each record is checked with its default
         manifest = Manifest(
             volumes=tuple(
-                ManifestVolume(_volume_id(v), str(v["volume"]), int(v.get("n_lesions", 0)))
+                ManifestVolume(
+                    _volume_id(v),
+                    _checked(v, "volume", _is_str, "a string"),
+                    _checked({"n_lesions": 0, **v}, "n_lesions", _is_count, "an integer >= 0"),
+                )
                 for v in doc["volumes"]
             ),
-            annotations=str(doc["annotations"]),
-            seed=doc.get("seed"),
+            annotations=_checked(doc, "annotations", _is_str, "a string"),
+            seed=_checked({"seed": None, **doc}, "seed", lambda x: x is None or _is_count(x),
+                          "an integer >= 0 or null"),
         )
     except _RECORD_ERRORS as e:
         raise FormatError(f"{path}: invalid manifest: {e!r}") from e

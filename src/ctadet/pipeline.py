@@ -32,7 +32,7 @@ from .fpr import (
     select_candidates,
 )
 from .postproc import CandidateArrays, CandidateDetection, merge_tiles
-from .synth import OracleDetectorSpec, oracle_detect
+from .synth import oracle_detect
 from .volume import (
     PatchSpec,
     Volume,
@@ -165,16 +165,7 @@ def oracle_scorer_factory(
     seed: int,
 ) -> OracleTileScorer:
     """Scorer factory backed by :func:`ctadet.synth.oracle_detect`."""
-    spec = OracleDetectorSpec(
-        hit_prob=cfg.detector_hit_prob,
-        center_jitter_sigma=cfg.detector_center_jitter,
-        diameter_jitter_ratio=cfg.detector_diameter_jitter,
-        fp_per_volume=cfg.detector_fp_per_volume,
-        fp_prob_range=cfg.detector_fp_prob_range,
-        tp_prob_range=cfg.detector_tp_prob_range,
-        seed=seed,
-    )
-    return OracleTileScorer(oracle_detect(lesions, spec, volume.dims))
+    return OracleTileScorer(oracle_detect(lesions, cfg, seed, volume.dims))
 
 
 def _decode_grid(

@@ -15,7 +15,6 @@ import math
 import queue
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
@@ -34,62 +33,6 @@ SIZE_CLASS_TOP = ">10mm"
 _FP_DIAMETER_RANGE = (2.5, 10.0)  # the oracle's false-positive box edges, in voxels
 _BRIGHT_THRESHOLD = 0.15  # the reference classifier's normalized-HU cut
 _BLOCK_CELLS = 1 << 16  # cube cells per painting block, voxels per tissue-HU block
-
-
-@dataclass(frozen=True)
-class PhantomSpec:
-    dims: tuple[int, int, int] = RunConfig.phantom_dims
-    spacing: tuple[float, float, float] = RunConfig.phantom_spacing
-    n_vessels: int = RunConfig.n_vessels
-    vessel_radius_range: tuple[float, float] = RunConfig.vessel_radius_range
-    n_aneurysms: int = RunConfig.n_aneurysms
-    aneurysm_diameter_range: tuple[float, float] = RunConfig.aneurysm_diameter_range
-    vessel_hu: float = RunConfig.vessel_hu
-    aneurysm_hu: float = RunConfig.aneurysm_hu
-    background_hu: float = RunConfig.background_hu
-    noise_sigma: float = RunConfig.phantom_noise_sigma
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n_vessels < 0 or self.n_aneurysms < 0:
-            raise ValueError("counts must be >= 0")
-        for name, rng_ in (
-            ("vessel_radius_range", self.vessel_radius_range),
-            ("aneurysm_diameter_range", self.aneurysm_diameter_range),
-        ):
-            if rng_[0] <= 0 or rng_[1] < rng_[0]:
-                raise ValueError(f"{name} must be positive and ordered, got {rng_}")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
-        if self.n_aneurysms > 0 and self.n_vessels == 0:
-            raise ValueError("aneurysms attach to vessels; need n_vessels >= 1")
-
-
-@dataclass(frozen=True)
-class OracleDetectorSpec:
-    """Controls for the ground-truth-backed stand-in detector."""
-
-    hit_prob: float = RunConfig.detector_hit_prob
-    center_jitter_sigma: float = RunConfig.detector_center_jitter
-    diameter_jitter_ratio: float = RunConfig.detector_diameter_jitter
-    fp_per_volume: float = RunConfig.detector_fp_per_volume
-    fp_prob_range: tuple[float, float] = RunConfig.detector_fp_prob_range
-    tp_prob_range: tuple[float, float] = RunConfig.detector_tp_prob_range
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.hit_prob <= 1.0:
-            raise ValueError(f"hit_prob must be in [0, 1], got {self.hit_prob}")
-        for name, rng_ in (
-            ("fp_prob_range", self.fp_prob_range),
-            ("tp_prob_range", self.tp_prob_range),
-        ):
-            if not 0.0 <= rng_[0] <= rng_[1] <= 1.0:
-                raise ValueError(f"{name} must be ordered within [0, 1], got {rng_}")
-        if self.center_jitter_sigma < 0 or self.diameter_jitter_ratio < 0:
-            raise ValueError("jitter magnitudes must be >= 0")
-        if self.fp_per_volume < 0:
-            raise ValueError("fp_per_volume must be >= 0")
 
 
 def size_class(diameter_vox: float, spacing: Sequence[float]) -> str:
@@ -248,14 +191,16 @@ def _noise_slabs(rng, sizes, plane, ahead: bool) -> Iterator[Iterator[np.ndarray
         helper.join()
 
 
-def generate_phantom(spec: PhantomSpec, volume_id: str = "phantom", *, overlap: bool = False):
-    """Build a phantom volume and its ground-truth lesion list.
+def generate_phantom(cfg: RunConfig, volume_id: str = "phantom", *, overlap: bool = False):
+    """Build a phantom volume and its ground-truth lesion list from the
+    ``phantom_*``, vessel and aneurysm fields of ``cfg``.
 
-    Deterministic given ``spec.seed``, and independent of ``overlap``.
+    Deterministic given ``cfg.seed``, and independent of ``overlap``.
     Lesion annotations carry a size-class label (from the physical
-    diameter) and the index of the vessel they attach to.  Raises if a
-    vessel does not fit the dims, or if the requested lesions cannot be
-    placed without overlap after bounded retries.
+    diameter) and the index of the vessel they attach to.  Raises if
+    lesions are asked for without vessels, if a vessel does not fit the
+    dims, or if the requested lesions cannot be placed without overlap
+    after bounded retries.
 
     Every draw for vessels and lesions comes first; the phantom is then
     filled in x-slabs of about ``_SLAB_VOXELS // 2`` voxels.  Each slab is
@@ -269,11 +214,13 @@ def generate_phantom(spec: PhantomSpec, volume_id: str = "phantom", *, overlap: 
     spare.  The phantom is Fortran-ordered (x-fastest), the layout of the
     raw file.
     """
-    rng = np.random.default_rng(spec.seed)
-    dims = tuple(int(d) for d in spec.dims)
+    if cfg.n_aneurysms > 0 and cfg.n_vessels == 0:
+        raise ValueError("aneurysms attach to vessels; need n_vessels >= 1")
+    rng = np.random.default_rng(cfg.seed)
+    dims = tuple(int(d) for d in cfg.phantom_dims)
     vessels = []
-    for _ in range(spec.n_vessels):
-        radius = rng.uniform(*spec.vessel_radius_range)
+    for _ in range(cfg.n_vessels):
+        radius = rng.uniform(*cfg.vessel_radius_range)
         margin = 2.0 + radius
         if min(dims) - 1.0 - margin < margin:  # where the path's start draw would fail
             raise ValueError(
@@ -283,12 +230,12 @@ def generate_phantom(spec: PhantomSpec, volume_id: str = "phantom", *, overlap: 
         vessels.append((_vessel_path(rng, dims, margin), radius))
 
     lesions: list[Lesion] = []
-    for _ in range(spec.n_aneurysms):
+    for _ in range(cfg.n_aneurysms):
         for _attempt in range(200):
             v_idx = int(rng.integers(len(vessels)))
             path, radius = vessels[v_idx]
             point = path[int(rng.integers(len(path)))]
-            diameter = float(rng.uniform(*spec.aneurysm_diameter_range))
+            diameter = float(rng.uniform(*cfg.aneurysm_diameter_range))
             center = point + (radius + 0.45 * diameter) * _random_unit(rng)
             box = BoundingBox(tuple(center), diameter)
             if any(l < 0.5 for l in box.lo) or any(
@@ -300,7 +247,7 @@ def generate_phantom(spec: PhantomSpec, volume_id: str = "phantom", *, overlap: 
                     Lesion(
                         box,
                         {
-                            "size_class": size_class(diameter, spec.spacing),
+                            "size_class": size_class(diameter, cfg.phantom_spacing),
                             "location": f"vessel-{v_idx}",
                         },
                     )
@@ -308,7 +255,7 @@ def generate_phantom(spec: PhantomSpec, volume_id: str = "phantom", *, overlap: 
                 break
         else:
             raise ValueError(
-                f"could not place {spec.n_aneurysms} non-overlapping lesions "
+                f"could not place {cfg.n_aneurysms} non-overlapping lesions "
                 f"in dims {dims} after 200 retries"
             )
 
@@ -316,12 +263,12 @@ def generate_phantom(spec: PhantomSpec, volume_id: str = "phantom", *, overlap: 
     step = min(dims[0], max(1, _SLAB_VOXELS // 2 // (dims[1] * dims[2])))
     starts = range(0, dims[0], step)
     sizes = [min(step, dims[0] - x) for x in starts]
-    hu = np.array([spec.background_hu, spec.vessel_hu, spec.aneurysm_hu], dtype=np.float64)
+    hu = np.array([cfg.background_hu, cfg.vessel_hu, cfg.aneurysm_hu], dtype=np.float64)
     # The phantom, then the noise buffers, then the slab buffers: with the slab
     # buffers first, glibc's heap placement kept a 128x128x96 synth worker's
     # peak about 3 MiB higher.
     values = np.empty(dims, dtype=np.int16, order="F")
-    noise_rng = rng if spec.noise_sigma > 0 else None  # a noise-free phantom draws nothing
+    noise_rng = rng if cfg.phantom_noise_sigma > 0 else None  # a noise-free phantom draws nothing
     with _noise_slabs(noise_rng, sizes, dims[1:], overlap) as noise:
         # tissue labels index `hu`: 0 background, 1 vessel, 2 aneurysm
         canvas = np.empty((step, *dims[1:]), dtype=np.uint8)
@@ -334,7 +281,7 @@ def generate_phantom(spec: PhantomSpec, volume_id: str = "phantom", *, overlap: 
             for lesion in lesions:
                 _paint_balls(labels, lesion.box.center, lesion.box.diameter / 2.0, 2, x)
             slab = next(noise)
-            slab *= spec.noise_sigma
+            slab *= cfg.phantom_noise_sigma
             flat, flat_labels = slab.reshape(-1), labels.reshape(-1)
             for i in range(0, flat.size, tissue.size):
                 block = flat[i : i + tissue.size]
@@ -342,50 +289,53 @@ def generate_phantom(spec: PhantomSpec, volume_id: str = "phantom", *, overlap: 
                                  mode="clip")
                 np.clip(np.rint(block, out=block), -32768, 32767, out=block)
             values[x : x + m] = slab
-    volume = Volume(values, spec.spacing, volume_id, cranial_axis="+z")
+    volume = Volume(values, cfg.phantom_spacing, volume_id, cranial_axis="+z")
     return volume, lesions
 
 
 def oracle_detect(
     truth: Sequence[BoundingBox],
-    spec: OracleDetectorSpec,
+    cfg: RunConfig,
+    seed: int,
     dims: tuple[int, int, int],
 ) -> list[CandidateDetection]:
-    """Ground-truth-backed detector with controllable errors.
+    """Ground-truth-backed detector with the errors that the ``detector_*``
+    fields of ``cfg`` set.
 
-    Each lesion is independently reported with probability ``hit_prob``,
-    its box jittered per ``spec``; Poisson-many false candidates are placed
-    uniformly, kept clear of every true lesion.  Per-lesion substreams are
-    derived from (seed, 0, lesion index) and the false-positive stream from
-    (seed, 1), so results are independent of list-external state.
+    Each lesion is independently reported with probability
+    ``detector_hit_prob``, its box jittered; Poisson-many false candidates
+    are placed uniformly, kept clear of every true lesion.  Per-lesion
+    substreams are derived from (seed, 0, lesion index) and the
+    false-positive stream from (seed, 1), so results are independent of
+    list-external state.
     """
     boxes = _as_boxes(truth)
     cands: list[CandidateDetection] = []
     for i, box in enumerate(boxes):
-        r = np.random.default_rng([spec.seed, 0, i])
-        if r.random() >= spec.hit_prob:
+        r = np.random.default_rng([seed, 0, i])
+        if r.random() >= cfg.detector_hit_prob:
             continue
         center = np.asarray(box.center, dtype=float)
-        if spec.center_jitter_sigma > 0:
-            center = center + r.normal(0.0, spec.center_jitter_sigma, 3)
+        if cfg.detector_center_jitter > 0:
+            center = center + r.normal(0.0, cfg.detector_center_jitter, 3)
         diameter = box.diameter
-        if spec.diameter_jitter_ratio > 0:
-            diameter *= 1.0 + spec.diameter_jitter_ratio * r.uniform(-1.0, 1.0)
-        prob = float(r.uniform(*spec.tp_prob_range))
+        if cfg.detector_diameter_jitter > 0:
+            diameter *= 1.0 + cfg.detector_diameter_jitter * r.uniform(-1.0, 1.0)
+        prob = float(r.uniform(*cfg.detector_tp_prob_range))
         cands.append(
             CandidateDetection(
                 BoundingBox(tuple(center), max(diameter, 0.1)), prob, Stage.DETECTOR
             )
         )
 
-    r = np.random.default_rng([spec.seed, 1])
-    for _ in range(int(r.poisson(spec.fp_per_volume))):
+    r = np.random.default_rng([seed, 1])
+    for _ in range(int(r.poisson(cfg.detector_fp_per_volume))):
         for _attempt in range(100):
             center = tuple(r.uniform(2.0, d - 3.0) for d in dims)
             diameter = float(r.uniform(*_FP_DIAMETER_RANGE))
             fp_box = BoundingBox(center, diameter)
             if all(_separated(fp_box, b, 4.0) for b in boxes):
-                prob = float(r.uniform(*spec.fp_prob_range))
+                prob = float(r.uniform(*cfg.detector_fp_prob_range))
                 cands.append(CandidateDetection(fp_box, prob, Stage.DETECTOR))
                 break
     return cands

@@ -220,7 +220,7 @@ def paint_ball_reference(vol, center, radius, value):
     region[d2 <= radius * radius] = value
 
 
-def generate_phantom_reference(spec, volume_id="phantom"):
+def generate_phantom_reference(cfg, volume_id="phantom"):
     """The float64-canvas phantom builder that slab-wise filling replaced:
     paint HU into a whole float64 volume one ball at a time, add one
     whole-volume noise draw, then round, clip and cast.  It shares only
@@ -231,23 +231,23 @@ def generate_phantom_reference(spec, volume_id="phantom"):
     from ctadet.synth import _random_unit, _separated, size_class
     from ctadet.volume import Volume
 
-    rng = np.random.default_rng(spec.seed)
-    dims = tuple(int(d) for d in spec.dims)
-    vol = np.full(dims, spec.background_hu, dtype=np.float64)
+    rng = np.random.default_rng(cfg.seed)
+    dims = tuple(int(d) for d in cfg.phantom_dims)
+    vol = np.full(dims, cfg.background_hu, dtype=np.float64)
     vessels = []
-    for _ in range(spec.n_vessels):
-        radius = rng.uniform(*spec.vessel_radius_range)
+    for _ in range(cfg.n_vessels):
+        radius = rng.uniform(*cfg.vessel_radius_range)
         vessels.append((vessel_path_reference(rng, dims, margin=2.0 + radius), radius))
     for path, radius in vessels:
         for point in path:
-            paint_ball_reference(vol, point, radius, spec.vessel_hu)
+            paint_ball_reference(vol, point, radius, cfg.vessel_hu)
     lesions = []
-    for _ in range(spec.n_aneurysms):
+    for _ in range(cfg.n_aneurysms):
         for _attempt in range(200):
             v_idx = int(rng.integers(len(vessels)))
             path, radius = vessels[v_idx]
             point = path[int(rng.integers(len(path)))]
-            diameter = float(rng.uniform(*spec.aneurysm_diameter_range))
+            diameter = float(rng.uniform(*cfg.aneurysm_diameter_range))
             center = point + (radius + 0.45 * diameter) * _random_unit(rng)
             box = BoundingBox(tuple(center), diameter)
             if any(l < 0.5 for l in box.lo) or any(
@@ -256,7 +256,7 @@ def generate_phantom_reference(spec, volume_id="phantom"):
                 continue
             if all(_separated(box, l.box, 3.0) for l in lesions):
                 labels = {
-                    "size_class": size_class(diameter, spec.spacing),
+                    "size_class": size_class(diameter, cfg.phantom_spacing),
                     "location": f"vessel-{v_idx}",
                 }
                 lesions.append(Lesion(box, labels))
@@ -264,11 +264,11 @@ def generate_phantom_reference(spec, volume_id="phantom"):
         else:
             raise ValueError("could not place the lesions")
     for lesion in lesions:
-        paint_ball_reference(vol, lesion.box.center, lesion.box.diameter / 2.0, spec.aneurysm_hu)
-    if spec.noise_sigma > 0:
-        vol = vol + rng.normal(0.0, spec.noise_sigma, dims)
+        paint_ball_reference(vol, lesion.box.center, lesion.box.diameter / 2.0, cfg.aneurysm_hu)
+    if cfg.phantom_noise_sigma > 0:
+        vol = vol + rng.normal(0.0, cfg.phantom_noise_sigma, dims)
     values = np.clip(np.rint(vol), -32768, 32767).astype(np.int16)
-    return Volume(values, spec.spacing, volume_id, cranial_axis="+z"), lesions
+    return Volume(values, cfg.phantom_spacing, volume_id, cranial_axis="+z"), lesions
 
 
 def reference_classifier_reference(patch_set, threshold=0.15):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -116,12 +117,37 @@ class TestSynth:
     @pytest.mark.parametrize("field, value", [
         ("vessel_radius_range", [2.0]),
         ("aneurysm_diameter_range", []),
+        pytest.param("vessel_radius_range", [4.0, 2.0], id="vessel_radius_range-reversed"),
+        pytest.param("aneurysm_diameter_range", [0.0, 0.0], id="aneurysm_diameter_range-zero"),
+        pytest.param("vessel_radius_range", [-1.0, 2.0], id="vessel_radius_range-negative"),
+        pytest.param("n_vessels", -1, id="n_vessels-negative"),
+        pytest.param("n_aneurysms", -1, id="n_aneurysms-negative"),
+        pytest.param("phantom_noise_sigma", -1.0, id="phantom_noise_sigma-negative"),
     ])
     def test_short_phantom_range_exit_2(self, tmp_path, capsys, field, value):
+        # every phantom value is checked with the config, so detect refuses it too
         config = small_config(tmp_path, **{field: value})
+        for command in ("synth", "detect"):
+            args = ["--manifest", str(tmp_path / "manifest.json")] if command == "detect" else []
+            capsys.readouterr()
+            assert main([command, "--config", str(config), *args,
+                         "--out", str(tmp_path / "x")]) == 2
+            assert field in capsys.readouterr().err
+            assert not (tmp_path / "x").exists()
+
+    def test_aneurysms_without_vessels_exit_2(self, tmp_path, capsys):
+        config = small_config(tmp_path, n_vessels=0, negative_fraction=0.0)
+        out = tmp_path / "x"
         capsys.readouterr()
-        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
-        assert field in capsys.readouterr().err
+        assert main(["synth", "--config", str(config), "--out", str(out)]) == 2
+        assert "aneurysms attach to vessels" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_aneurysms_without_vessels_synth_lesion_free(self, tmp_path):
+        # every volume is lesion-free, so none needs a vessel to attach to
+        config = small_config(tmp_path, n_vessels=0, negative_fraction=1.0)
+        data = run_dataset(tmp_path, config)
+        assert [v.n_lesions for v in read_manifest(data / "manifest.json").volumes] == [0] * 3
 
     @pytest.mark.parametrize("field, value", [
         ("phantom_dims", [64, 64]),
@@ -882,9 +908,11 @@ class TestConfigValues:
         assert main(args) == 2
         assert "seed must be >= 0" in capsys.readouterr().err
 
-    # values that int() would silently truncate or turn into 1
+    # values that int() would silently truncate or turn into 1, and strings
+    # where a number or a string is due
     RAW_CASES = [("seed", 1.5), ("bootstrap_resamples", 2.5), ("seed", True),
-                 ("patch_size", [96, 96.5, 96]), ("nms_iou", True)]
+                 ("patch_size", [96, 96.5, 96]), ("nms_iou", True), ("fppv_grid", ["inf"]),
+                 ("strata_keys", [["size_class"]]), ("strata_keys", [1])]
 
     @pytest.mark.parametrize(
         "field, value", RAW_CASES,
@@ -901,6 +929,48 @@ class TestConfigValues:
                      str(data / "manifest.json"), "--candidates", str(cand),
                      "--out", str(tmp_path / "out")]) == 2
         assert field in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    BIG_INT = 10 ** 400  # written as an integer literal that no float can hold
+    BIG_INT_CASES = [("detect", "hu_window", [-1000, BIG_INT]),
+                     ("detect", "anchor_sizes", [5, BIG_INT]),
+                     ("detect", "phantom_noise_sigma", BIG_INT),
+                     ("detect", "detector_center_jitter", BIG_INT),
+                     ("detect", "cranial_max_extent_mm", BIG_INT),
+                     ("synth", "phantom_noise_sigma", BIG_INT)]
+
+    @pytest.mark.parametrize("command, field, value", BIG_INT_CASES,
+                             ids=[f"{command}-{field}" for command, field, _ in BIG_INT_CASES])
+    def test_integer_beyond_float_range_exit_2(self, tmp_path, capsys, dataset, command,
+                                               field, value):
+        data, _ = dataset
+        config = small_config(tmp_path, n_volumes=2, phantom_dims=[64, 64, 48])
+        doc = json.loads(config.read_text())
+        config.write_text(json.dumps({**doc, field: value}))
+        args = ["--manifest", str(data / "manifest.json")] if command == "detect" else []
+        capsys.readouterr()
+        assert main([command, "--config", str(config), *args,
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"invalid config {config}: an integer of 401 digits overflows a float" in err
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+    def test_candidate_integer_beyond_float_range_exit_3(self, tmp_path, capsys, dataset):
+        data, cand = dataset
+        config = small_config(tmp_path, n_volumes=2, phantom_dims=[64, 64, 48])
+        copied = tmp_path / "cand"
+        shutil.copytree(cand, copied)
+        path = sorted(copied.glob("*.cand.jsonl"))[0]
+        lines = path.read_text().splitlines()
+        record = {"volume_id": path.name[: -len(".cand.jsonl")], "center_vox": [8.0, 8.0, 8.0],
+                  "diameter_vox": self.BIG_INT, "prob": 0.5, "stage": "detector"}
+        path.write_text("\n".join([*lines, json.dumps(record)]) + "\n")
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config), "--manifest",
+                     str(data / "manifest.json"), "--candidates", str(copied),
+                     "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert f"{path}:{len(lines) + 1}: invalid record" in err and "401 digits" in err
         assert not (tmp_path / "out" / "report.json").exists()
 
 

@@ -7,14 +7,10 @@ import json
 import math
 import pkgutil
 
-import numpy as np
 import pytest
 
 import ctadet
-from ctadet import cli, pipeline
 from ctadet.config import RunConfig, load_json
-from ctadet.synth import OracleDetectorSpec, PhantomSpec
-from ctadet.volume import Volume
 
 # names the defaults once had as module constants
 RETIRED = {"FPR_PATCH_SIZES", "HU_WINDOW", "CRANIAL_MAX_EXTENT_MM"}
@@ -25,22 +21,6 @@ def test_no_module_redeclares_defaults():
         module = importlib.import_module(f"ctadet.{info.name}")
         names = {n for n in vars(module) if n.startswith("DEFAULT_") or n in RETIRED}
         assert not names, f"ctadet.{info.name} declares {sorted(names)}"
-
-
-def test_phantom_spec_defaults_match_run_config():
-    cfg = RunConfig()
-    built = cli._phantom_spec(cfg, seed=7, n_aneurysms=cfg.n_aneurysms)
-    assert dataclasses.replace(built, seed=0) == PhantomSpec()
-
-
-def test_oracle_spec_defaults_match_run_config(monkeypatch):
-    seen = []
-    monkeypatch.setattr(
-        pipeline, "oracle_detect", lambda truth, spec, dims: seen.append(spec) or []
-    )
-    volume = Volume(np.zeros((4, 4, 4), dtype=np.int16), (1.0, 1.0, 1.0))
-    pipeline.oracle_scorer_factory(volume, [], RunConfig(), seed=7)
-    assert dataclasses.replace(seen[0], seed=0) == OracleDetectorSpec()
 
 
 def test_json_round_trip_is_lossless():
@@ -58,7 +38,10 @@ def test_integral_floats_and_ints_convert():
 @pytest.mark.parametrize(
     "field, value",
     [("seed", 1.5), ("bootstrap_resamples", 2.5), ("jobs", True), ("seed", math.inf),
-     ("seed", math.nan), ("patch_size", [96, 96, 95.5]), ("nms_iou", False)],
+     ("seed", math.nan), ("patch_size", [96, 96, 95.5]), ("nms_iou", False),
+     # strings where a number or a string is due
+     ("nms_iou", "0.3"), ("seed", "7"), ("jobs", " 2 "), ("fppv_grid", ["inf"]),
+     ("strata_keys", [["size_class"]]), ("strata_keys", [1])],
 )
 def test_inexact_values_rejected(field, value):
     with pytest.raises(ValueError, match=field):
@@ -68,7 +51,11 @@ def test_inexact_values_rejected(field, value):
 @pytest.mark.parametrize(
     "text, problem",
     [("NaN", "NaN is not valid JSON"), ('{"a": [Infinity]}', "Infinity is not valid JSON"),
-     ("-Infinity", "-Infinity is not valid JSON"), ('{"a": 1e400}', "1e400 overflows")],
+     ("-Infinity", "-Infinity is not valid JSON"), ('{"a": 1e400}', "1e400 overflows"),
+     pytest.param('{"a": 1' + "0" * 400 + "}", "an integer of 401 digits overflows",
+                  id="1e400-as-integer"),
+     pytest.param("-1" + "0" * 400, "an integer of 401 digits overflows",
+                  id="-1e400-as-integer")],
 )
 def test_strict_json_refuses_non_finite_numbers(text, problem):
     with pytest.raises(ValueError, match=problem):

@@ -181,15 +181,16 @@ class TestFroc:
 
     def test_wired_perfect_detector_hits_origin(self):
         # detector stand-in with no misses and no injected false positives
-        from ctadet.synth import OracleDetectorSpec, PhantomSpec, generate_phantom, oracle_detect
+        from ctadet.config import RunConfig
+        from ctadet.synth import generate_phantom, oracle_detect
 
         dataset = []
         for i in range(4):
             _, lesions = generate_phantom(
-                PhantomSpec(seed=900 + i, n_aneurysms=2), f"w{i}"
+                RunConfig(seed=900 + i, n_aneurysms=2), f"w{i}"
             )
             boxes = [l.box for l in lesions]
-            cands = oracle_detect(boxes, OracleDetectorSpec(seed=i), (128, 128, 96))
+            cands = oracle_detect(boxes, RunConfig(), i, (128, 128, 96))
             dataset.append((boxes, cands))
         curve = froc(dataset)
         assert (0.0, 1.0) in curve.points

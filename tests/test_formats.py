@@ -152,6 +152,46 @@ class TestRecordTypes:
             read_manifest(path)
         assert e.value.exit_code == 3
 
+    @pytest.mark.parametrize("read, good, key, value", [
+        (read_candidates, GOOD_CANDIDATE, "diameter_vox", 10 ** 400),
+        (read_annotations, GOOD_LESION, "center_vox", [1, 10 ** 400, 3]),
+    ], ids=["candidate-diameter_vox", "annotation-center_vox"])
+    def test_integer_beyond_float_range_exit_3(self, tmp_path, read, good, key, value):
+        path = tmp_path / "records.jsonl"
+        self.write(path, good, key, value)
+        with pytest.raises(FormatError, match=re.escape(f"{path}:2: ") + ".*401 digits") as e:
+            read(path)
+        assert e.value.exit_code == 3
+
+    MANIFEST_CASES = [("volume", 7), ("volume", None), ("annotations", 5), ("n_lesions", 2.7),
+                      ("n_lesions", 2.0), ("n_lesions", "2"), ("n_lesions", True),
+                      ("n_lesions", -3), ("seed", "x"), ("seed", 1.5), ("seed", False),
+                      ("seed", -1)]
+
+    @pytest.mark.parametrize("key, value", MANIFEST_CASES,
+                             ids=[f"{k}={json.dumps(v)}" for k, v in MANIFEST_CASES])
+    def test_manifest_field_types(self, tmp_path, key, value):
+        volume = {"volume_id": "a", "volume": "a.vol.json", "n_lesions": 1}
+        doc = {"annotations": "ann.jsonl", "seed": 3, "volumes": [volume]}
+        if key in volume:
+            volume[key] = value
+        else:
+            doc[key] = value
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=re.escape(f"{path}: ") + f".*{key}") as e:
+            read_manifest(path)
+        assert e.value.exit_code == 3
+
+    def test_manifest_optional_fields(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"annotations": "ann.jsonl", "volumes": [
+            {"volume_id": "a", "volume": "a.vol.json"}]}))
+        manifest = read_manifest(path)
+        assert manifest.seed is None and manifest.volumes[0].n_lesions == 0
+        path.write_text(json.dumps({"annotations": "ann.jsonl", "seed": None, "volumes": []}))
+        assert read_manifest(path).seed is None
+
     def test_integral_numbers_accepted(self, tmp_path):
         path = tmp_path / "v.cand.jsonl"
         self.write(path, GOOD_CANDIDATE, "prob", 1)

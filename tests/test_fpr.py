@@ -11,13 +11,7 @@ from ctadet.fpr import (
     select_candidates,
 )
 from ctadet.postproc import CandidateDetection, Stage, nms
-from ctadet.synth import (
-    OracleDetectorSpec,
-    PhantomSpec,
-    generate_phantom,
-    oracle_detect,
-    perfect_classifier,
-)
+from ctadet.synth import generate_phantom, oracle_detect, perfect_classifier
 from ctadet.volume import Volume
 
 
@@ -108,25 +102,23 @@ class TestPerfectClassifierAblation:
         # detector with injected false positives; the oracle rescorer must
         # improve sensitivity at every fixed FPPV and shrink the
         # positive-probability false-positive pool
-        spec = OracleDetectorSpec(
-            hit_prob=1.0,
-            center_jitter_sigma=0.5,
-            fp_per_volume=5.0,
-            fp_prob_range=(0.3, 0.95),
-            tp_prob_range=(0.4, 0.9),
-            seed=0,
+        detector = RunConfig(
+            detector_hit_prob=1.0,
+            detector_center_jitter=0.5,
+            detector_fp_per_volume=5.0,
+            detector_fp_prob_range=(0.3, 0.95),
+            detector_tp_prob_range=(0.4, 0.9),
         )
         dataset_before = []
         dataset_after = []
         fp_before = fp_after = 0
         for i in range(12):
-            phantom_spec = PhantomSpec(
+            phantom_cfg = RunConfig(
                 seed=500 + i, n_aneurysms=3, aneurysm_diameter_range=(6.0, 14.0)
             )
-            _, lesions = generate_phantom(phantom_spec, f"p{i}")
+            _, lesions = generate_phantom(phantom_cfg, f"p{i}")
             boxes = [l.box for l in lesions]
-            spec_i = OracleDetectorSpec(**{**spec.__dict__, "seed": i})
-            cands = oracle_detect(boxes, spec_i, phantom_spec.dims)
+            cands = oracle_detect(boxes, detector, i, phantom_cfg.phantom_dims)
             probs = perfect_classifier(boxes)(FakeBatch(cands))
             rescored = [rescore(c, p) for c, p in zip(cands, probs)]
             dataset_before.append((boxes, cands))

@@ -16,19 +16,13 @@ from ctadet.pipeline import (
     tile_patch,
 )
 from ctadet.postproc import CandidateDetection, Stage
-from ctadet.synth import (
-    PhantomSpec,
-    generate_phantom,
-    perfect_classifier,
-    reference_classifier,
-)
+from ctadet.synth import generate_phantom, perfect_classifier, reference_classifier
 from ctadet.volume import Volume, extract_patch, normalize_hu, tile_volume, truncate_cranial
 from oracles import oracle_score_reference, reference_classifier_reference
 
 
 def phantom(seed=0, **kw):
-    spec = PhantomSpec(seed=seed, **kw)
-    return generate_phantom(spec, f"ph-{seed}")
+    return generate_phantom(RunConfig(seed=seed, **kw), f"ph-{seed}")
 
 
 class TestDetectVolume:

@@ -13,8 +13,6 @@ from ctadet.config import RunConfig
 from ctadet.pipeline import FprBatch
 from ctadet.postproc import CandidateDetection
 from ctadet.synth import (
-    OracleDetectorSpec,
-    PhantomSpec,
     _paint_balls,
     _sphere_masks,
     _vessel_path,
@@ -34,29 +32,29 @@ from oracles import (
 
 class TestGeneratePhantom:
     def test_no_aneurysms_empty_annotations(self):
-        vol, lesions = generate_phantom(PhantomSpec(n_aneurysms=0, seed=1))
+        vol, lesions = generate_phantom(RunConfig(n_aneurysms=0, seed=1))
         assert lesions == []
         assert vol.dims == (128, 128, 96)
         assert vol.values.dtype == np.int16
 
     def test_deterministic(self):
-        spec = PhantomSpec(seed=1234)
-        a_vol, a_les = generate_phantom(spec, "x")
-        b_vol, b_les = generate_phantom(spec, "x")
+        cfg = RunConfig(seed=1234)
+        a_vol, a_les = generate_phantom(cfg, "x")
+        b_vol, b_les = generate_phantom(cfg, "x")
         assert np.array_equal(a_vol.values, b_vol.values)
         assert a_les == b_les
 
     def test_lesion_count_and_center_hu(self):
-        spec = PhantomSpec(n_aneurysms=5, seed=77, noise_sigma=0.0)
-        vol, lesions = generate_phantom(spec)
+        cfg = RunConfig(n_aneurysms=5, seed=77, phantom_noise_sigma=0.0)
+        vol, lesions = generate_phantom(cfg)
         assert len(lesions) == 5
         for lesion in lesions:
             idx = tuple(int(round(c)) for c in lesion.box.center)
-            assert vol.values[idx] == spec.aneurysm_hu
+            assert vol.values[idx] == cfg.aneurysm_hu
 
     def test_interior_contrast_pre_noise(self):
-        spec = PhantomSpec(n_aneurysms=4, seed=5, noise_sigma=0.0)
-        vol, lesions = generate_phantom(spec)
+        cfg = RunConfig(n_aneurysms=4, seed=5, phantom_noise_sigma=0.0)
+        vol, lesions = generate_phantom(cfg)
         for lesion in lesions:
             r = lesion.box.diameter / 2.0
             lo = [max(0, int(np.floor(c - r))) for c in lesion.box.center]
@@ -65,30 +63,30 @@ class TestGeneratePhantom:
             grids = np.ogrid[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]]
             d2 = sum((g - c) ** 2 for g, c in zip(grids, lesion.box.center))
             interior_mean = region[d2 <= r * r].mean()
-            assert interior_mean - spec.background_hu == pytest.approx(
-                spec.aneurysm_hu - spec.background_hu
+            assert interior_mean - cfg.background_hu == pytest.approx(
+                cfg.aneurysm_hu - cfg.background_hu
             )
 
     def test_no_two_lesions_overlap(self):
-        _, lesions = generate_phantom(PhantomSpec(n_aneurysms=6, seed=42))
+        _, lesions = generate_phantom(RunConfig(n_aneurysms=6, seed=42))
         for i, a in enumerate(lesions):
             for b in lesions[i + 1:]:
                 assert iou3d(a.box, b.box) == 0.0
 
     def test_labels_present(self):
-        _, lesions = generate_phantom(PhantomSpec(seed=9))
+        _, lesions = generate_phantom(RunConfig(seed=9))
         for lesion in lesions:
             assert set(lesion.labels) == {"size_class", "location"}
 
     def test_impossible_placement_raises(self):
-        spec = PhantomSpec(
-            dims=(24, 24, 24),
+        cfg = RunConfig(
+            phantom_dims=(24, 24, 24),
             n_aneurysms=40,
             aneurysm_diameter_range=(10.0, 12.0),
             seed=3,
         )
         with pytest.raises(ValueError, match="place"):
-            generate_phantom(spec)
+            generate_phantom(cfg)
 
 
 class TestFillScratch:
@@ -101,15 +99,15 @@ class TestFillScratch:
                                                      (True, 0.0, 1)],
                              ids=["inline", "ahead", "noise-free"])
     def test_traced_peak_within_phantom_slabs_and_canvas(self, overlap, sigma, slabs):
-        spec = PhantomSpec(seed=0, noise_sigma=sigma)
-        plane = spec.dims[1] * spec.dims[2]
-        step = min(spec.dims[0], _SLAB_VOXELS // 2 // plane)
+        cfg = RunConfig(seed=0, phantom_noise_sigma=sigma)
+        plane = cfg.phantom_dims[1] * cfg.phantom_dims[2]
+        step = min(cfg.phantom_dims[0], _SLAB_VOXELS // 2 // plane)
         # a first call imports the modules numpy loads lazily; they are not scratch
-        generate_phantom(PhantomSpec(dims=(16, 16, 16), n_vessels=1, n_aneurysms=0,
-                                     vessel_radius_range=(2.0, 2.0)))
+        generate_phantom(RunConfig(phantom_dims=(16, 16, 16), n_vessels=1, n_aneurysms=0,
+                                   vessel_radius_range=(2.0, 2.0)))
         tracemalloc.start()
         try:
-            vol, _ = generate_phantom(spec, overlap=overlap)
+            vol, _ = generate_phantom(cfg, overlap=overlap)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -123,22 +121,22 @@ WIDE_DIMS = (11, 725, 725)  # a y-z plane above half a slab: one plane per slab
 
 PHANTOM_CASES = {
     "default": {},
-    "sigma-0": {"noise_sigma": 0.0},
-    "half-hu-sigma-0": {"vessel_hu": 300.5, "background_hu": -0.5, "noise_sigma": 0.0},
+    "sigma-0": {"phantom_noise_sigma": 0.0},
+    "half-hu-sigma-0": {"vessel_hu": 300.5, "background_hu": -0.5, "phantom_noise_sigma": 0.0},
     "half-hu": {"vessel_hu": 300.5, "background_hu": -0.5},
     "clip": {"aneurysm_hu": 40000.0},
-    "ragged-slabs": {"dims": RAGGED_DIMS, "n_aneurysms": 1},
-    "plane-slabs": {"dims": WIDE_DIMS, "n_vessels": 1, "vessel_radius_range": (2.0, 2.5),
+    "ragged-slabs": {"phantom_dims": RAGGED_DIMS, "n_aneurysms": 1},
+    "plane-slabs": {"phantom_dims": WIDE_DIMS, "n_vessels": 1, "vessel_radius_range": (2.0, 2.5),
                     "n_aneurysms": 0},
-    "dims-1-9-7": {"dims": (1, 9, 7), "n_vessels": 0, "n_aneurysms": 0},
+    "dims-1-9-7": {"phantom_dims": (1, 9, 7), "n_vessels": 0, "n_aneurysms": 0},
     "lesion-across-slabs": {"n_aneurysms": 3, "aneurysm_diameter_range": (8.0, 14.0)},
 }
 
 
 def _assert_matches_reference(overrides, overlap):
-    spec = PhantomSpec(seed=17, **overrides)
-    got, got_lesions = generate_phantom(spec, "p", overlap=overlap)
-    want, want_lesions = generate_phantom_reference(spec, "p")
+    cfg = RunConfig(seed=17, **overrides)
+    got, got_lesions = generate_phantom(cfg, "p", overlap=overlap)
+    want, want_lesions = generate_phantom_reference(cfg, "p")
     assert got.values.dtype == want.values.dtype == np.int16
     assert got.values.flags.f_contiguous  # the raw file's x-fastest layout
     assert np.array_equal(got.values, want.values)
@@ -164,22 +162,22 @@ class TestPhantomMatchesReference:
         assert RAGGED_DIMS[0] // step >= 2 and RAGGED_DIMS[0] % step != 0
 
     def test_lesion_case_paints_across_a_slab_edge(self):
-        spec = PhantomSpec(seed=17, **PHANTOM_CASES["lesion-across-slabs"])
-        step = _SLAB_VOXELS // 2 // (spec.dims[1] * spec.dims[2])
-        _, lesions = generate_phantom(spec)
+        cfg = RunConfig(seed=17, **PHANTOM_CASES["lesion-across-slabs"])
+        step = _SLAB_VOXELS // 2 // (cfg.phantom_dims[1] * cfg.phantom_dims[2])
+        _, lesions = generate_phantom(cfg)
         # some lesion holds voxel planes on both sides of a slab's first plane
         assert any(
             math.ceil(c - r) < edge <= math.floor(c + r)
             for c, r in ((l.box.center[0], l.box.diameter / 2.0) for l in lesions)
-            for edge in range(step, spec.dims[0], step)
+            for edge in range(step, cfg.phantom_dims[0], step)
         )
 
     def test_wide_dims_take_one_plane_per_slab(self):
         assert WIDE_DIMS[1] * WIDE_DIMS[2] > _SLAB_VOXELS // 2 and WIDE_DIMS[0] > 1
 
     def test_half_hu_rounds_to_even(self):
-        spec = PhantomSpec(seed=3, vessel_hu=300.5, background_hu=-0.5, noise_sigma=0.0)
-        assert set(np.unique(generate_phantom(spec)[0].values)) == {0, 300, 400}
+        cfg = RunConfig(seed=3, vessel_hu=300.5, background_hu=-0.5, phantom_noise_sigma=0.0)
+        assert set(np.unique(generate_phantom(cfg)[0].values)) == {0, 300, 400}
 
     @pytest.mark.parametrize("radius", [2.0, 2.5, 3.3])
     def test_too_small_dims_raise_where_numpy_did(self, radius):
@@ -187,17 +185,18 @@ class TestPhantomMatchesReference:
         # when a dim is below 5 + 2 * radius; the package names the key there
         outcomes = set()
         for d in range(int(5 + 2 * radius) - 2, int(5 + 2 * radius) + 3):
-            spec = PhantomSpec(dims=(d + 4, d, d + 2), vessel_radius_range=(radius, radius),
-                               n_vessels=2, n_aneurysms=0, seed=1)
+            cfg = RunConfig(phantom_dims=(d + 4, d, d + 2),
+                            vessel_radius_range=(radius, radius),
+                            n_vessels=2, n_aneurysms=0, seed=1)
             try:
-                generate_phantom_reference(spec)
+                generate_phantom_reference(cfg)
             except ValueError as e:
                 assert "high - low" in str(e)
                 with pytest.raises(ValueError, match=r"phantom_dims .* radius"):
-                    generate_phantom(spec)
+                    generate_phantom(cfg)
                 outcomes.add("refused")
             else:
-                generate_phantom(spec)
+                generate_phantom(cfg)
                 outcomes.add("accepted")
         assert outcomes == {"accepted", "refused"}
 
@@ -229,20 +228,20 @@ class TestNoiseThread:
         # 2-plane slabs give 48 hand-offs per phantom; more callers than
         # cores and a short switch interval shake the buffer exchange
         monkeypatch.setattr(synth, "_SLAB_VOXELS", 4096)
-        specs = [PhantomSpec(dims=(96, 32, 32), n_vessels=2, n_aneurysms=1,
-                             aneurysm_diameter_range=(3.0, 5.0), seed=s)
-                 for s in range((os.cpu_count() or 1) + 2)]
-        want = [generate_phantom(spec)[0].values for spec in specs]
-        got = [None] * len(specs)
+        cfgs = [RunConfig(phantom_dims=(96, 32, 32), n_vessels=2, n_aneurysms=1,
+                          aneurysm_diameter_range=(3.0, 5.0), seed=s)
+                for s in range((os.cpu_count() or 1) + 2)]
+        want = [generate_phantom(cfg)[0].values for cfg in cfgs]
+        got = [None] * len(cfgs)
 
         def run(i):
-            got[i] = generate_phantom(specs[i], overlap=True)[0].values
+            got[i] = generate_phantom(cfgs[i], overlap=True)[0].values
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             threads = [threading.Thread(target=run, args=(i,), daemon=True)
-                       for i in range(len(specs))]
+                       for i in range(len(cfgs))]
             for t in threads:
                 t.start()
             for t in threads:
@@ -267,7 +266,7 @@ class TestNoiseThread:
 
         monkeypatch.setattr(synth, "_fill_noise", failing_fill)
         before = threading.active_count()
-        got = _call_with_timeout(lambda: generate_phantom(PhantomSpec(seed=2), overlap=overlap))
+        got = _call_with_timeout(lambda: generate_phantom(RunConfig(seed=2), overlap=overlap))
         assert got is error
         assert len(calls) == 2
         assert threading.active_count() == before
@@ -282,7 +281,7 @@ class TestNoiseThread:
 
         monkeypatch.setattr(synth, "_paint_balls", failing_paint)
         before = threading.active_count()
-        got = _call_with_timeout(lambda: generate_phantom(PhantomSpec(seed=2), overlap=True))
+        got = _call_with_timeout(lambda: generate_phantom(RunConfig(seed=2), overlap=True))
         assert got is error
         assert "phantom-noise" in seen[0]  # the helper was running
         assert threading.active_count() == before
@@ -297,8 +296,8 @@ class TestNoiseThread:
 
         monkeypatch.setattr(synth, "_paint_balls", watching_paint)
         before = threading.active_count()
-        generate_phantom(PhantomSpec(seed=2))
-        generate_phantom(PhantomSpec(seed=2, noise_sigma=0.0), overlap=True)
+        generate_phantom(RunConfig(seed=2))
+        generate_phantom(RunConfig(seed=2, phantom_noise_sigma=0.0), overlap=True)
         assert set(seen) == {before}
 
 
@@ -462,6 +461,8 @@ class TestSizeClass:
 
 
 class TestOracleDetect:
+    DIMS = (128, 128, 96)
+
     def truth(self):
         return [
             BoundingBox((30.0, 30.0, 30.0), 8.0),
@@ -469,43 +470,41 @@ class TestOracleDetect:
         ]
 
     def test_perfect_oracle_reproduces_truth(self):
-        spec = OracleDetectorSpec(seed=1)
-        cands = oracle_detect(self.truth(), spec, (128, 128, 96))
+        cands = oracle_detect(self.truth(), RunConfig(), 1, self.DIMS)
         assert [c.box for c in cands] == self.truth()
         assert all(c.probability == 1.0 for c in cands)
 
     def test_zero_hit_prob_only_false_positives(self):
-        spec = OracleDetectorSpec(hit_prob=0.0, fp_per_volume=3.0, seed=2)
-        cands = oracle_detect(self.truth(), spec, (128, 128, 96))
+        cfg = RunConfig(detector_hit_prob=0.0, detector_fp_per_volume=3.0)
+        cands = oracle_detect(self.truth(), cfg, 2, self.DIMS)
         for c in cands:
             assert not any(b.contains(c.box.center) for b in self.truth())
 
     def test_deterministic(self):
-        spec = OracleDetectorSpec(
-            hit_prob=0.8, center_jitter_sigma=1.0, fp_per_volume=2.0, seed=9
+        cfg = RunConfig(
+            detector_hit_prob=0.8, detector_center_jitter=1.0, detector_fp_per_volume=2.0
         )
-        a = oracle_detect(self.truth(), spec, (128, 128, 96))
-        b = oracle_detect(self.truth(), spec, (128, 128, 96))
+        a = oracle_detect(self.truth(), cfg, 9, self.DIMS)
+        b = oracle_detect(self.truth(), cfg, 9, self.DIMS)
         assert a == b
 
     def test_poisson_false_positive_rate(self):
         total = 0
         n_volumes = 1000
+        cfg = RunConfig(detector_hit_prob=0.0, detector_fp_per_volume=4.0)
         for i in range(n_volumes):
-            spec = OracleDetectorSpec(hit_prob=0.0, fp_per_volume=4.0, seed=i)
-            total += len(oracle_detect(self.truth(), spec, (128, 128, 96)))
+            total += len(oracle_detect(self.truth(), cfg, i, self.DIMS))
         mean = total / n_volumes
         # Poisson(4): 3 sigma over 1000 volumes
         assert abs(mean - 4.0) <= 3.0 * np.sqrt(4.0 / n_volumes)
 
     def test_probability_ranges_respected(self):
-        spec = OracleDetectorSpec(
-            fp_per_volume=5.0,
-            fp_prob_range=(0.3, 0.4),
-            tp_prob_range=(0.8, 0.9),
-            seed=11,
+        cfg = RunConfig(
+            detector_fp_per_volume=5.0,
+            detector_fp_prob_range=(0.3, 0.4),
+            detector_tp_prob_range=(0.8, 0.9),
         )
-        for c in oracle_detect(self.truth(), spec, (128, 128, 96)):
+        for c in oracle_detect(self.truth(), cfg, 11, self.DIMS):
             hit = any(b.contains(c.box.center) for b in self.truth())
             lo, hi = (0.8, 0.9) if hit else (0.3, 0.4)
             assert lo <= c.probability <= hi
@@ -525,8 +524,8 @@ class TestReferenceClassifier:
         assert probs.shape == (1, 3) and (probs <= 0.5).all()
 
     def test_lesion_centered_beats_background(self):
-        spec = PhantomSpec(seed=21, n_aneurysms=3, aneurysm_diameter_range=(6.0, 12.0))
-        vol, lesions = generate_phantom(spec)
+        cfg = RunConfig(seed=21, n_aneurysms=3, aneurysm_diameter_range=(6.0, 12.0))
+        vol, lesions = generate_phantom(cfg)
         lesions = [CandidateDetection(lesion.box, 0.9) for lesion in lesions]
         background = CandidateDetection(BoundingBox((5.0, 5.0, 90.0), 6.0), 0.9)
         probs = reference_classifier(FprBatch.around(vol, [*lesions, background]))
@@ -575,8 +574,8 @@ class TestClassifierMatchesReference:
             assert np.array_equal(reference_classifier(batch), _reference_scores(batch))
 
     def test_phantom_patches_equal_reference(self):
-        spec = PhantomSpec(seed=21, n_aneurysms=3, aneurysm_diameter_range=(6.0, 12.0))
-        vol, lesions = generate_phantom(spec)
+        cfg = RunConfig(seed=21, n_aneurysms=3, aneurysm_diameter_range=(6.0, 12.0))
+        vol, lesions = generate_phantom(cfg)
         vol = Volume(np.asfortranarray(vol.values), vol.spacing)
         batch = FprBatch.around(vol, [CandidateDetection(l.box, 0.9) for l in lesions])
         assert next(batch.patch_sets()).patches[0].values.flags.f_contiguous
