@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -243,18 +243,27 @@ def iou3d(a: BoundingBox, b: BoundingBox) -> float:
 class AnchorGrid:
     """The anchors of one patch as read-only arrays, one row per anchor:
     centres ``position`` (n, 3), edge lengths ``size`` (n,) and their
-    cubes ``bounds``.  ``grid_size``, ``factor`` and ``sizes`` fix the row
-    layout, grid-index-major (x, then y, then z) with scales innermost;
-    only :meth:`row` and :meth:`anchor` read it."""
+    cubes ``bounds``, built on first read.  ``grid_size``, ``factor`` and
+    ``sizes`` fix the row layout, grid-index-major (x, then y, then z) with
+    scales innermost; only :meth:`row` and :meth:`anchor` read it."""
 
     def __init__(self, grid_size: int, factor: int, sizes, position, size):
         self.grid_size, self.factor, self.sizes = grid_size, factor, tuple(sizes)
         self._shape = (grid_size,) * 3 + (len(self.sizes),)
-        self.position = np.array(position, dtype=float).reshape(-1, 3)
-        self.size = np.array(size, dtype=float)
-        self.bounds = cube_bounds(self.position, self.size)
-        for arr in (self.position, self.size, *self.bounds):
+        # C-ordered copies, so that the reshapes are views
+        self.position = np.array(position, dtype=float, order="C").reshape(-1, 3)
+        self.size = np.array(size, dtype=float, order="C").reshape(-1)
+        for arr in (self.position, self.size):
             arr.flags.writeable = False
+
+    @cached_property
+    def bounds(self) -> BoxBounds:
+        """:func:`cube_bounds` of every row, as read-only arrays; a caller
+        that needs a few rows' cubes builds just those."""
+        bounds = cube_bounds(self.position, self.size)
+        for arr in bounds:
+            arr.flags.writeable = False
+        return bounds
 
     def __len__(self) -> int:
         return len(self.size)
@@ -298,8 +307,11 @@ def _anchor_grid(
     factor = patch_size // grid_size
     axis = (np.arange(grid_size) + 0.5) * factor
     cells = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
-    position = np.repeat(cells, len(anchor_sizes), axis=0)
-    sizes = np.tile(anchor_sizes, len(cells))
+    # broadcast views, one row per grid point and scale: the grid's copies
+    # are the only full-size arrays
+    shape = (len(cells), len(anchor_sizes))
+    position = np.broadcast_to(cells[:, None], (*shape, 3))
+    sizes = np.broadcast_to(anchor_sizes, shape)
     return AnchorGrid(grid_size, factor, anchor_sizes, position, sizes)
 
 

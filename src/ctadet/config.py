@@ -7,28 +7,39 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 from dataclasses import dataclass
+from json.scanner import NUMBER_RE
 from pathlib import Path
 
 
+class _LiteralError(ValueError):
+    """A number or constant literal that :func:`load_json` refuses; the
+    decoder's hooks see its text but not its place."""
+
+    def __init__(self, message: str, literal: str):
+        super().__init__(message)
+        self.literal = literal
+
+
 def _refuse_constant(name: str):
-    raise ValueError(f"{name} is not valid JSON")
+    raise _LiteralError(f"{name} is not valid JSON", name)
 
 
 def _finite_float(text: str) -> float:
     value = float(text)
     if math.isinf(value):
-        raise ValueError(f"{text} overflows a float")
+        raise _LiteralError(f"{text} overflows a float", text)
     return value
 
 
 def _float_sized_int(text: str) -> int:
-    value = int(text)
     try:
+        value = int(text)  # a ValueError past Python's 4,300-digit limit
         float(value)
-    except OverflowError:
+    except (OverflowError, ValueError):
         digits = len(text.lstrip("-"))
-        raise ValueError(f"an integer of {digits} digits overflows a float") from None
+        raise _LiteralError(f"an integer of {digits} digits overflows a float", text) from None
     return value
 
 
@@ -36,13 +47,24 @@ def _float_sized_int(text: str) -> int:
 _DECODER = json.JSONDecoder(
     parse_constant=_refuse_constant, parse_float=_finite_float, parse_int=_float_sized_int
 )
+# a string, which is skipped whole, or a literal that the hooks above are given
+_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|(-?Infinity|NaN|' + NUMBER_RE.pattern + ")")
 
 
 def load_json(text: str):
     """Parse JSON text, refusing the NaN, Infinity and -Infinity that
     :func:`json.loads` accepts but RFC 8259 does not, and number literals
-    such as ``1e400`` or a 1 followed by 400 zeros that a float cannot hold."""
-    return _DECODER.decode(text)
+    such as ``1e400`` or a 1 followed by 400 zeros that a float cannot hold.
+
+    Every error is a :class:`json.JSONDecodeError` that names the line and
+    column: the text up to a refused literal parsed, and literals are
+    parsed in text order, so the literal is the first token outside a
+    string with its text."""
+    try:
+        return _DECODER.decode(text)
+    except _LiteralError as e:
+        pos = next(m.start(1) for m in _TOKEN.finditer(text) if m.group(1) == e.literal)
+        raise json.JSONDecodeError(str(e), text, pos) from None
 
 
 def is_number(x) -> bool:

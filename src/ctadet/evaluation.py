@@ -80,12 +80,18 @@ def _concat(arrays: Sequence[np.ndarray]) -> np.ndarray:
     return np.concatenate([np.empty(0), *arrays])
 
 
-def _pooled(per_volume: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Probabilities of all volumes sorted ascending, with their volume index."""
+def _pooled(
+    per_volume: Sequence[np.ndarray], thresholds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The volume index of each probability of all volumes, in ascending
+    probability order, and the cuts into that order that
+    :func:`_weighted_count_ge` reads: the count (the cut at +inf), then
+    the index of the first probability >= each threshold."""
     probs = _concat(per_volume)
     vols = np.repeat(np.arange(len(per_volume)), [len(ps) for ps in per_volume])
     order = np.argsort(probs, kind="stable")
-    return probs[order], vols[order]
+    at = np.searchsorted(probs[order], thresholds, side="left")
+    return vols[order], np.concatenate(([len(probs)], at))
 
 
 def _distinct_sorted(values) -> np.ndarray:
@@ -99,38 +105,38 @@ def _distinct_sorted(values) -> np.ndarray:
     return aux[keep]
 
 
-def _weighted_count_ge(
-    pooled: tuple[np.ndarray, np.ndarray], w: np.ndarray, thresholds: np.ndarray
-) -> np.ndarray:
-    """Per weight row and threshold t, the total weight of the pooled values
-    >= t.  A leading column holds the count at +inf, which is 0."""
-    probs, vols = pooled
-    prefix = np.zeros((len(w), len(probs) + 1), dtype=np.int64)
+def _weighted_count_ge(pooled: tuple[np.ndarray, np.ndarray], w: np.ndarray) -> np.ndarray:
+    """Per weight row and cut of ``pooled`` (from :func:`_pooled`), the
+    total weight of the pooled values from that cut on.  The leading
+    column holds the count at +inf, which is 0."""
+    vols, at = pooled
+    prefix = np.zeros((len(w), len(vols) + 1), dtype=np.int64)
     np.cumsum(w[:, vols], axis=1, out=prefix[:, 1:])
-    at = np.concatenate(([len(probs)], np.searchsorted(probs, thresholds, side="left")))
     return prefix[:, -1:] - prefix[:, at]
 
 
 class _FrocPool:
-    """The matches of a dataset pooled once into ascending probability
-    arrays (finite lesion-hit and false-positive probabilities), each with
-    a parallel volume index.  A FROC over a multiset of the volumes is then
-    a row of per-volume weights: volume j counts ``w[j]`` times, as it does
-    in a bootstrap resample.  Every row is read at all distinct candidate
-    probabilities: one that no weighted candidate attains repeats the point
-    above it, which leaves every step reading unchanged."""
+    """The matches of a dataset pooled once (:func:`_pooled`): the volume
+    of each finite lesion-hit and each false-positive probability, in
+    ascending order, and the cuts at every threshold.  A FROC over a
+    multiset of the volumes is then a row of per-volume weights: volume j
+    counts ``w[j]`` times, as it does in a bootstrap resample.  Every row
+    is read at all distinct candidate probabilities: one that no weighted
+    candidate attains repeats the point above it, which leaves every step
+    reading unchanged."""
 
     def __init__(self, matches: Sequence[MatchResult]):
         self.n_volumes = len(matches)
         self.lesions = np.array([m.n_lesions for m in matches], dtype=np.int64)
-        self.hits = _pooled([m.lesion_hit_probs[m.lesion_hit_probs > -math.inf] for m in matches])
-        self.fps = _pooled([m.fp_probs for m in matches])
         self.thresholds = _distinct_sorted(_concat([m.candidate_probs for m in matches]))[::-1]
+        hit_probs = [m.lesion_hit_probs[m.lesion_hit_probs > -math.inf] for m in matches]
+        self.hits = _pooled(hit_probs, self.thresholds)
+        self.fps = _pooled([m.fp_probs for m in matches], self.thresholds)
 
     def counts(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """For a (rows, n_volumes) weight matrix: false-positive and hit
         counts at +inf and at each descending threshold, and lesion totals."""
-        fps, hits = (_weighted_count_ge(p, w, self.thresholds) for p in (self.fps, self.hits))
+        fps, hits = (_weighted_count_ge(p, w) for p in (self.fps, self.hits))
         return fps, hits, w @ self.lesions
 
     def avg_sensitivity(self, w: np.ndarray, fppvs: Sequence[float]) -> np.ndarray:

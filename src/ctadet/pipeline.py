@@ -142,8 +142,11 @@ class OracleTileScorer:
         # np.rint rounds half to even, as round() does
         gi = np.clip(np.rint(local / grid.factor - 0.5), 0, grid.grid_size - 1)
         base = grid.row(gi.astype(int), 0)
-        # the first best-overlapping scale at each grid point
-        scales = grid.bounds.take(base[:, None] + np.arange(len(grid.sizes)))
+        # the first best-overlapping scale at each grid point, by cubes built
+        # for these rows only, so that grid.bounds (every row's) stays unbuilt
+        rows = base[:, None] + np.arange(len(grid.sizes))
+        scales = cube_bounds(grid.position[rows], grid.size[rows]).take(
+            np.arange(rows.size).reshape(rows.shape))
         own = cube_bounds(local, diameter).take(np.s_[:, None])
         best = base + box_iou(scales, own).argmax(axis=1)
         # per anchor, the first candidate of the highest probability above 0

@@ -33,6 +33,7 @@ SIZE_CLASS_TOP = ">10mm"
 _FP_DIAMETER_RANGE = (2.5, 10.0)  # the oracle's false-positive box edges, in voxels
 _BRIGHT_THRESHOLD = 0.15  # the reference classifier's normalized-HU cut
 _BLOCK_CELLS = 1 << 16  # cube cells per painting block, voxels per tissue-HU block
+_AHEAD_SLAB_PLANES = 16  # cap on a drawn-ahead noise slab: 32-byte int16 x-runs in the store
 
 
 def size_class(diameter_vox: float, spacing: Sequence[float]) -> str:
@@ -191,6 +192,15 @@ def _noise_slabs(rng, sizes, plane, ahead: bool) -> Iterator[Iterator[np.ndarray
         helper.join()
 
 
+def _slab_planes(dims: Sequence[int], ahead: bool) -> int:
+    """Planes per x-slab when filling a phantom of ``dims``: about
+    ``_SLAB_VOXELS // 2`` voxels, at least one plane and at most ``dims[0]``;
+    at most ``_AHEAD_SLAB_PLANES`` when the noise is drawn ``ahead`` into two
+    buffers."""
+    step = min(dims[0], max(1, _SLAB_VOXELS // 2 // (dims[1] * dims[2])))
+    return min(step, _AHEAD_SLAB_PLANES) if ahead else step
+
+
 def generate_phantom(cfg: RunConfig, volume_id: str = "phantom", *, overlap: bool = False):
     """Build a phantom volume and its ground-truth lesion list from the
     ``phantom_*``, vessel and aneurysm fields of ``cfg``.
@@ -209,10 +219,13 @@ def generate_phantom(cfg: RunConfig, volume_id: str = "phantom", *, overlap: boo
     ``_BLOCK_CELLS`` float64 values: ``z * sigma + hu`` has the bits of
     ``hu + z * sigma``, as IEEE addition commutes.  So the phantom, its
     noise slab(s) and the canvas are all it holds that scale with the
-    volume.  With ``overlap`` a helper thread draws each noise slab while
-    the one before it is painted and filled; it pays only where a core is
-    spare.  The phantom is Fortran-ordered (x-fastest), the layout of the
-    raw file.
+    volume.  With ``overlap`` and noise, a helper thread draws each noise
+    slab while the one before it is painted and filled; it pays only where
+    a core is spare.  Its two slabs are cut to at most
+    ``_AHEAD_SLAB_PLANES`` planes (:func:`_slab_planes`), so a 128x96
+    plane takes 16-plane slabs, not 42; inline, one slab keeps the larger
+    size, whose fewer, longer x-runs fill faster.  The phantom is
+    Fortran-ordered (x-fastest), the layout of the raw file.
     """
     if cfg.n_aneurysms > 0 and cfg.n_vessels == 0:
         raise ValueError("aneurysms attach to vessels; need n_vessels >= 1")
@@ -259,8 +272,10 @@ def generate_phantom(cfg: RunConfig, volume_id: str = "phantom", *, overlap: boo
                 f"in dims {dims} after 200 retries"
             )
 
+    noise_rng = rng if cfg.phantom_noise_sigma > 0 else None  # a noise-free phantom draws nothing
+    ahead = overlap and noise_rng is not None
     # x-slabs in C order draw the same noise numbers as one whole-volume draw
-    step = min(dims[0], max(1, _SLAB_VOXELS // 2 // (dims[1] * dims[2])))
+    step = _slab_planes(dims, ahead)
     starts = range(0, dims[0], step)
     sizes = [min(step, dims[0] - x) for x in starts]
     hu = np.array([cfg.background_hu, cfg.vessel_hu, cfg.aneurysm_hu], dtype=np.float64)
@@ -268,8 +283,7 @@ def generate_phantom(cfg: RunConfig, volume_id: str = "phantom", *, overlap: boo
     # buffers first, glibc's heap placement kept a 128x128x96 synth worker's
     # peak about 3 MiB higher.
     values = np.empty(dims, dtype=np.int16, order="F")
-    noise_rng = rng if cfg.phantom_noise_sigma > 0 else None  # a noise-free phantom draws nothing
-    with _noise_slabs(noise_rng, sizes, dims[1:], overlap) as noise:
+    with _noise_slabs(noise_rng, sizes, dims[1:], ahead) as noise:
         # tissue labels index `hu`: 0 background, 1 vessel, 2 aneurysm
         canvas = np.empty((step, *dims[1:]), dtype=np.uint8)
         tissue = np.empty(min(_BLOCK_CELLS, canvas.size))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from ctadet.anchors import (
     box_bounds,
     box_contains,
     box_iou,
+    cube_bounds,
     decode,
     encode,
     iou3d,
@@ -272,6 +274,28 @@ class TestAnchorGrid:
         grid = AnchorGrid(1, 1, [2.0], position, [2.0])
         position[0, 0] = 5.0  # the grid holds a copy
         assert grid.position.tolist() == [[0.0, 0.0, 0.0]]
+
+    def test_bounds_equal_cube_bounds(self):
+        grid = anchor_grid()
+        want = cube_bounds(grid.position, grid.size)
+        assert grid.bounds is grid.bounds  # built once
+        for got, exp in zip(grid.bounds, want):
+            assert got.dtype == exp.dtype and got.shape == exp.shape
+            assert got.tobytes() == exp.tobytes()
+            assert not got.flags.writeable
+
+    def test_default_build_peak_excludes_bounds(self):
+        anchor_grid(patch_size=8, grid_size=4, anchor_sizes=[3.0, 6.0])  # evicts the default
+        tracemalloc.start()
+        try:
+            grid = anchor_grid()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the grid's position and size copies are 1.27 MiB; building the
+        # bounds here too (2.2 MiB held) peaked at 6.3 MiB
+        assert peak <= 2 << 20, f"traced peak {peak / 2**20:.2f} MiB"
+        assert "bounds" not in vars(grid)
 
     def test_indivisible_sizes_rejected(self):
         for _ in range(2):  # a failed build is not memoised

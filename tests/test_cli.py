@@ -955,6 +955,22 @@ class TestConfigValues:
         assert f"invalid config {config}: an integer of 401 digits overflows a float" in err
         assert "Traceback" not in err and not (tmp_path / "out").exists()
 
+    NUMBER_LITERALS = {"NaN": "NaN is not valid JSON", "1e400": "1e400 overflows a float",
+                       "1" + "0" * 400: "an integer of 401 digits overflows a float"}
+
+    @pytest.mark.parametrize("literal", list(NUMBER_LITERALS),
+                             ids=["NaN", "1e400", "401-digit-integer"])
+    def test_number_error_names_line(self, tmp_path, capsys, literal):
+        # the same characters in a string on line 2 must not move the place
+        config = tmp_path / "badcfg.json"
+        config.write_text('{\n  "strata_keys": ["%s"],\n  "nms_iou": %s\n}\n' % (literal, literal))
+        capsys.readouterr()
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert (f"invalid config {config}: {self.NUMBER_LITERALS[literal]}: "
+                "line 3 column 14 (char ") in err
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
+
     def test_candidate_integer_beyond_float_range_exit_3(self, tmp_path, capsys, dataset):
         data, cand = dataset
         config = small_config(tmp_path, n_volumes=2, phantom_dims=[64, 64, 48])

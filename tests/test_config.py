@@ -55,7 +55,9 @@ def test_inexact_values_rejected(field, value):
      pytest.param('{"a": 1' + "0" * 400 + "}", "an integer of 401 digits overflows",
                   id="1e400-as-integer"),
      pytest.param("-1" + "0" * 400, "an integer of 401 digits overflows",
-                  id="-1e400-as-integer")],
+                  id="-1e400-as-integer"),
+     pytest.param("[" + "1" * 5000 + "]", "an integer of 5000 digits overflows.*line 1 column 2",
+                  id="past-int-digit-limit")],
 )
 def test_strict_json_refuses_non_finite_numbers(text, problem):
     with pytest.raises(ValueError, match=problem):

@@ -732,6 +732,24 @@ class TestArrayStatistics:
             lambda idx: self.reference_auc(scores, idx), _rank_auc(values, flags, w), rows
         )
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_counts_equal_brute_force(self, seed):
+        vols = self.volumes(seed)
+        matches, _, pool, _ = self.statistics(vols)
+        # probabilities rounded to 0.1 tie within and across volumes
+        assert len(pool.thresholds) < sum(len(m.candidate_probs) for m in matches)
+        w = np.random.default_rng([seed, 2]).integers(0, 4, (30, len(vols)))
+        fps, hits, n_lesions = pool.counts(w)
+        assert fps.shape == hits.shape == (len(w), len(pool.thresholds) + 1)
+        for r, row in enumerate(w.tolist()):
+            assert fps[r, 0] == hits[r, 0] == 0  # at +inf
+            for k, t in enumerate(pool.thresholds.tolist(), 1):
+                assert fps[r, k] == sum(wj * int(np.count_nonzero(m.fp_probs >= t))
+                                        for wj, m in zip(row, matches))
+                assert hits[r, k] == sum(wj * int(np.count_nonzero(m.lesion_hit_probs >= t))
+                                         for wj, m in zip(row, matches))
+            assert n_lesions[r] == sum(wj * m.n_lesions for wj, m in zip(row, matches))
+
     def test_undefined_on_the_same_resamples(self):
         vols = self.volumes(3)
         n = len(vols)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ctadet import pipeline, volume
-from ctadet.anchors import BoundingBox, TargetVector, anchor_grid, decode
+from ctadet.anchors import AnchorGrid, BoundingBox, TargetVector, anchor_grid, decode
 from ctadet.config import RunConfig
 from ctadet.fpr import extract_fpr_patches, rescore, select_candidates
 from ctadet.pipeline import (
@@ -440,3 +440,11 @@ class TestOracleTileScorer:
             both = OracleTileScorer([first, second]).score(None, tiles[0], grid)
             winner = alone[0] if first.probability >= second.probability else alone[1]
             assert both.tolist() == winner.tolist()
+
+    def test_builds_no_grid_bounds(self, case):
+        shared, tiles, cands = case
+        grid = AnchorGrid(shared.grid_size, shared.factor, shared.sizes, shared.position,
+                          shared.size)  # unshared, so no other test has read its bounds
+        for tile in tiles:
+            OracleTileScorer(cands).score(None, tile, grid)
+        assert "bounds" not in vars(grid)  # the cubes of all 41,472 rows stay unbuilt

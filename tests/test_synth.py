@@ -14,6 +14,7 @@ from ctadet.pipeline import FprBatch
 from ctadet.postproc import CandidateDetection
 from ctadet.synth import (
     _paint_balls,
+    _slab_planes,
     _sphere_masks,
     _vessel_path,
     generate_phantom,
@@ -91,7 +92,9 @@ class TestGeneratePhantom:
 
 class TestFillScratch:
     """Filling holds the phantom, its noise slab(s) and the uint8 label
-    canvas, plus a block-sized scratch: no slab-sized float64 copy."""
+    canvas, plus a block-sized scratch: no slab-sized float64 copy.  Drawn
+    ahead, each of the two noise slabs is at most 16 planes; inline, the
+    default 128x96 plane takes 42."""
 
     SLACK = 3 << 20  # a tissue-HU block (0.5 MiB), a painting block's scratch (~1.1 MiB), paths
 
@@ -101,7 +104,7 @@ class TestFillScratch:
     def test_traced_peak_within_phantom_slabs_and_canvas(self, overlap, sigma, slabs):
         cfg = RunConfig(seed=0, phantom_noise_sigma=sigma)
         plane = cfg.phantom_dims[1] * cfg.phantom_dims[2]
-        step = min(cfg.phantom_dims[0], _SLAB_VOXELS // 2 // plane)
+        step = _slab_planes(cfg.phantom_dims, ahead=slabs == 2)
         # a first call imports the modules numpy loads lazily; they are not scratch
         generate_phantom(RunConfig(phantom_dims=(16, 16, 16), n_vessels=1, n_aneurysms=0,
                                    vessel_radius_range=(2.0, 2.0)))
@@ -115,8 +118,9 @@ class TestFillScratch:
         assert peak <= budget, f"traced peak {peak / 2**20:.2f} MiB > {budget / 2**20:.2f} MiB"
 
 
-RAGGED_DIMS = (45, 160, 160)  # x-slabs of 20 planes and a last one of 5
+RAGGED_DIMS = (45, 160, 160)  # x-slabs of 20 planes and a last one of 5, inline
 WIDE_DIMS = (11, 725, 725)  # a y-z plane above half a slab: one plane per slab
+CAPPED_DIMS = (40, 64, 64)  # one slab inline; drawn ahead, the cap cuts 16 + 16 + 8
 
 
 PHANTOM_CASES = {
@@ -130,6 +134,7 @@ PHANTOM_CASES = {
                     "n_aneurysms": 0},
     "dims-1-9-7": {"phantom_dims": (1, 9, 7), "n_vessels": 0, "n_aneurysms": 0},
     "lesion-across-slabs": {"n_aneurysms": 3, "aneurysm_diameter_range": (8.0, 14.0)},
+    "capped-ragged": {"phantom_dims": CAPPED_DIMS},
 }
 
 
@@ -158,22 +163,29 @@ class TestPhantomMatchesReference:
         _assert_matches_reference(overrides, overlap=True)
 
     def test_ragged_dims_span_several_slabs(self):
-        step = _SLAB_VOXELS // 2 // (RAGGED_DIMS[1] * RAGGED_DIMS[2])
-        assert RAGGED_DIMS[0] // step >= 2 and RAGGED_DIMS[0] % step != 0
+        for ahead in (False, True):  # 20 + 20 + 5 and 16 + 16 + 13 planes
+            step = _slab_planes(RAGGED_DIMS, ahead)
+            assert RAGGED_DIMS[0] // step >= 2 and RAGGED_DIMS[0] % step != 0
+
+    def test_cap_cuts_capped_dims_only_when_drawn_ahead(self):
+        assert _slab_planes(CAPPED_DIMS, ahead=False) == CAPPED_DIMS[0]
+        assert _slab_planes(CAPPED_DIMS, ahead=True) == 16 and CAPPED_DIMS[0] % 16 == 8
 
     def test_lesion_case_paints_across_a_slab_edge(self):
         cfg = RunConfig(seed=17, **PHANTOM_CASES["lesion-across-slabs"])
-        step = _SLAB_VOXELS // 2 // (cfg.phantom_dims[1] * cfg.phantom_dims[2])
         _, lesions = generate_phantom(cfg)
-        # some lesion holds voxel planes on both sides of a slab's first plane
-        assert any(
-            math.ceil(c - r) < edge <= math.floor(c + r)
-            for c, r in ((l.box.center[0], l.box.diameter / 2.0) for l in lesions)
-            for edge in range(step, cfg.phantom_dims[0], step)
-        )
+        for ahead in (False, True):
+            step = _slab_planes(cfg.phantom_dims, ahead)
+            # some lesion holds voxel planes on both sides of a slab's first plane
+            assert any(
+                math.ceil(c - r) < edge <= math.floor(c + r)
+                for c, r in ((l.box.center[0], l.box.diameter / 2.0) for l in lesions)
+                for edge in range(step, cfg.phantom_dims[0], step)
+            ), f"ahead={ahead}"
 
     def test_wide_dims_take_one_plane_per_slab(self):
-        assert WIDE_DIMS[1] * WIDE_DIMS[2] > _SLAB_VOXELS // 2 and WIDE_DIMS[0] > 1
+        assert WIDE_DIMS[0] > 1
+        assert _slab_planes(WIDE_DIMS, ahead=False) == _slab_planes(WIDE_DIMS, ahead=True) == 1
 
     def test_half_hu_rounds_to_even(self):
         cfg = RunConfig(seed=3, vessel_hu=300.5, background_hu=-0.5, phantom_noise_sigma=0.0)
