@@ -143,8 +143,9 @@ def _load_config(args) -> RunConfig:
          f"got {cfg.detector_fp_per_volume}"),
         (len(cfg.phantom_dims) == 3 and all(d >= 1 for d in cfg.phantom_dims),
          f"phantom_dims needs 3 entries of at least 1, got {list(cfg.phantom_dims)}"),
-        (len(cfg.phantom_spacing) == 3,
-         f"phantom_spacing needs 3 entries, got {cfg.phantom_spacing}"),
+        (len(cfg.phantom_spacing) == 3 and all(0 < s < math.inf for s in cfg.phantom_spacing),
+         f"phantom_spacing needs 3 entries, each positive and finite, "
+         f"got {list(cfg.phantom_spacing)}"),
         (cfg.n_volumes >= 0, f"n_volumes must be >= 0, got {cfg.n_volumes}"),
         (0 <= cfg.negative_fraction <= 1,
          f"negative_fraction must be in [0, 1], got {cfg.negative_fraction}"),
@@ -189,8 +190,8 @@ def _resolve_plugin(spec: str):
 def _synth_worker(task):
     _load("synth", "volume")  # a spawned worker starts with nothing bound
     vid, cfg, out_dir, overlap = task
-    volume, lesions = generate_phantom(cfg, volume_id=vid, overlap=overlap)
-    write_volume(volume, Path(out_dir) / vid)
+    phantom, lesions = generate_phantom(cfg, volume_id=vid, overlap=overlap)
+    write_volume(phantom, Path(out_dir) / vid)  # fills the phantom as it writes it
     return vid, lesions
 
 

@@ -11,11 +11,12 @@ its bright center is.
 
 from __future__ import annotations
 
+import copy
 import math
 import queue
 import threading
 from contextlib import contextmanager
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
@@ -23,7 +24,7 @@ import numpy as np
 from .anchors import BoundingBox, Lesion, _as_boxes, box_bounds, box_contains
 from .config import RunConfig
 from .postproc import CandidateDetection, Stage
-from .volume import _SLAB_VOXELS, AIR_HU, Volume, normalize_hu
+from .volume import AIR_HU, Volume, _checked_spacing, normalize_hu
 
 if TYPE_CHECKING:
     from .pipeline import FprBatch
@@ -33,6 +34,7 @@ SIZE_CLASS_TOP = ">10mm"
 _FP_DIAMETER_RANGE = (2.5, 10.0)  # the oracle's false-positive box edges, in voxels
 _BRIGHT_THRESHOLD = 0.15  # the reference classifier's normalized-HU cut
 _BLOCK_CELLS = 1 << 16  # cube cells per painting block, voxels per tissue-HU block
+_SLAB_VOXELS = 1 << 20  # a phantom fill's x-slabs hold about half this many voxels
 _AHEAD_SLAB_PLANES = 16  # cap on a drawn-ahead noise slab: 32-byte int16 x-runs in the store
 
 
@@ -202,8 +204,10 @@ def _slab_planes(dims: Sequence[int], ahead: bool) -> int:
 
 
 def generate_phantom(cfg: RunConfig, volume_id: str = "phantom", *, overlap: bool = False):
-    """Build a phantom volume and its ground-truth lesion list from the
-    ``phantom_*``, vessel and aneurysm fields of ``cfg``.
+    """Draw a phantom and its ground-truth lesion list from the
+    ``phantom_*``, vessel and aneurysm fields of ``cfg``: a
+    :class:`Phantom`, whose voxels are filled only when asked for, and the
+    lesions.
 
     Deterministic given ``cfg.seed``, and independent of ``overlap``.
     Lesion annotations carry a size-class label (from the physical
@@ -212,20 +216,21 @@ def generate_phantom(cfg: RunConfig, volume_id: str = "phantom", *, overlap: boo
     dims, or if the requested lesions cannot be placed without overlap
     after bounded retries.
 
-    Every draw for vessels and lesions comes first; the phantom is then
-    filled in x-slabs of about ``_SLAB_VOXELS // 2`` voxels.  Each slab is
+    Every draw for vessels and lesions is made here; a fill then makes the
+    phantom in x-slabs of about ``_SLAB_VOXELS // 2`` voxels.  Each slab is
     painted into a slab-sized uint8 tissue-label canvas, and its tissue HU
     is added into its scaled noise slab in place, through a block of
     ``_BLOCK_CELLS`` float64 values: ``z * sigma + hu`` has the bits of
-    ``hu + z * sigma``, as IEEE addition commutes.  So the phantom, its
-    noise slab(s) and the canvas are all it holds that scale with the
-    volume.  With ``overlap`` and noise, a helper thread draws each noise
-    slab while the one before it is painted and filled; it pays only where
-    a core is spare.  Its two slabs are cut to at most
-    ``_AHEAD_SLAB_PLANES`` planes (:func:`_slab_planes`), so a 128x96
-    plane takes 16-plane slabs, not 42; inline, one slab keeps the larger
-    size, whose fewer, longer x-runs fill faster.  The phantom is
-    Fortran-ordered (x-fastest), the layout of the raw file.
+    ``hu + z * sigma``, as IEEE addition commutes.  Each block is rounded,
+    clipped and cast into an int16 slab, the one handed on.  So its noise
+    slab(s), the canvas and the int16 slab are all a fill holds that scale
+    with the volume, and the whole phantom too when it fills ``values``.
+    With ``overlap`` and noise, a helper thread draws each noise slab while
+    the one before it is painted, filled and taken; it pays only where a
+    core is spare.  Its two slabs are cut to at most
+    ``_AHEAD_SLAB_PLANES`` planes (:func:`_slab_planes`), so a 128x96 plane
+    takes 16-plane slabs, not 42; inline, one slab keeps the larger size,
+    whose fewer, longer x-runs fill faster.
     """
     if cfg.n_aneurysms > 0 and cfg.n_vessels == 0:
         raise ValueError("aneurysms attach to vessels; need n_vessels >= 1")
@@ -272,39 +277,77 @@ def generate_phantom(cfg: RunConfig, volume_id: str = "phantom", *, overlap: boo
                 f"in dims {dims} after 200 retries"
             )
 
-    noise_rng = rng if cfg.phantom_noise_sigma > 0 else None  # a noise-free phantom draws nothing
-    ahead = overlap and noise_rng is not None
-    # x-slabs in C order draw the same noise numbers as one whole-volume draw
-    step = _slab_planes(dims, ahead)
-    starts = range(0, dims[0], step)
-    sizes = [min(step, dims[0] - x) for x in starts]
-    hu = np.array([cfg.background_hu, cfg.vessel_hu, cfg.aneurysm_hu], dtype=np.float64)
-    # The phantom, then the noise buffers, then the slab buffers: with the slab
-    # buffers first, glibc's heap placement kept a 128x128x96 synth worker's
-    # peak about 3 MiB higher.
-    values = np.empty(dims, dtype=np.int16, order="F")
-    with _noise_slabs(noise_rng, sizes, dims[1:], ahead) as noise:
-        # tissue labels index `hu`: 0 background, 1 vessel, 2 aneurysm
-        canvas = np.empty((step, *dims[1:]), dtype=np.uint8)
-        tissue = np.empty(min(_BLOCK_CELLS, canvas.size))
-        for x, m in zip(starts, sizes):
-            labels = canvas[:m]
-            labels.fill(0)
-            for path, radius in vessels:
-                _paint_balls(labels, path, radius, 1, x)
-            for lesion in lesions:
-                _paint_balls(labels, lesion.box.center, lesion.box.diameter / 2.0, 2, x)
-            slab = next(noise)
-            slab *= cfg.phantom_noise_sigma
-            flat, flat_labels = slab.reshape(-1), labels.reshape(-1)
-            for i in range(0, flat.size, tissue.size):
-                block = flat[i : i + tissue.size]
-                block += np.take(hu, flat_labels[i : i + tissue.size], out=tissue[: block.size],
-                                 mode="clip")
-                np.clip(np.rint(block, out=block), -32768, 32767, out=block)
-            values[x : x + m] = slab
-    volume = Volume(values, cfg.phantom_spacing, volume_id, cranial_axis="+z")
-    return volume, lesions
+    noise = rng if cfg.phantom_noise_sigma > 0 else None  # a noise-free phantom draws nothing
+    return Phantom(cfg, volume_id, vessels, lesions, noise, overlap and noise is not None), lesions
+
+
+class Phantom:
+    """A drawn phantom, with a :class:`~ctadet.volume.Volume`'s ``dims``,
+    ``spacing``, ``volume_id`` and ``cranial_axis``, whose voxels are
+    filled when asked for: slab by slab by :meth:`x_slabs`, which
+    :func:`~ctadet.volume.write_volume` writes as it goes, or whole by
+    ``values``.  Each fill starts from a copy of the noise generator as it
+    was after the vessel and lesion draws, so every fill gives the same
+    voxels.
+    """
+
+    def __init__(self, cfg: RunConfig, volume_id: str, vessels, lesions, noise_rng, ahead: bool):
+        self.dims = tuple(int(d) for d in cfg.phantom_dims)
+        self.spacing = _checked_spacing(cfg.phantom_spacing)
+        self.volume_id = volume_id
+        self.cranial_axis = "+z"
+        self._cfg = cfg
+        self._vessels = vessels
+        self._lesions = lesions
+        self._noise_rng = noise_rng
+        self._ahead = ahead
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The whole int16 phantom, Fortran-ordered, filled on first read."""
+        # the phantom, then the noise buffers, then the slab buffers: with the
+        # slab buffers first, glibc's heap placement kept a 128x128x96 synth
+        # worker's peak about 3 MiB higher
+        values = np.empty(self.dims, dtype=np.int16, order="F")
+        x = 0
+        for slab in self.x_slabs():
+            values[x : x + len(slab)] = slab
+            x += len(slab)
+        return values
+
+    def x_slabs(self) -> Iterator[np.ndarray]:
+        """The phantom's int16 x-slabs in x order, each valid until the
+        next one is taken."""
+        cfg, dims = self._cfg, self.dims
+        # x-slabs in C order draw the same noise numbers as one whole-volume draw
+        step = _slab_planes(dims, self._ahead)
+        starts = range(0, dims[0], step)
+        sizes = [min(step, dims[0] - x) for x in starts]
+        hu = np.array([cfg.background_hu, cfg.vessel_hu, cfg.aneurysm_hu], dtype=np.float64)
+        rng = copy.deepcopy(self._noise_rng)
+        with _noise_slabs(rng, sizes, dims[1:], self._ahead) as noise:
+            # tissue labels index `hu`: 0 background, 1 vessel, 2 aneurysm
+            canvas = np.empty((step, *dims[1:]), dtype=np.uint8)
+            tissue = np.empty(min(_BLOCK_CELLS, canvas.size))
+            hu_slab = np.empty(canvas.shape, dtype=np.int16)  # what is handed on
+            for x, m in zip(starts, sizes):
+                labels = canvas[:m]
+                labels.fill(0)
+                for path, radius in self._vessels:
+                    _paint_balls(labels, path, radius, 1, x)
+                for lesion in self._lesions:
+                    _paint_balls(labels, lesion.box.center, lesion.box.diameter / 2.0, 2, x)
+                slab = next(noise)
+                slab *= cfg.phantom_noise_sigma
+                flat, flat_labels = slab.reshape(-1), labels.reshape(-1)
+                flat_hu = hu_slab[:m].reshape(-1)
+                for i in range(0, flat.size, tissue.size):
+                    block = flat[i : i + tissue.size]
+                    block += np.take(hu, flat_labels[i : i + tissue.size],
+                                     out=tissue[: block.size], mode="clip")
+                    np.clip(np.rint(block, out=block), -32768, 32767, out=block)
+                    flat_hu[i : i + block.size] = block
+                yield hu_slab[:m]
 
 
 def oracle_detect(

@@ -8,8 +8,9 @@ are indexed ``[x, y, z]``.  :func:`read_volume` maps the raw file
 read-only and returns a Fortran-ordered (x-fastest) view of the mapping,
 cranial truncation is a view of that, and extracted patches keep the
 source's memory order, so a command holds in memory only the voxels it
-reads.  :func:`write_volume` replaces the raw file rather than rewriting
-it, so a mapping of the old file stays valid.
+reads.  :func:`write_volume` takes the values as x-slabs, so a phantom is
+written as it is filled, and it replaces the raw file rather than
+rewriting it, so a mapping of the old file stays valid.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ import mmap
 import os
 import stat
 import sys
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -31,7 +33,16 @@ AIR_HU = -1000.0
 
 _RAW_SUFFIX = ".vol.raw"
 _JSON_SUFFIX = ".vol.json"
-_SLAB_VOXELS = 1 << 20  # voxels per slab when a whole volume is filled or written
+_REGION_VOXELS = 1 << 18  # voxels per z-region of a file being written (512 KiB of int16)
+
+
+def _checked_spacing(spacing) -> tuple[float, float, float]:
+    """``spacing`` as 3 floats; a ValueError unless they are 3 positive
+    finite values."""
+    spacing = tuple(float(s) for s in spacing)
+    if len(spacing) != 3 or not all(0 < s < math.inf for s in spacing):
+        raise ValueError(f"spacing must be 3 positive finite values, got {spacing}")
+    return spacing
 
 
 @dataclass(frozen=True)
@@ -53,15 +64,18 @@ class Volume:
             raise ValueError(f"volume values must be 3D, got shape {self.values.shape}")
         if any(d < 1 for d in self.values.shape):
             raise ValueError(f"volume dims must all be >= 1, got {self.values.shape}")
-        object.__setattr__(self, "spacing", tuple(float(s) for s in self.spacing))
-        if len(self.spacing) != 3 or not all(0 < s < math.inf for s in self.spacing):
-            raise ValueError(f"spacing must be 3 positive finite values, got {self.spacing}")
+        object.__setattr__(self, "spacing", _checked_spacing(self.spacing))
         if self.cranial_axis not in (None, "+z", "-z"):
             raise ValueError(f"cranial_axis must be '+z' or '-z', got {self.cranial_axis!r}")
 
     @property
     def dims(self) -> tuple[int, int, int]:
         return self.values.shape
+
+    def x_slabs(self) -> Iterator[np.ndarray]:
+        """The values as x-slabs in x order, as :func:`write_volume` takes
+        them: one slab, a view of them all."""
+        yield self.values
 
 
 @dataclass(frozen=True)
@@ -98,31 +112,28 @@ def _volume_paths(path) -> tuple[Path, Path]:
     )
 
 
-def write_volume(v: Volume, path) -> None:
-    """Write the raw/sidecar pair. Values must be integral and fit int16."""
-    arr = np.asarray(v.values)
-    if not np.issubdtype(arr.dtype, np.integer):
-        if not np.all(np.isfinite(arr)) or np.any(arr != np.rint(arr)):
+def _store_int16(dst: np.ndarray, part: np.ndarray, slab: np.ndarray) -> None:
+    """Cast ``part``, a piece of ``slab``, into the int16 ``dst``.
+
+    The cast keeps a value exactly when it is finite, integral and within
+    int16, so the piece equals its cast exactly when all its values are
+    valid; otherwise the ValueError names what is wrong with ``slab``.  The
+    comparison's only scratch is a bool per voxel of the piece.
+    """
+    if part.dtype == np.int16:
+        np.copyto(dst, part)
+        return
+    with np.errstate(invalid="ignore"):  # NaN, inf and out-of-range casts are caught below
+        np.copyto(dst, part, casting="unsafe")
+    if np.array_equal(dst, part):
+        return
+    if not np.issubdtype(slab.dtype, np.integer):
+        if not np.all(np.isfinite(slab)) or np.any(slab != np.rint(slab)):
             raise ValueError("raw volume files store int16 HU; values must be integral")
-    if arr.dtype != np.int16:  # int16 values cannot leave the int16 range
-        lo, hi = arr.min(), arr.max()
-        if lo < -32768 or hi > 32767:
-            raise ValueError(f"HU values [{lo}, {hi}] exceed the int16 range")
-    raw_path, json_path = _volume_paths(path)
-    # z-slabs; .T puts x fastest in each slab's bytes, which for Fortran-ordered
-    # int16 values (as read_volume and generate_phantom give) is a view, not a copy.
-    # The slabs go to a sibling that then replaces the file, so a mapping of the
-    # old file (read_volume's values, perhaps these very ones) keeps its inode.
-    step = max(1, _SLAB_VOXELS // (arr.shape[0] * arr.shape[1]))
-    tmp_path = raw_path.with_name(f".{raw_path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp_path, "wb") as f:
-            for z in range(0, arr.shape[2], step):
-                f.write(np.ascontiguousarray(arr[:, :, z : z + step].T, dtype="<i2"))
-        os.replace(tmp_path, raw_path)
-    except BaseException:
-        tmp_path.unlink(missing_ok=True)
-        raise
+    raise ValueError(f"HU values [{slab.min()}, {slab.max()}] exceed the int16 range")
+
+
+def _write_header(json_path: Path, v) -> None:
     header = {
         "dims": list(v.dims),
         "spacing_mm": list(v.spacing),
@@ -130,6 +141,59 @@ def write_volume(v: Volume, path) -> None:
         "volume_id": v.volume_id,
     }
     json_path.write_text(dump_json(header))
+
+
+def write_volume(v: Volume, path) -> None:
+    """Write the raw/sidecar pair of ``v``, from its ``x_slabs()``.
+
+    ``v`` is a :class:`Volume`, or a phantom from
+    :func:`~ctadet.synth.generate_phantom`, which fills each x-slab as it is
+    taken; either way the values must be integral and fit int16.  The raw
+    file is cut into z-regions of at most ``_REGION_VOXELS`` voxels.  Each
+    slab's piece of each region is cast into a reused int16 buffer and
+    written, in ``(x, y, z)`` order, at that region's place in a temporary
+    sibling; after the last slab each region is read back, transposed to
+    x-fastest and written over itself.  So the writer holds two region
+    buffers, never the volume.  The sibling then replaces the file, so a
+    mapping of the old file (read_volume's values, perhaps these very
+    ones) keeps its inode; on an error the sibling is removed.
+    """
+    nx, ny, nz = v.dims
+    raw_path, json_path = _volume_paths(path)
+    planes = min(nz, max(1, _REGION_VOXELS // (nx * ny)))
+    regions = [(z0, min(z0 + planes, nz)) for z0 in range(0, nz, planes)]
+    staged = np.empty(nx * ny * planes, dtype="<i2")  # a slab's piece, then a region
+    tmp_path = raw_path.with_name(f".{raw_path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp_path, "w+b") as f:
+            x0 = 0
+            with closing(v.x_slabs()) as slabs:
+                for slab in slabs:
+                    m = len(slab)
+                    if slab.shape[1:] != (ny, nz) or x0 + m > nx:
+                        raise ValueError(
+                            f"x-slab {slab.shape} at x = {x0} does not fit dims {v.dims}")
+                    for z0, z1 in regions:
+                        piece = staged[: m * ny * (z1 - z0)].reshape(m, ny, z1 - z0)
+                        _store_int16(piece, slab[:, :, z0:z1], slab)
+                        f.seek(2 * (nx * ny * z0 + x0 * ny * (z1 - z0)))
+                        f.write(piece)
+                    x0 += m
+            if x0 != nx:
+                raise ValueError(f"x-slabs cover {x0} of {nx} planes")
+            region = np.empty_like(staged)  # a region, x-fastest; the slabs' buffers are gone
+            for z0, z1 in regions:
+                n = nx * ny * (z1 - z0)
+                f.seek(2 * nx * ny * z0)
+                f.readinto(staged[:n])
+                np.copyto(region[:n].reshape(z1 - z0, ny, nx), staged[:n].reshape(nx, ny, -1).T)
+                f.seek(2 * nx * ny * z0)
+                f.write(region[:n])
+        os.replace(tmp_path, raw_path)
+    except BaseException:
+        tmp_path.unlink(missing_ok=True)
+        raise
+    _write_header(json_path, v)
 
 
 def read_volume(path) -> Volume:

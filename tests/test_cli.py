@@ -153,6 +153,8 @@ class TestSynth:
         ("phantom_dims", [64, 64]),
         ("phantom_dims", [64, 64, 48, 48]),
         ("phantom_spacing", [1.0, 1.0]),
+        ("phantom_spacing", [0, 1, 1]),
+        ("phantom_spacing", [-1, 1, 1]),
     ])
     def test_phantom_geometry_needs_3_entries_exit_2(self, tmp_path, capsys, field, value):
         config = small_config(tmp_path, **{field: value})

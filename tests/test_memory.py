@@ -4,11 +4,11 @@ Each command runs as a fresh ``python -m ctadet.cli`` process, and its peak
 resident set size comes from the ``os.wait4`` rusage of that process, so
 this test process and its imports do not count.  The budgets are a fixed
 60 MiB for the interpreter, numpy and the pipeline's small buffers, plus a
-per-voxel allowance for the voxels each command holds: 2 bytes for
-``synth`` (the int16 phantom; tissue labels are painted per x-slab), none
-for ``detect`` (the volume is a read-only mapping of the raw file, and the
-oracle scorer reads no voxel) and 1 byte for ``reduce`` (the mapping's
-pages under the candidate patches).
+per-voxel allowance for the voxels each command holds: none for ``synth``
+(each x-slab of the phantom is written into z-regions of the file as it
+is filled), none for ``detect`` (the volume is a read-only mapping of the
+raw file, and the oracle scorer reads no voxel) and 1 byte for ``reduce``
+(the mapping's pages under the candidate patches).
 """
 
 import os
@@ -75,7 +75,7 @@ def scan(tmp_path_factory):
 
 def test_synth_and_detect_within_budget(scan):
     _, synth, detect = scan
-    assert synth <= 2 * VOXELS / MIB + FIXED_MIB, f"synth peaked at {synth:.1f} MiB"
+    assert synth <= FIXED_MIB, f"synth peaked at {synth:.1f} MiB"
     assert detect <= FIXED_MIB, f"detect peaked at {detect:.1f} MiB"
 
 

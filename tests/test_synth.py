@@ -7,12 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ctadet import synth
+from ctadet import synth, volume
 from ctadet.anchors import BoundingBox, iou3d
 from ctadet.config import RunConfig
 from ctadet.pipeline import FprBatch
 from ctadet.postproc import CandidateDetection
 from ctadet.synth import (
+    _SLAB_VOXELS,
     _paint_balls,
     _slab_planes,
     _sphere_masks,
@@ -22,7 +23,8 @@ from ctadet.synth import (
     reference_classifier,
     size_class,
 )
-from ctadet.volume import _SLAB_VOXELS, Volume
+from ctadet.cli import main
+from ctadet.volume import _REGION_VOXELS, Volume, read_volume, write_volume
 from oracles import (
     generate_phantom_reference,
     paint_ball_reference,
@@ -89,6 +91,16 @@ class TestGeneratePhantom:
         with pytest.raises(ValueError, match="place"):
             generate_phantom(cfg)
 
+    @pytest.mark.parametrize("spacing", [(1.0, 1.0), (0.0, 1.0, 1.0), (-1.0, 1.0, 1.0),
+                                         (1.0, math.inf, 1.0), (1.0, 1.0, math.nan)])
+    def test_bad_spacing_refused(self, spacing):
+        # the check a Volume makes, so no header with this spacing is written
+        with pytest.raises(ValueError, match="spacing must be 3 positive finite values"):
+            generate_phantom(RunConfig(phantom_dims=(16, 16, 16), n_vessels=0, n_aneurysms=0,
+                                       phantom_spacing=spacing))
+        with pytest.raises(ValueError, match="spacing must be 3 positive finite values"):
+            Volume(np.zeros((2, 2, 2), np.int16), spacing)
+
 
 class TestFillScratch:
     """Filling holds the phantom, its noise slab(s) and the uint8 label
@@ -110,17 +122,40 @@ class TestFillScratch:
                                    vessel_radius_range=(2.0, 2.0)))
         tracemalloc.start()
         try:
-            vol, _ = generate_phantom(cfg, overlap=overlap)
+            values = generate_phantom(cfg, overlap=overlap)[0].values
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        budget = vol.values.nbytes + slabs * step * plane * 8 + step * plane + self.SLACK
+        budget = values.nbytes + slabs * step * plane * 8 + step * plane + self.SLACK
+        assert peak <= budget, f"traced peak {peak / 2**20:.2f} MiB > {budget / 2**20:.2f} MiB"
+
+    @pytest.mark.parametrize("overlap,sigma,slabs", [(False, 15.0, 1), (True, 15.0, 2),
+                                                     (True, 0.0, 1)],
+                             ids=["inline", "ahead", "noise-free"])
+    def test_streamed_write_holds_no_phantom(self, tmp_path, overlap, sigma, slabs):
+        # written as it is filled: no room for the 3 MiB phantom, only for
+        # the writer's two z-region buffers of at most 512 KiB of int16
+        # (SLACK also holds the int16 slab)
+        cfg = RunConfig(seed=0, phantom_noise_sigma=sigma)
+        _, ny, nz = cfg.phantom_dims
+        step = _slab_planes(cfg.phantom_dims, ahead=slabs == 2)
+        write_volume(generate_phantom(RunConfig(phantom_dims=(16, 16, 16), n_vessels=1,
+                                                n_aneurysms=0, vessel_radius_range=(2.0, 2.0)))[0],
+                     tmp_path / "warm-up")
+        tracemalloc.start()
+        try:
+            write_volume(generate_phantom(cfg, overlap=overlap)[0], tmp_path / "p")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        budget = slabs * step * ny * nz * 8 + step * ny * nz + 2 * (512 << 10) + self.SLACK
         assert peak <= budget, f"traced peak {peak / 2**20:.2f} MiB > {budget / 2**20:.2f} MiB"
 
 
 RAGGED_DIMS = (45, 160, 160)  # x-slabs of 20 planes and a last one of 5, inline
 WIDE_DIMS = (11, 725, 725)  # a y-z plane above half a slab: one plane per slab
 CAPPED_DIMS = (40, 64, 64)  # one slab inline; drawn ahead, the cap cuts 16 + 16 + 8
+PLANE_REGION_DIMS = (520, 512, 10)  # an x-y plane above a z-region's voxels: one plane each
 
 
 PHANTOM_CASES = {
@@ -135,6 +170,17 @@ PHANTOM_CASES = {
     "dims-1-9-7": {"phantom_dims": (1, 9, 7), "n_vessels": 0, "n_aneurysms": 0},
     "lesion-across-slabs": {"n_aneurysms": 3, "aneurysm_diameter_range": (8.0, 14.0)},
     "capped-ragged": {"phantom_dims": CAPPED_DIMS},
+}
+
+
+REGION_CASES = {
+    "default": {},
+    "ragged-regions": PHANTOM_CASES["ragged-slabs"],  # 160 z-planes in 36-plane regions
+    "plane-regions": {"phantom_dims": PLANE_REGION_DIMS, "n_vessels": 1,
+                      "vessel_radius_range": (2.0, 2.0), "n_aneurysms": 0},
+    "x-1": PHANTOM_CASES["dims-1-9-7"],
+    "noise-free": PHANTOM_CASES["sigma-0"],
+    "lesion-across-slabs": PHANTOM_CASES["lesion-across-slabs"],
 }
 
 
@@ -213,6 +259,87 @@ class TestPhantomMatchesReference:
         assert outcomes == {"accepted", "refused"}
 
 
+class TestStreamedWrite:
+    """write_volume fills a phantom slab by slab into z-regions of the file:
+    the same bytes as writing the filled phantom, and on an error the old
+    file stays."""
+
+    @pytest.mark.parametrize("overlap", [False, True], ids=["inline", "ahead"])
+    @pytest.mark.parametrize("overrides", list(REGION_CASES.values()), ids=list(REGION_CASES))
+    def test_streamed_file_equals_filled_phantom(self, tmp_path, overrides, overlap):
+        cfg = RunConfig(seed=17, **overrides)
+        phantom, _ = generate_phantom(cfg, "p", overlap=overlap)
+        write_volume(phantom, tmp_path / "streamed")
+        # a second fill, after the first, makes the same voxels
+        write_volume(Volume(phantom.values, phantom.spacing, "p", "+z"), tmp_path / "filled")
+        for suffix in (".vol.raw", ".vol.json"):
+            streamed = (tmp_path / f"streamed{suffix}").read_bytes()
+            assert streamed == (tmp_path / f"filled{suffix}").read_bytes()
+        streamed_raw = (tmp_path / "streamed.vol.raw").read_bytes()
+        got = read_volume(tmp_path / "streamed")
+        want, _ = generate_phantom_reference(cfg, "p")
+        assert np.array_equal(got.values, want.values)
+        assert streamed_raw == want.values.astype("<i2").tobytes(order="F")
+        assert (got.spacing, got.volume_id, got.cranial_axis) == (
+            want.spacing, want.volume_id, want.cranial_axis)
+
+    def test_region_cases_cut_the_file_as_named(self):
+        nx, ny, nz = REGION_CASES["ragged-regions"]["phantom_dims"]
+        planes = _REGION_VOXELS // (nx * ny)
+        assert nz // planes >= 2 and nz % planes != 0
+        nx, ny, nz = PLANE_REGION_DIMS
+        assert nx * ny > _REGION_VOXELS and nz > 1
+
+    @pytest.mark.parametrize("overlap", [False, True], ids=["inline", "ahead"])
+    @pytest.mark.parametrize("where", ["fill", "write"])
+    def test_error_mid_stream_keeps_the_old_file(self, tmp_path, monkeypatch, overlap, where):
+        write_volume(generate_phantom(RunConfig(seed=3), "p")[0], tmp_path / "p")
+        raw = tmp_path / "p.vol.raw"
+        old_bytes = raw.read_bytes()
+        old = read_volume(tmp_path / "p")
+        old_values = np.array(old.values)
+        error = RuntimeError(f"{where} failed")
+        if where == "fill":  # in the second slab's painting
+            paint = synth._paint_balls
+
+            def failing(labels, centers, radius, value, x0=0):
+                if x0 > 0:
+                    raise error
+                return paint(labels, centers, radius, value, x0)
+
+            monkeypatch.setattr(synth, "_paint_balls", failing)
+        else:  # storing the second slab, with the helper thread drawing the third
+            store, first = volume._store_int16, []
+
+            def failing(dst, part, slab):
+                if not first:
+                    first.append(slab)
+                elif slab is not first[0]:
+                    raise error
+                return store(dst, part, slab)
+
+            monkeypatch.setattr(volume, "_store_int16", failing)
+        before = threading.active_count()
+        got = _call_with_timeout(lambda: write_volume(
+            generate_phantom(RunConfig(seed=2), "p", overlap=overlap)[0], tmp_path / "p"))
+        assert got is error
+        assert threading.active_count() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.vol.json", "p.vol.raw"]
+        assert raw.read_bytes() == old_bytes
+        assert np.array_equal(old.values, old_values)
+
+    def test_synth_jobs_1_and_2_write_equal_trees(self, tmp_path, monkeypatch):
+        RunConfig(n_volumes=3, phantom_dims=RAGGED_DIMS, n_aneurysms=1,
+                  negative_fraction=0.34, seed=4).to_file(tmp_path / "config.json")
+        monkeypatch.chdir(tmp_path)
+        trees = []
+        for jobs in ("1", "2"):
+            assert main(["synth", "--config", "config.json", "--jobs", jobs,
+                         "--out", f"jobs{jobs}"]) == 0
+            trees.append({p.name: p.read_bytes() for p in (tmp_path / f"jobs{jobs}").iterdir()})
+        assert len(trees[0]) == 2 * 3 + 2 and trees[0] == trees[1]
+
+
 def _call_with_timeout(fn, timeout=60.0):
     """``fn()`` on a thread joined with a timeout: returns its result, or
     the exception it raised; a call that hangs fails the test."""
@@ -233,8 +360,8 @@ def _call_with_timeout(fn, timeout=60.0):
 
 class TestNoiseThread:
     """The noise hand-off keeps every bit under contention, an error on
-    either side of it comes out of generate_phantom, and the helper thread
-    is joined first."""
+    either side of it comes out of the phantom's fill, and the helper
+    thread is joined first."""
 
     def test_concurrent_calls_keep_their_bits(self, monkeypatch):
         # 2-plane slabs give 48 hand-offs per phantom; more callers than
@@ -278,7 +405,8 @@ class TestNoiseThread:
 
         monkeypatch.setattr(synth, "_fill_noise", failing_fill)
         before = threading.active_count()
-        got = _call_with_timeout(lambda: generate_phantom(RunConfig(seed=2), overlap=overlap))
+        got = _call_with_timeout(
+            lambda: generate_phantom(RunConfig(seed=2), overlap=overlap)[0].values)
         assert got is error
         assert len(calls) == 2
         assert threading.active_count() == before
@@ -293,7 +421,8 @@ class TestNoiseThread:
 
         monkeypatch.setattr(synth, "_paint_balls", failing_paint)
         before = threading.active_count()
-        got = _call_with_timeout(lambda: generate_phantom(RunConfig(seed=2), overlap=True))
+        got = _call_with_timeout(
+            lambda: generate_phantom(RunConfig(seed=2), overlap=True)[0].values)
         assert got is error
         assert "phantom-noise" in seen[0]  # the helper was running
         assert threading.active_count() == before
@@ -308,8 +437,8 @@ class TestNoiseThread:
 
         monkeypatch.setattr(synth, "_paint_balls", watching_paint)
         before = threading.active_count()
-        generate_phantom(RunConfig(seed=2))
-        generate_phantom(RunConfig(seed=2, phantom_noise_sigma=0.0), overlap=True)
+        generate_phantom(RunConfig(seed=2))[0].values
+        generate_phantom(RunConfig(seed=2, phantom_noise_sigma=0.0), overlap=True)[0].values
         assert set(seen) == {before}
 
 

@@ -1,11 +1,13 @@
 import json
 import mmap
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ctadet.config import RunConfig
 from ctadet.volume import (
+    _REGION_VOXELS,
     PatchSpec,
     Volume,
     extract_patch,
@@ -145,6 +147,56 @@ class TestRoundtrip:
         v = Volume(np.full((2, 2, 2), 0.5), (1, 1, 1), "f", "+z")
         with pytest.raises(ValueError, match="integral"):
             write_volume(v, tmp_path / "f")
+
+    @pytest.mark.parametrize("bad,dtype,message", [
+        (0.5, np.float64, "raw volume files store int16 HU; values must be integral"),
+        (np.nan, np.float64, "raw volume files store int16 HU; values must be integral"),
+        (-np.inf, np.float32, "raw volume files store int16 HU; values must be integral"),
+        (40000.0, np.float64, "HU values [-7.0, 40000.0] exceed the int16 range"),
+        (-40000, np.int32, "HU values [-40000, 9] exceed the int16 range"),
+    ], ids=["half", "nan", "-inf", "float-range", "int32-range"])
+    def test_bad_value_in_a_later_region_refused(self, tmp_path, bad, dtype, message):
+        # 64-plane z-regions of a 64x64 plane: the bad voxel sits in the third
+        values = np.zeros((64, 64, 160), dtype)
+        values[0, 0, 0], values[1, 1, 1], values[5, 6, 150] = -7, 9, bad
+        with pytest.raises(ValueError) as err:
+            write_volume(Volume(values, (1, 1, 1), "b", "+z"), tmp_path / "b")
+        assert str(err.value) == message
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("sizes,message", [
+        ((2, 1), "x-slabs cover 3 of 4 planes"),
+        ((3, 2), "x-slab (2, 2, 3) at x = 3 does not fit dims (4, 2, 3)"),
+    ], ids=["short", "long"])
+    def test_slabs_that_miss_the_x_range_refused(self, tmp_path, sizes, message):
+        class Slabs:
+            dims, spacing, volume_id, cranial_axis = (4, 2, 3), (1.0, 1.0, 1.0), "s", "+z"
+
+            def x_slabs(self):
+                for m in sizes:
+                    yield np.zeros((m, 2, 3), np.int16)
+
+        with pytest.raises(ValueError) as err:
+            write_volume(Slabs(), tmp_path / "s")
+        assert str(err.value) == message
+        assert list(tmp_path.iterdir()) == []
+
+    def test_float_volume_checked_in_region_pieces(self, tmp_path):
+        # the int16 checks of a float64 volume (12 MiB) run on one region's
+        # piece at a time: their scratch is a bool per piece voxel beside
+        # the writer's two int16 region buffers, not whole-volume temporaries
+        dims = (128, 128, 96)
+        v = Volume(make_volume(dims).values.astype(np.float64), (1, 1, 1), "f", "+z")
+        region = dims[0] * dims[1] * min(dims[2], _REGION_VOXELS // (dims[0] * dims[1]))
+        tracemalloc.start()
+        try:
+            write_volume(v, tmp_path / "f")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(read_volume(tmp_path / "f").values, v.values)
+        budget = 2 * 2 * region + region + (256 << 10)  # and numpy's casting buffers
+        assert peak <= budget, f"traced peak {peak / 2**20:.2f} MiB > {budget / 2**20:.2f} MiB"
 
 
 def _write_pair(tmp_path, raw_bytes=16, **header):
