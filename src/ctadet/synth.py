@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import copy
 import math
+import mmap
 import queue
 import threading
 from contextlib import contextmanager
@@ -24,7 +25,7 @@ import numpy as np
 from .anchors import BoundingBox, Lesion, _as_boxes, box_bounds, box_contains
 from .config import RunConfig
 from .postproc import CandidateDetection, Stage
-from .volume import AIR_HU, Volume, _checked_spacing, normalize_hu
+from .volume import AIR_HU, Volume, _checked_spacing, _mapping, normalize_hu
 
 if TYPE_CHECKING:
     from .pipeline import FprBatch
@@ -34,8 +35,9 @@ SIZE_CLASS_TOP = ">10mm"
 _FP_DIAMETER_RANGE = (2.5, 10.0)  # the oracle's false-positive box edges, in voxels
 _BRIGHT_THRESHOLD = 0.15  # the reference classifier's normalized-HU cut
 _BLOCK_CELLS = 1 << 16  # cube cells per painting block, voxels per tissue-HU block
-_SLAB_VOXELS = 1 << 20  # a phantom fill's x-slabs hold about half this many voxels
-_AHEAD_SLAB_PLANES = 16  # cap on a drawn-ahead noise slab: 32-byte int16 x-runs in the store
+_SLAB_VOXELS = 1 << 19  # a phantom fill's x-slabs hold about half this many voxels
+_AHEAD_SLAB_PLANES = 16  # planes per drawn-ahead noise slab at most: bounds the two on small planes
+_RELEASE_BYTES = 4 << 20  # span of a mapped scan that the reference classifier keeps mapped
 
 
 def size_class(diameter_vox: float, spacing: Sequence[float]) -> str:
@@ -58,27 +60,42 @@ def _random_unit(rng: np.random.Generator) -> np.ndarray:
 def _vessel_path(
     rng: np.random.Generator, dims: Sequence[int], margin: float
 ) -> np.ndarray:
-    """Smooth random walk through the volume, reflected at the margins."""
+    """Smooth random walk through the volume, reflected at the margins.
+
+    The walk steps on Python floats, whose arithmetic is float64's; only
+    the step's norm is numpy's, ``math.sqrt(v.dot(v))`` as in
+    :func:`_random_unit`, so the points keep their bits.
+    """
     lo = np.full(3, margin)
     hi = np.asarray(dims, dtype=float) - 1.0 - margin
-    pos = rng.uniform(lo, hi)
-    direction = _random_unit(rng)
+    px, py, pz = rng.uniform(lo, hi).tolist()
+    dx, dy, dz = _random_unit(rng).tolist()
     n_steps = int(2.0 * max(dims))
     kicks = 0.35 * rng.normal(0.0, 1.0, (n_steps, 3))  # as one draw per step
-    points = np.empty((n_steps, 3))
-    for i in range(n_steps):
-        points[i] = pos
-        direction = direction + kicks[i]
-        direction /= math.sqrt(direction.dot(direction))
-        pos = pos + direction
-        for ax in range(3):
-            if pos[ax] < lo[ax]:
-                pos[ax] = 2 * lo[ax] - pos[ax]
-                direction[ax] = abs(direction[ax])
-            elif pos[ax] > hi[ax]:
-                pos[ax] = 2 * hi[ax] - pos[ax]
-                direction[ax] = -abs(direction[ax])
-    return points
+    (lx, ly, lz), (hx, hy, hz) = lo.tolist(), hi.tolist()
+    v = np.empty(3)  # the direction, for its norm
+    points = []
+    for kx, ky, kz in kicks.tolist():
+        points.append((px, py, pz))
+        v[0] = dx = dx + kx
+        v[1] = dy = dy + ky
+        v[2] = dz = dz + kz
+        n = math.sqrt(v.dot(v))
+        dx, dy, dz = dx / n, dy / n, dz / n
+        px, py, pz = px + dx, py + dy, pz + dz
+        if px < lx:
+            px, dx = 2 * lx - px, abs(dx)
+        elif px > hx:
+            px, dx = 2 * hx - px, -abs(dx)
+        if py < ly:
+            py, dy = 2 * ly - py, abs(dy)
+        elif py > hy:
+            py, dy = 2 * hy - py, -abs(dy)
+        if pz < lz:
+            pz, dz = 2 * lz - pz, abs(dz)
+        elif pz > hz:
+            pz, dz = 2 * hz - pz, -abs(dz)
+    return np.array(points).reshape(n_steps, 3)
 
 
 def _paint_balls(vol: np.ndarray, centers, radius: float, value: int, x0: int = 0):
@@ -229,7 +246,7 @@ def generate_phantom(cfg: RunConfig, volume_id: str = "phantom", *, overlap: boo
     the one before it is painted, filled and taken; it pays only where a
     core is spare.  Its two slabs are cut to at most
     ``_AHEAD_SLAB_PLANES`` planes (:func:`_slab_planes`), so a 128x96 plane
-    takes 16-plane slabs, not 42; inline, one slab keeps the larger size,
+    takes 16-plane slabs, not 21; inline, one slab keeps the larger size,
     whose fewer, longer x-runs fill faster.
     """
     if cfg.n_aneurysms > 0 and cfg.n_vessels == 0:
@@ -406,21 +423,56 @@ def reference_classifier(batch: "FprBatch") -> np.ndarray:
     On phantom data this scores lesion-centered patches above vessel or
     background patches: a sphere fills the patch center while a tube
     continues into the shell.  A voxel is bright when its normalized HU
-    exceeds ``_BRIGHT_THRESHOLD``.  The int16 volume is read through views,
-    one per candidate, scale and mask; voxels outside the volume are air.
+    exceeds ``_BRIGHT_THRESHOLD``.  Each candidate's voxels are read once,
+    into a bool box over the union of its six sphere and shell masks
+    (cells outside the volume are bright when air is), and every mask is
+    counted against that box.  When the values map a raw file, the
+    mapping's pages are dropped once the boxes read since the last drop
+    span more than ``_RELEASE_BYTES`` of it, so the resident pages of a
+    scan stay bounded whatever its size.
     """
     values = batch.volume.values
     if values.dtype != np.int16:
         raise ValueError(f"the reference classifier reads int16 HU, got {values.dtype}")
     cut, pad_bright = _bright_cut(tuple(batch.window))
     order = "F" if abs(values.strides[0]) < abs(values.strides[2]) else "C"
-    scores = np.empty((len(batch.origins), len(batch.patch_sizes)))
-    for k, size in enumerate(batch.patch_sizes):
-        frac_in, frac_shell = (
-            _bright_count(values, batch.origins[:, k] + offset, mask, cut, pad_bright) / count
-            if count else np.zeros(len(scores))
-            for mask, offset, count in _sphere_masks(tuple(size), order)
+    per_scale = [_sphere_masks(tuple(size), order) for size in batch.patch_sizes]
+    masks = [mask for scale in per_scale for mask, _, _ in scale]
+    scratch = [np.empty_like(mask) for mask in masks]
+    # each mask's corner in the volume, (n, masks, 3), and the boxes over them
+    at = np.concatenate([batch.origins[:, k, None] + [offset for _, offset, _ in scale]
+                         for k, scale in enumerate(per_scale)], axis=1)
+    lo = at.min(axis=1)
+    hi = (at + [mask.shape for mask in masks]).max(axis=1)
+    clo, chi = np.maximum(lo, 0), np.minimum(hi, values.shape)
+    mapping = _mapping(values) if hasattr(mmap, "MADV_DONTNEED") else None
+    if mapping is not None:  # each box's first and last byte in the mapping
+        strides = np.array(values.strides)
+        first = (np.where(strides > 0, clo, chi - 1) * strides).sum(axis=1).tolist()
+        last = (np.where(strides > 0, chi - 1, clo) * strides).sum(axis=1).tolist()
+        span = (math.inf, -math.inf)
+    counts = np.empty((len(at), len(masks)), dtype=np.int64)
+    rows = zip(lo.tolist(), hi.tolist(), clo.tolist(), chi.tolist(), (at - lo[:, None]).tolist())
+    for i, (l, h, (x0, y0, z0), (x1, y1, z1), corners) in enumerate(rows):
+        box = np.empty((h[0] - l[0], h[1] - l[1], h[2] - l[2]), bool, order=order)
+        if (x0, y0, z0, x1, y1, z1) != (*l, *h):  # the box reaches past the volume
+            box.fill(pad_bright)
+        np.greater_equal(
+            values[x0:x1, y0:y1, z0:z1], cut,
+            out=box[x0 - l[0] : x1 - l[0], y0 - l[1] : y1 - l[1], z0 - l[2] : z1 - l[2]],
         )
+        if mapping is not None:
+            span = (min(span[0], first[i]), max(span[1], last[i]))
+            if span[1] - span[0] > _RELEASE_BYTES:
+                mapping.madvise(mmap.MADV_DONTNEED)
+                span = (math.inf, -math.inf)
+        for m, (mask, out, (a, b, c)) in enumerate(zip(masks, scratch, corners)):
+            part = box[a : a + mask.shape[0], b : b + mask.shape[1], c : c + mask.shape[2]]
+            counts[i, m] = np.count_nonzero(np.logical_and(part, mask, out=out))
+    scores = np.empty((len(at), len(per_scale)))
+    for k, ((_, _, n_in), (_, _, n_shell)) in enumerate(per_scale):
+        frac_in = counts[:, 2 * k] / n_in if n_in else np.zeros(len(at))
+        frac_shell = counts[:, 2 * k + 1] / n_shell if n_shell else np.zeros(len(at))
         scores[:, k] = np.clip(0.5 + 0.5 * (frac_in - frac_shell), 0.0, 1.0)
     return scores
 
@@ -439,28 +491,6 @@ def _bright_cut(window: tuple[float, float]) -> tuple[int, bool]:
     cut = int(np.argmax(bright)) - 32768 if bright.any() else 32768
     air = normalize_hu(Volume(np.full((1, 1, 1), AIR_HU), (1, 1, 1)), window)
     return cut, bool(air.values[0, 0, 0] > _BRIGHT_THRESHOLD)
-
-
-def _bright_count(values, corners, mask, cut: int, pad_bright: bool) -> np.ndarray:
-    """Per row of ``corners`` (n, 3), the voxels under ``mask`` placed at
-    that corner that are bright: HU >= ``cut`` inside the volume, and all
-    of them outside it when ``pad_bright``.
-
-    Each placed mask must overlap or touch the volume, as the masks of a
-    patch centered inside it do.
-    """
-    lo = np.maximum(corners, 0)
-    hi = np.minimum(corners + mask.shape, values.shape)
-    out = np.empty(len(corners), dtype=np.int64)
-    rows = zip(lo.tolist(), hi.tolist(), (lo - corners).tolist(), (hi - corners).tolist())
-    for i, ((x0, y0, z0), (x1, y1, z1), (a0, b0, c0), (a1, b1, c1)) in enumerate(rows):
-        part = mask[a0:a1, b0:b1, c0:c1]
-        bright = values[x0:x1, y0:y1, z0:z1] >= cut
-        np.logical_and(bright, part, out=bright)
-        out[i] = np.count_nonzero(bright)
-        if pad_bright and part.size < mask.size:
-            out[i] += np.count_nonzero(mask) - np.count_nonzero(part)
-    return out
 
 
 @lru_cache(maxsize=32)

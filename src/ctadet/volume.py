@@ -34,6 +34,7 @@ AIR_HU = -1000.0
 _RAW_SUFFIX = ".vol.raw"
 _JSON_SUFFIX = ".vol.json"
 _REGION_VOXELS = 1 << 18  # voxels per z-region of a file being written (512 KiB of int16)
+_TRANSPOSE_PLANES = 32  # x-planes per block of a region's transpose, which stays in cache
 
 
 def _checked_spacing(spacing) -> tuple[float, float, float]:
@@ -96,6 +97,17 @@ class PatchSpec:
             raise ValueError(f"patch size must be >= 1 per axis, got {self.size}")
 
 
+def _mapping(values: np.ndarray) -> Optional[mmap.mmap]:
+    """The mapping that ``values`` views, as :func:`read_volume`'s values
+    do; None for an array in memory."""
+    base = values
+    while isinstance(base, np.ndarray):
+        base = base.base
+    if isinstance(base, memoryview):  # np.frombuffer's view of the mapping
+        base = base.obj
+    return base if isinstance(base, mmap.mmap) else None
+
+
 def _volume_paths(path) -> tuple[Path, Path]:
     """Resolve a base path, raw path, or sidecar path to the (raw, json) pair."""
     p = Path(path)
@@ -153,10 +165,11 @@ def write_volume(v: Volume, path) -> None:
     slab's piece of each region is cast into a reused int16 buffer and
     written, in ``(x, y, z)`` order, at that region's place in a temporary
     sibling; after the last slab each region is read back, transposed to
-    x-fastest and written over itself.  So the writer holds two region
-    buffers, never the volume.  The sibling then replaces the file, so a
-    mapping of the old file (read_volume's values, perhaps these very
-    ones) keeps its inode; on an error the sibling is removed.
+    x-fastest, ``_TRANSPOSE_PLANES`` x-planes at a time, and written over
+    itself.  So the writer holds two region buffers, never the volume.  The
+    sibling then replaces the file, so a mapping of the old file
+    (read_volume's values, perhaps these very ones) keeps its inode; on an
+    error the sibling is removed.
     """
     nx, ny, nz = v.dims
     raw_path, json_path = _volume_paths(path)
@@ -186,7 +199,10 @@ def write_volume(v: Volume, path) -> None:
                 n = nx * ny * (z1 - z0)
                 f.seek(2 * nx * ny * z0)
                 f.readinto(staged[:n])
-                np.copyto(region[:n].reshape(z1 - z0, ny, nx), staged[:n].reshape(nx, ny, -1).T)
+                dst, src = region[:n].reshape(z1 - z0, ny, nx), staged[:n].reshape(nx, ny, -1)
+                for x in range(0, nx, _TRANSPOSE_PLANES):
+                    x1 = x + _TRANSPOSE_PLANES
+                    np.copyto(dst[:, :, x:x1], src[x:x1].T)
                 f.seek(2 * nx * ny * z0)
                 f.write(region[:n])
         os.replace(tmp_path, raw_path)

@@ -204,6 +204,42 @@ def vessel_path_reference(rng, dims, margin):
     return points
 
 
+def vessel_walk_reference(rng, dims, margin, reflected=None):
+    """The walk on float64 arrays that the float walk replaced: the same
+    draws, and ``math.sqrt(v.dot(v))`` for the norm; each reflection adds
+    its ``(axis, side)`` to ``reflected`` when that is a set."""
+    import numpy as np
+
+    from ctadet.synth import _random_unit
+
+    lo = np.full(3, margin)
+    hi = np.asarray(dims, dtype=float) - 1.0 - margin
+    pos = rng.uniform(lo, hi)
+    direction = _random_unit(rng)
+    n_steps = int(2.0 * max(dims))
+    kicks = 0.35 * rng.normal(0.0, 1.0, (n_steps, 3))
+    points = np.empty((n_steps, 3))
+    for i in range(n_steps):
+        points[i] = pos
+        direction = direction + kicks[i]
+        direction /= math.sqrt(direction.dot(direction))
+        pos = pos + direction
+        for ax in range(3):
+            if pos[ax] < lo[ax]:
+                pos[ax] = 2 * lo[ax] - pos[ax]
+                direction[ax] = abs(direction[ax])
+                side = "lo"
+            elif pos[ax] > hi[ax]:
+                pos[ax] = 2 * hi[ax] - pos[ax]
+                direction[ax] = -abs(direction[ax])
+                side = "hi"
+            else:
+                continue
+            if reflected is not None:
+                reflected.add((ax, side))
+    return points
+
+
 def paint_ball_reference(vol, center, radius, value):
     """The one-ball painter that the batched vessel kernel replaced: clip
     the ball's box to the volume, then ``sum`` squared offsets over an
@@ -290,6 +326,43 @@ def reference_classifier_reference(patch_set, threshold=0.15):
         frac_shell = float(bright[shell].mean()) if shell.any() else 0.0
         scores.append(float(np.clip(0.5 + 0.5 * (frac_in - frac_shell), 0.0, 1.0)))
     return tuple(scores)
+
+
+def view_classifier_reference(batch):
+    """The reference classifier that read the volume through one view per
+    candidate, scale and mask, counting each mask against its own bright
+    test; the one-box-per-candidate classifier must match its bits."""
+    import numpy as np
+
+    from ctadet.synth import _bright_cut, _sphere_masks
+
+    values = batch.volume.values
+    cut, pad_bright = _bright_cut(tuple(batch.window))
+    order = "F" if abs(values.strides[0]) < abs(values.strides[2]) else "C"
+
+    def bright_count(corners, mask):
+        lo = np.maximum(corners, 0)
+        hi = np.minimum(corners + mask.shape, values.shape)
+        out = np.empty(len(corners), dtype=np.int64)
+        rows = zip(lo.tolist(), hi.tolist(), (lo - corners).tolist(), (hi - corners).tolist())
+        for i, ((x0, y0, z0), (x1, y1, z1), (a0, b0, c0), (a1, b1, c1)) in enumerate(rows):
+            part = mask[a0:a1, b0:b1, c0:c1]
+            bright = values[x0:x1, y0:y1, z0:z1] >= cut
+            np.logical_and(bright, part, out=bright)
+            out[i] = np.count_nonzero(bright)
+            if pad_bright and part.size < mask.size:
+                out[i] += np.count_nonzero(mask) - np.count_nonzero(part)
+        return out
+
+    scores = np.empty((len(batch.origins), len(batch.patch_sizes)))
+    for k, size in enumerate(batch.patch_sizes):
+        frac_in, frac_shell = (
+            bright_count(batch.origins[:, k] + offset, mask) / count
+            if count else np.zeros(len(scores))
+            for mask, offset, count in _sphere_masks(tuple(size), order)
+        )
+        scores[:, k] = np.clip(0.5 + 0.5 * (frac_in - frac_shell), 0.0, 1.0)
+    return scores
 
 
 def best_f1_threshold_reference(scores):

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import mmap
 import os
 import sys
 import threading
@@ -30,6 +32,8 @@ from oracles import (
     paint_ball_reference,
     reference_classifier_reference,
     vessel_path_reference,
+    vessel_walk_reference,
+    view_classifier_reference,
 )
 
 
@@ -106,7 +110,7 @@ class TestFillScratch:
     """Filling holds the phantom, its noise slab(s) and the uint8 label
     canvas, plus a block-sized scratch: no slab-sized float64 copy.  Drawn
     ahead, each of the two noise slabs is at most 16 planes; inline, the
-    default 128x96 plane takes 42."""
+    default 128x96 plane takes 21."""
 
     SLACK = 3 << 20  # a tissue-HU block (0.5 MiB), a painting block's scratch (~1.1 MiB), paths
 
@@ -152,7 +156,7 @@ class TestFillScratch:
         assert peak <= budget, f"traced peak {peak / 2**20:.2f} MiB > {budget / 2**20:.2f} MiB"
 
 
-RAGGED_DIMS = (45, 160, 160)  # x-slabs of 20 planes and a last one of 5, inline
+RAGGED_DIMS = (45, 160, 160)  # x-slabs of 10 planes and a last one of 5
 WIDE_DIMS = (11, 725, 725)  # a y-z plane above half a slab: one plane per slab
 CAPPED_DIMS = (40, 64, 64)  # one slab inline; drawn ahead, the cap cuts 16 + 16 + 8
 PLANE_REGION_DIMS = (520, 512, 10)  # an x-y plane above a z-region's voxels: one plane each
@@ -209,7 +213,7 @@ class TestPhantomMatchesReference:
         _assert_matches_reference(overrides, overlap=True)
 
     def test_ragged_dims_span_several_slabs(self):
-        for ahead in (False, True):  # 20 + 20 + 5 and 16 + 16 + 13 planes
+        for ahead in (False, True):  # 10 + 10 + 10 + 10 + 5 planes either way
             step = _slab_planes(RAGGED_DIMS, ahead)
             assert RAGGED_DIMS[0] // step >= 2 and RAGGED_DIMS[0] % step != 0
 
@@ -589,6 +593,34 @@ class TestVesselPathMatchesLoop:
         assert got_rng.random() == want_rng.random()
 
 
+class TestVesselPathMatchesArrayWalk:
+    """The float walk gives the float64-array walk's points and leaves the
+    generator where it does, reflections at every face included."""
+
+    CASES = [
+        ((128, 128, 96), 4.5),
+        ((40, 60, 20), 2.0),
+        ((12, 9, 7), 2.0),  # many reflections per walk
+        ((7, 7, 7), 3.0),  # lo == hi: every step reflects
+        ((1, 9, 7), -3.0),  # lo > hi along x
+        ((30, 8, 30), -4.0),  # walks past the canvas
+    ]
+
+    @pytest.mark.parametrize("dims,margin", CASES, ids=lambda c: str(c))
+    def test_points_and_generator_state(self, dims, margin):
+        reflected = set()
+        for seed in range(40):
+            got_rng = np.random.default_rng(seed)
+            want_rng = np.random.default_rng(seed)
+            got = _vessel_path(got_rng, dims, margin)
+            want = vessel_walk_reference(want_rng, dims, margin, reflected)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got, want), seed
+            assert got_rng.random() == want_rng.random()
+        if dims != (128, 128, 96):
+            assert reflected == {(ax, side) for ax in range(3) for side in ("lo", "hi")}
+
+
 class TestSizeClass:
     @pytest.mark.parametrize(
         "diameter,expected",
@@ -732,3 +764,94 @@ class TestClassifierMatchesReference:
             assert mask.flags.f_contiguous
             with pytest.raises(ValueError):
                 mask[0, 0, 0] = True
+
+
+class TestClassifierMatchesViews:
+    """One bool box per candidate gives the bits of one view per candidate,
+    scale and mask, with patches past every face and corner, whether or
+    not air is bright, in both memory orders, and with the mapping's pages
+    dropped mid-batch."""
+
+    DIMS = (40, 36, 30)
+    WINDOWS = {"air-dark": (-1000.0, 1000.0), "air-bright": (100.0, 400.0)}
+
+    def batch(self, values, window, seed=0, n=30):
+        rng = np.random.default_rng(seed)
+        dims = np.array(values.shape)
+        corners = np.array(np.meshgrid(*[(0.0, d - 0.2) for d in dims])).reshape(3, -1).T
+        faces = [np.where(np.arange(3) == ax, edge, dims / 2.0)
+                 for ax in range(3) for edge in (0.0, dims[ax] - 0.2)]
+        centers = [*rng.uniform(0, dims, (n, 3)), *corners, *faces]
+        cands = [CandidateDetection(BoundingBox(tuple(c), 4.0), 0.5) for c in centers]
+        batch = FprBatch.around(Volume(values, (1, 1, 1)), cands, window=window)
+        assert len(batch.candidates) == len(centers)
+        return batch
+
+    def values(self, seed=0, dims=DIMS):
+        rng = np.random.default_rng(seed)
+        values = rng.integers(-1100, 600, dims).astype(np.int16)
+        at_cut = rng.random(dims) < 0.3  # either side of the default cut, 151 HU
+        values[at_cut] = rng.choice(np.array([150, 151], dtype=np.int16), at_cut.sum())
+        return values
+
+    @pytest.mark.parametrize("window", WINDOWS.values(), ids=WINDOWS.keys())
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_views(self, window, order, seed):
+        assert synth._bright_cut(window)[1] == (window == self.WINDOWS["air-bright"])
+        batch = self.batch(np.array(self.values(seed), order=order), window, seed)
+        assert np.array_equal(reference_classifier(batch), view_classifier_reference(batch))
+
+    @pytest.mark.parametrize("dims", [(1, 1, 1), (3, 50, 2), (60, 4, 70)])
+    def test_volumes_smaller_than_a_patch(self, dims):
+        for window in self.WINDOWS.values():
+            batch = self.batch(np.asfortranarray(self.values(1, dims)), window, n=5)
+            assert np.array_equal(reference_classifier(batch), view_classifier_reference(batch))
+
+    def test_patches_off_their_common_center(self):
+        # origins moved toward the middle, per candidate and scale, give
+        # boxes of several shapes
+        batch = self.batch(np.asfortranarray(self.values(2)), self.WINDOWS["air-bright"], 2)
+        inward = np.sign(np.array(self.DIMS) - 2 * batch.origins - batch.patch_sizes)
+        shift = np.random.default_rng(2).integers(0, 4, batch.origins.shape) * inward
+        batch = dataclasses.replace(batch, origins=batch.origins + shift)
+        assert np.array_equal(reference_classifier(batch), view_classifier_reference(batch))
+
+    def test_empty_batch(self):
+        batch = FprBatch.around(Volume(self.values(), (1, 1, 1)), [])
+        got = reference_classifier(batch)
+        assert got.shape == (0, 3)
+        assert np.array_equal(got, view_classifier_reference(batch))
+
+    def mapped(self, tmp_path, monkeypatch):
+        """A batch over a written and mapped volume, and the list of the
+        pages' releases that classifying it makes."""
+        write_volume(Volume(self.values(dims=(64, 48, 80)), (1, 1, 1), "v", "+z"), tmp_path / "v")
+        values = read_volume(tmp_path / "v").values[:, :, 5:]  # a view, as truncation makes
+        mapping = synth._mapping(values)
+        assert mapping is not None
+        releases = []
+
+        class Recorder:
+            def madvise(self, *args):
+                releases.append(args)
+                mapping.madvise(*args)
+
+        monkeypatch.setattr(synth, "_mapping", lambda v: Recorder() if v is values else None)
+        return self.batch(values, self.WINDOWS["air-dark"], n=40), releases
+
+    def test_release_mid_batch(self, tmp_path, monkeypatch):
+        batch, releases = self.mapped(tmp_path, monkeypatch)
+        monkeypatch.setattr(synth, "_RELEASE_BYTES", 40 * 64 * 48 * 2)  # 40 of 75 z-planes
+        got = reference_classifier(batch)
+        # a box spans at most 32 z-planes, so no two boxes in a row release
+        assert 1 < len(releases) <= len(batch.candidates) // 2
+        assert releases[0] == (mmap.MADV_DONTNEED,)
+        assert np.array_equal(got, view_classifier_reference(batch))
+
+    def test_small_file_never_released(self, tmp_path, monkeypatch):
+        # the whole file spans less than the release span
+        batch, releases = self.mapped(tmp_path, monkeypatch)
+        assert batch.volume.values.nbytes < synth._RELEASE_BYTES
+        assert np.array_equal(reference_classifier(batch), view_classifier_reference(batch))
+        assert releases == []

@@ -9,6 +9,7 @@ from ctadet.config import RunConfig
 from ctadet.volume import (
     _REGION_VOXELS,
     PatchSpec,
+    _mapping,
     Volume,
     extract_patch,
     normalize_hu,
@@ -42,6 +43,15 @@ class TestVolumeModel:
 
 
 class TestRoundtrip:
+    def test_mapping_found_under_views(self, tmp_path):
+        write_volume(make_volume((6, 5, 8)), tmp_path / "v")
+        v = read_volume(tmp_path / "v")
+        mapping = _mapping(v.values)
+        assert isinstance(mapping, mmap.mmap) and len(mapping) == v.values.nbytes
+        assert _mapping(truncate_cranial(v, 3.0).values[1:, :, ::2]) is mapping
+        assert _mapping(np.array(v.values)) is None
+        assert _mapping(make_volume((6, 5, 8)).values[:, 1:]) is None
+
     def test_zeros_roundtrip(self, tmp_path):
         v = Volume(np.zeros((4, 4, 4), dtype=np.int16), (1, 1, 1), "zeros", "+z")
         write_volume(v, tmp_path / "zeros")
