@@ -19,14 +19,15 @@ _EXPORTS = {
         "best_f1_threshold", "bootstrap_ci", "build_report", "froc", "match_lesions",
         "roc_auc", "sensitivity_at_fppv", "threshold_for_operating_point", "volume_score",
     ),
-    "fpr": ("FprPatchSet", "extract_fpr_patches", "rescore", "select_candidates"),
+    "fpr": ("FprPatchSet", "extract_fpr_patches", "perfect_classifier", "reference_classifier",
+            "rescore", "select_candidates"),
     "loss": (
         "AnchorPrediction", "GradCheckReport", "LossParams", "anchor_loss", "grad_check",
         "patch_loss",
     ),
     "postproc": ("CandidateDetection", "Stage", "merge_tiles", "nms"),
     "stats": ("confusion_at_threshold", "fisher_exact"),
-    "synth": ("generate_phantom", "oracle_detect", "perfect_classifier", "reference_classifier"),
+    "synth": ("generate_phantom", "oracle_detect"),
     "volume": (
         "PatchSpec", "Volume", "extract_patch", "normalize_hu", "read_volume", "tile_volume",
         "truncate_cranial", "write_volume",

@@ -34,8 +34,9 @@ _LAZY = {
         "write_manifest",
     ),
     "evaluation": ("EvalVolume", "build_report"),
+    "fpr": ("perfect_classifier", "reference_classifier"),
     "pipeline": ("detect_volume", "oracle_scorer_factory", "reduce_volume"),
-    "synth": ("generate_phantom", "perfect_classifier", "reference_classifier"),
+    "synth": ("generate_phantom",),
     "volume": ("read_volume", "write_volume"),
 }
 
@@ -344,7 +345,7 @@ def _read_candidate_dir(cand_dir: Path, ids) -> dict:
 # ---------------------------------------------------------------------------
 
 def _reduce_worker(task):
-    _load("pipeline", "synth", "volume")
+    _load("fpr", "pipeline", "volume")
     vid, volume_path, cands, lesions, cfg, classifier = task
     volume = _read_task_volume(vid, volume_path)
     if classifier == "reference":
@@ -357,7 +358,7 @@ def _reduce_worker(task):
 
 
 def cmd_reduce(args) -> int:
-    _load("formats", "pipeline", "synth", "volume")
+    _load("formats", "fpr", "pipeline", "volume")
     cfg = _load_config(args)
     manifest, base, annotations = _load_dataset(args.manifest)
     out_dir = Path(args.out)

@@ -10,24 +10,25 @@ shipped factory wraps the ground-truth oracle detector so the whole chain
 (tiling, decoding, NMS, rescoring) runs without a neural network.
 
 A second-stage *classifier* is called once per volume with an
-:class:`FprBatch` and returns an (n, 3) array: one probability per
-candidate and patch scale.
+:class:`~ctadet.fpr.FprBatch` and returns an (n, 3) array: one
+probability per candidate and patch scale; the batch, its voxel reader
+and the shipped classifiers live in :mod:`ctadet.fpr`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Protocol, Sequence
+from dataclasses import replace
+from typing import Callable, Iterable, Protocol, Sequence
 
 import numpy as np
 
 from .anchors import AnchorGrid, BoundingBox, anchor_grid, box_iou, cube_bounds
 from .config import RunConfig
-from .fpr import (
-    FprPatchSet,
+from .fpr import (  # extract_fpr_patches is unused here, and importable from here
+    Classifier,
+    FprBatch,
     extract_fpr_patches,
-    patch_origins,
     rescore,
     select_candidates,
 )
@@ -67,55 +68,6 @@ def tile_patch(
 
 
 ScorerFactory = Callable[[Volume, Sequence[BoundingBox], RunConfig, int], TileScorer]
-
-
-@dataclass(frozen=True)
-class FprBatch:
-    """What the second stage rescores in one volume: candidates centered
-    inside ``volume``, and the origins of their patches.
-
-    ``origins[i, k]`` is the corner of candidate i's patch of size
-    ``patch_sizes[k]``; a patch may reach past the volume, where it reads
-    as air.  ``volume.values`` may be Fortran-ordered, the raw file's
-    layout.
-    """
-
-    volume: Volume
-    candidates: tuple[CandidateDetection, ...]
-    origins: np.ndarray  # (n, 3, 3) int64: candidate, scale, axis
-    patch_sizes: tuple[tuple[int, int, int], ...]
-    window: tuple[float, float]
-
-    @classmethod
-    def around(
-        cls,
-        volume: Volume,
-        candidates: Sequence[CandidateDetection],
-        patch_sizes: Sequence[tuple[int, int, int]] = RunConfig.fpr_patch_sizes,
-        window: tuple[float, float] = RunConfig.hu_window,
-    ) -> "FprBatch":
-        """The batch of those ``candidates`` centered inside ``volume``."""
-        inside, origins = patch_origins(
-            [c.box.center for c in candidates], volume.dims, patch_sizes
-        )
-        origins.flags.writeable = False
-        return cls(
-            volume,
-            tuple(c for c, ok in zip(candidates, inside) if ok),
-            origins,
-            tuple(tuple(int(p) for p in s) for s in patch_sizes),
-            tuple(window),
-        )
-
-    def patch_sets(self) -> Iterator[FprPatchSet]:
-        """Each candidate's three padded, normalized patches, extracted when
-        the iteration reaches it, so that no more than one candidate's
-        pixels are held at a time."""
-        for cand in self.candidates:
-            yield extract_fpr_patches(self.volume, cand, self.patch_sizes, self.window)
-
-
-Classifier = Callable[[FprBatch], np.ndarray]
 
 
 class OracleTileScorer:

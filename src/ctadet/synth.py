@@ -1,43 +1,37 @@
-"""Synthetic phantoms and reference scorers for end-to-end pipeline tests.
+"""Synthetic phantoms and the oracle detector for end-to-end pipeline tests.
 
 Phantoms are tubular "vessels" (random smooth walks painted as tubes)
 with spherical lesions attached to the vessel paths, on a uniform
-background plus Gaussian noise.  The oracle detector and the reference
-classifier stand in for the neural networks of a real deployment: the
-detector reports ground truth with controllable misses, jitter, and
-injected false positives; the classifier scores a patch by how sphere-like
-its bright center is.
+background plus Gaussian noise.  The oracle detector stands in for the
+first-stage network of a real deployment: it reports ground truth with
+controllable misses, jitter, and injected false positives.  The
+second-stage stand-ins, the reference and perfect classifiers, live in
+:mod:`ctadet.fpr`.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-import mmap
 import queue
 import threading
 from contextlib import contextmanager
-from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from functools import cached_property
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .anchors import BoundingBox, Lesion, _as_boxes, box_bounds, box_contains
+from .anchors import BoundingBox, Lesion, _as_boxes
 from .config import RunConfig
 from .postproc import CandidateDetection, Stage
-from .volume import AIR_HU, Volume, _checked_spacing, _mapping, normalize_hu
-
-if TYPE_CHECKING:
-    from .pipeline import FprBatch
+from .volume import _checked_spacing
 
 SIZE_CLASS_BINS = ((3.0, "2.5-3mm"), (5.0, "3-5mm"), (10.0, "5-10mm"))
 SIZE_CLASS_TOP = ">10mm"
 _FP_DIAMETER_RANGE = (2.5, 10.0)  # the oracle's false-positive box edges, in voxels
-_BRIGHT_THRESHOLD = 0.15  # the reference classifier's normalized-HU cut
 _BLOCK_CELLS = 1 << 16  # cube cells per painting block, voxels per tissue-HU block
 _SLAB_VOXELS = 1 << 19  # a phantom fill's x-slabs hold about half this many voxels
 _AHEAD_SLAB_PLANES = 16  # planes per drawn-ahead noise slab at most: bounds the two on small planes
-_RELEASE_BYTES = 4 << 20  # span of a mapped scan that the reference classifier keeps mapped
 
 
 def size_class(diameter_vox: float, spacing: Sequence[float]) -> str:
@@ -413,117 +407,3 @@ def oracle_detect(
                 cands.append(CandidateDetection(fp_box, prob, Stage.DETECTOR))
                 break
     return cands
-
-
-def reference_classifier(batch: "FprBatch") -> np.ndarray:
-    """Analytic patch scorer: per candidate and patch scale, the bright
-    fraction inside a central sphere minus the bright fraction in the
-    surrounding shell, squashed to [0, 1]; an (n, 3) array.
-
-    On phantom data this scores lesion-centered patches above vessel or
-    background patches: a sphere fills the patch center while a tube
-    continues into the shell.  A voxel is bright when its normalized HU
-    exceeds ``_BRIGHT_THRESHOLD``.  Each candidate's voxels are read once,
-    into a bool box over the union of its six sphere and shell masks
-    (cells outside the volume are bright when air is), and every mask is
-    counted against that box.  When the values map a raw file, the
-    mapping's pages are dropped once the boxes read since the last drop
-    span more than ``_RELEASE_BYTES`` of it, so the resident pages of a
-    scan stay bounded whatever its size.
-    """
-    values = batch.volume.values
-    if values.dtype != np.int16:
-        raise ValueError(f"the reference classifier reads int16 HU, got {values.dtype}")
-    cut, pad_bright = _bright_cut(tuple(batch.window))
-    order = "F" if abs(values.strides[0]) < abs(values.strides[2]) else "C"
-    per_scale = [_sphere_masks(tuple(size), order) for size in batch.patch_sizes]
-    masks = [mask for scale in per_scale for mask, _, _ in scale]
-    scratch = [np.empty_like(mask) for mask in masks]
-    # each mask's corner in the volume, (n, masks, 3), and the boxes over them
-    at = np.concatenate([batch.origins[:, k, None] + [offset for _, offset, _ in scale]
-                         for k, scale in enumerate(per_scale)], axis=1)
-    lo = at.min(axis=1)
-    hi = (at + [mask.shape for mask in masks]).max(axis=1)
-    clo, chi = np.maximum(lo, 0), np.minimum(hi, values.shape)
-    mapping = _mapping(values) if hasattr(mmap, "MADV_DONTNEED") else None
-    if mapping is not None:  # each box's first and last byte in the mapping
-        strides = np.array(values.strides)
-        first = (np.where(strides > 0, clo, chi - 1) * strides).sum(axis=1).tolist()
-        last = (np.where(strides > 0, chi - 1, clo) * strides).sum(axis=1).tolist()
-        span = (math.inf, -math.inf)
-    counts = np.empty((len(at), len(masks)), dtype=np.int64)
-    rows = zip(lo.tolist(), hi.tolist(), clo.tolist(), chi.tolist(), (at - lo[:, None]).tolist())
-    for i, (l, h, (x0, y0, z0), (x1, y1, z1), corners) in enumerate(rows):
-        box = np.empty((h[0] - l[0], h[1] - l[1], h[2] - l[2]), bool, order=order)
-        if (x0, y0, z0, x1, y1, z1) != (*l, *h):  # the box reaches past the volume
-            box.fill(pad_bright)
-        np.greater_equal(
-            values[x0:x1, y0:y1, z0:z1], cut,
-            out=box[x0 - l[0] : x1 - l[0], y0 - l[1] : y1 - l[1], z0 - l[2] : z1 - l[2]],
-        )
-        if mapping is not None:
-            span = (min(span[0], first[i]), max(span[1], last[i]))
-            if span[1] - span[0] > _RELEASE_BYTES:
-                mapping.madvise(mmap.MADV_DONTNEED)
-                span = (math.inf, -math.inf)
-        for m, (mask, out, (a, b, c)) in enumerate(zip(masks, scratch, corners)):
-            part = box[a : a + mask.shape[0], b : b + mask.shape[1], c : c + mask.shape[2]]
-            counts[i, m] = np.count_nonzero(np.logical_and(part, mask, out=out))
-    scores = np.empty((len(at), len(per_scale)))
-    for k, ((_, _, n_in), (_, _, n_shell)) in enumerate(per_scale):
-        frac_in = counts[:, 2 * k] / n_in if n_in else np.zeros(len(at))
-        frac_shell = counts[:, 2 * k + 1] / n_shell if n_shell else np.zeros(len(at))
-        scores[:, k] = np.clip(0.5 + 0.5 * (frac_in - frac_shell), 0.0, 1.0)
-    return scores
-
-
-@lru_cache(maxsize=8)
-def _bright_cut(window: tuple[float, float]) -> tuple[int, bool]:
-    """The smallest int16 HU whose normalized value exceeds
-    ``_BRIGHT_THRESHOLD`` (32768 when none does), and whether the air
-    padding does.
-
-    :func:`normalize_hu` is non-decreasing in HU, so "normalized value
-    above the threshold" is exactly "HU >= cut" on int16 data.
-    """
-    every = np.arange(-32768, 32768, dtype=np.int16).reshape(-1, 1, 1)
-    bright = normalize_hu(Volume(every, (1, 1, 1)), window).values.ravel() > _BRIGHT_THRESHOLD
-    cut = int(np.argmax(bright)) - 32768 if bright.any() else 32768
-    air = normalize_hu(Volume(np.full((1, 1, 1), AIR_HU), (1, 1, 1)), window)
-    return cut, bool(air.values[0, 0, 0] > _BRIGHT_THRESHOLD)
-
-
-@lru_cache(maxsize=32)
-def _sphere_masks(
-    shape: tuple[int, int, int], order: str = "C"
-) -> tuple[tuple[np.ndarray, tuple[int, int, int], int], ...]:
-    """Central-sphere and shell masks of a patch shape, each cropped to the
-    box of its set voxels and stored read-only in ``order``, with the box's
-    offset in the patch and the mask's voxel count."""
-    radius = min(shape) / 4.0
-    grids = np.ogrid[0:shape[0], 0:shape[1], 0:shape[2]]
-    d2 = sum((g - (s - 1) / 2.0) ** 2 for g, s in zip(grids, shape))
-    inner = d2 <= radius * radius
-    shell = (d2 > radius * radius) & (d2 <= 4.0 * radius * radius)
-    out = []
-    for mask in (inner, shell):
-        where = np.nonzero(mask)
-        lo = tuple(int(w.min()) if w.size else 0 for w in where)
-        hi = tuple(int(w.max()) + 1 if w.size else 0 for w in where)
-        cropped = np.array(mask[tuple(map(slice, lo, hi))], order=order)
-        cropped.flags.writeable = False
-        out.append((cropped, lo, len(where[0])))
-    return tuple(out)
-
-
-def perfect_classifier(lesions: Sequence) -> Callable[["FprBatch"], np.ndarray]:
-    """Oracle rescorer: 1.0 at every scale for candidates centered inside a
-    lesion, else 0."""
-    bounds = box_bounds(_as_boxes(lesions))
-
-    def classify(batch: "FprBatch") -> np.ndarray:
-        centers = np.array([c.box.center for c in batch.candidates], dtype=float)
-        hit = box_contains(bounds, centers.reshape(-1, 1, 3)).any(axis=1)
-        return np.repeat(hit[:, None].astype(float), 3, axis=1)
-
-    return classify

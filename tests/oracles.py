@@ -328,16 +328,42 @@ def reference_classifier_reference(patch_set, threshold=0.15):
     return tuple(scores)
 
 
+def air_is_bright(window, threshold=0.15):
+    """Whether the reference classifier's air padding counts as bright:
+    its normalized HU exceeds the threshold."""
+    import numpy as np
+
+    from ctadet.volume import AIR_HU, Volume, normalize_hu
+
+    air = normalize_hu(Volume(np.full((1, 1, 1), AIR_HU), (1, 1, 1)), window)
+    return bool(air.values[0, 0, 0] > threshold)
+
+
+def patch_sets_reference(batch):
+    """The per-patch path that ``FprBatch.patch_sets`` replaced: each
+    (candidate, patches) pair, every patch copied on its own by
+    ``extract_patch`` at ``batch.origins`` and normalized; patches cut from
+    one box per candidate must match its bits."""
+    from ctadet.volume import PatchSpec, extract_patch, normalize_hu
+
+    return [
+        (cand, tuple(normalize_hu(extract_patch(batch.volume, PatchSpec(origin, size)),
+                                  batch.window)
+                     for origin, size in zip(origins, batch.patch_sizes)))
+        for cand, origins in zip(batch.candidates, batch.origins.tolist())
+    ]
+
+
 def view_classifier_reference(batch):
     """The reference classifier that read the volume through one view per
     candidate, scale and mask, counting each mask against its own bright
     test; the one-box-per-candidate classifier must match its bits."""
     import numpy as np
 
-    from ctadet.synth import _bright_cut, _sphere_masks
+    from ctadet.fpr import _bright_cut, _sphere_masks
 
     values = batch.volume.values
-    cut, pad_bright = _bright_cut(tuple(batch.window))
+    cut, pad_bright = _bright_cut(tuple(batch.window)), air_is_bright(batch.window)
     order = "F" if abs(values.strides[0]) < abs(values.strides[2]) else "C"
 
     def bright_count(corners, mask):

@@ -4,7 +4,13 @@ import pytest
 from ctadet import pipeline, volume
 from ctadet.anchors import AnchorGrid, BoundingBox, TargetVector, anchor_grid, decode
 from ctadet.config import RunConfig
-from ctadet.fpr import extract_fpr_patches, rescore, select_candidates
+from ctadet.fpr import (
+    extract_fpr_patches,
+    perfect_classifier,
+    reference_classifier,
+    rescore,
+    select_candidates,
+)
 from ctadet.pipeline import (
     FprBatch,
     OracleTileScorer,
@@ -16,7 +22,7 @@ from ctadet.pipeline import (
     tile_patch,
 )
 from ctadet.postproc import CandidateDetection, Stage
-from ctadet.synth import generate_phantom, perfect_classifier, reference_classifier
+from ctadet.synth import generate_phantom
 from ctadet.volume import Volume, extract_patch, normalize_hu, tile_volume, truncate_cranial
 from oracles import oracle_score_reference, reference_classifier_reference
 
