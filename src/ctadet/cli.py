@@ -16,7 +16,6 @@ import argparse
 import dataclasses
 import importlib
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -167,13 +166,6 @@ def _run_tasks(worker, tasks, jobs: int) -> list:
         return list(pool.map(worker, tasks))
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not every platform has it
-        return os.cpu_count() or 1
-
-
 def _resolve_plugin(spec: str):
     module, _, attr = spec.partition(":")
     if not attr:
@@ -190,8 +182,8 @@ def _resolve_plugin(spec: str):
 
 def _synth_worker(task):
     _load("synth", "volume")  # a spawned worker starts with nothing bound
-    vid, cfg, out_dir, overlap = task
-    phantom, lesions = generate_phantom(cfg, volume_id=vid, overlap=overlap)
+    vid, cfg, out_dir = task
+    phantom, lesions = generate_phantom(cfg, volume_id=vid)
     write_volume(phantom, Path(out_dir) / vid)  # fills the phantom as it writes it
     return vid, lesions
 
@@ -210,9 +202,6 @@ def cmd_synth(args) -> int:
     except OSError as e:
         raise ConfigError(f"output directory not writable: {out_dir} ({e})") from e
 
-    # a phantom's noise is drawn on a helper thread only where a core is
-    # spare: with every core running a worker, the thread only adds cost
-    overlap = max(1, min(cfg.jobs, cfg.n_volumes)) < _usable_cpus()
     try:
         tasks = []
         for i in range(cfg.n_volumes):
@@ -226,7 +215,7 @@ def cmd_synth(args) -> int:
             )
             n_an = 0 if negative else cfg.n_aneurysms
             phantom_cfg = dataclasses.replace(cfg, seed=cfg.seed + i, n_aneurysms=n_an)
-            tasks.append((vid, phantom_cfg, str(out_dir), overlap))
+            tasks.append((vid, phantom_cfg, str(out_dir)))
         results = _run_tasks(_synth_worker, tasks, cfg.jobs)
     except ValueError as e:
         raise ConfigError(f"invalid phantom configuration: {e}") from e

@@ -2,7 +2,8 @@
 
 Phantoms are tubular "vessels" (random smooth walks painted as tubes)
 with spherical lesions attached to the vessel paths, on a uniform
-background plus Gaussian noise.  The oracle detector stands in for the
+background; each voxel's HU is a rounded Gaussian around its tissue's.
+The oracle detector stands in for the
 first-stage network of a real deployment: it reports ground truth with
 controllable misses, jitter, and injected false positives.  The
 second-stage stand-ins, the reference and perfect classifiers, live in
@@ -13,9 +14,6 @@ from __future__ import annotations
 
 import copy
 import math
-import queue
-import threading
-from contextlib import contextmanager
 from functools import cached_property
 from typing import Iterator, Sequence
 
@@ -24,14 +22,13 @@ import numpy as np
 from .anchors import BoundingBox, Lesion, _as_boxes
 from .config import RunConfig
 from .postproc import CandidateDetection, Stage
-from .volume import _checked_spacing
+from .volume import _checked_spacing, _slab_planes
 
 SIZE_CLASS_BINS = ((3.0, "2.5-3mm"), (5.0, "3-5mm"), (10.0, "5-10mm"))
 SIZE_CLASS_TOP = ">10mm"
 _FP_DIAMETER_RANGE = (2.5, 10.0)  # the oracle's false-positive box edges, in voxels
-_BLOCK_CELLS = 1 << 16  # cube cells per painting block, voxels per tissue-HU block
-_SLAB_VOXELS = 1 << 19  # a phantom fill's x-slabs hold about half this many voxels
-_AHEAD_SLAB_PLANES = 16  # planes per drawn-ahead noise slab at most: bounds the two on small planes
+_BLOCK_CELLS = 1 << 16  # cube cells per painting block, voxels per background-HU block
+_QUANTILES = 1 << 16  # entries of a tissue's HU table: one per value of a uint16 draw
 
 
 def size_class(diameter_vox: float, spacing: Sequence[float]) -> str:
@@ -92,45 +89,47 @@ def _vessel_path(
     return np.array(points).reshape(n_steps, 3)
 
 
-def _paint_balls(vol: np.ndarray, centers, radius: float, value: int, x0: int = 0):
-    """Set every voxel within ``radius`` of any of ``centers`` to ``value``,
-    where ``vol`` is the x-slab of a volume's canvas that starts at plane
-    ``x0`` and spans the volume in y and z.
+def _ball_voxels(shape, centers, radius: float, z0: int = 0) -> Iterator[np.ndarray]:
+    """The voxels within ``radius`` of any of ``centers`` in the z-slab of
+    ``shape`` ``(nx, ny, m)`` that starts at plane ``z0`` of a volume and
+    spans it in x and y, as blocks of flat indices into the slab, x
+    fastest (the raw file's order); a voxel may recur.
 
     A ball is scored on a cube of edge ``k = ceil(2r) + 2`` from ``floor(c - r)``,
     which holds its box ``[floor(c - r), ceil(c + r)]``; ``d2`` adds the squared
     offsets in x, y, z order, as a ``sum`` over that box does, so painted voxels
-    keep their bits.  Along x the cube is cut to ``min(k, slab planes)`` cells from
+    keep their bits.  Along z the cube is cut to ``min(k, slab planes)`` cells from
     the later of its first cell and the slab's first plane: that holds every cube
     cell in the slab, and the cells it adds past the cube lie more than ``r + 1``
     from the center.  Cells outside the slab are masked as cells outside the volume
-    are, and a ball whose cube misses the slab is skipped, so painting a volume slab
-    by slab sets the voxels of painting it whole.  Balls are scored in blocks of
-    at most ``_BLOCK_CELLS`` cube cells (one ball's cube when that is larger), so
+    are, and a ball whose cube misses the slab is skipped, so the voxels of a
+    volume's slabs are those of the volume taken whole.  Balls are scored in blocks
+    of at most ``_BLOCK_CELLS`` cube cells (one ball's cube when that is larger), so
     the scratch, about 18 bytes per cell, stays near 1 MiB; a block's size moves
-    neither the painted set nor the bits of ``d2``.
+    neither the voxels nor the bits of ``d2``.
     """
     centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
     k = math.ceil(2.0 * radius) + 2
-    kx = min(k, vol.shape[0])
-    first = np.floor(centers[:, 0] - radius)
-    centers = centers[(first + k > x0) & (first < x0 + vol.shape[0])]
-    step = max(1, _BLOCK_CELLS // (kx * k * k))
-    lo = np.array([x0, 0, 0])[:, None]
-    hi = lo + np.array(vol.shape)[:, None]
-    strides = np.array([vol.shape[1] * vol.shape[2], vol.shape[2], 1])[:, None]
+    kz = min(k, shape[2])
+    first = np.floor(centers[:, 2] - radius)
+    centers = centers[(first + k > z0) & (first < z0 + shape[2])]
+    step = max(1, _BLOCK_CELLS // (kz * k * k))
+    lo = np.array([0, 0, z0])[:, None]
+    hi = lo + np.array(shape)[:, None]
+    strides = np.array([1, shape[0], shape[0] * shape[1]])[:, None]
     for b in range(0, len(centers), step):
         c = centers[b : b + step, :, None]
         g = np.floor(c - radius).astype(np.int64)
-        g[:, 0] = np.maximum(g[:, 0], x0)
-        g = g + np.arange(k)  # (n, 3, k); along x only the first kx are scored
+        g[:, 2] = np.maximum(g[:, 2], z0)
+        g = g + np.arange(k)  # (n, 3, k); along z only the first kz are scored
         off2 = (g - c) ** 2
         off2[(g < lo) | (g >= hi)] = np.inf  # outside the slab or the volume
-        d2 = off2[:, 0, :kx, None, None] + off2[:, 1, None, :, None]
-        inside = d2 + off2[:, 2, None, None, :] <= radius * radius
+        # cells as (n, z, y, x), so each ball's indices ascend
+        d2 = off2[:, 0, None, None, :] + off2[:, 1, None, :, None]
+        inside = d2 + off2[:, 2, :kz, None, None] <= radius * radius
         g = (g - lo) * strides
-        flat = g[:, 0, :kx, None, None] + g[:, 1, None, :, None] + g[:, 2, None, None, :]
-        np.put(vol, flat[inside], value)
+        # the cells' flat indices are dropped before the block is yielded
+        yield (g[:, 2, :kz, None, None] + g[:, 1, None, :, None] + g[:, 0, None, None, :])[inside]
 
 
 def _separated(a: BoundingBox, b: BoundingBox, margin: float) -> bool:
@@ -141,107 +140,60 @@ def _separated(a: BoundingBox, b: BoundingBox, margin: float) -> bool:
     )
 
 
-def _fill_noise(rng: np.random.Generator | None, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with standard normals, or with zeros without ``rng`` (a
-    noise-free phantom): every noise number of a phantom is drawn here."""
-    if rng is None:
-        out.fill(0.0)
-        return out
-    return rng.standard_normal(out=out)
+def _hu_table(hu: float, sigma: float) -> np.ndarray:
+    """The HU of a voxel of one tissue, ``clip(rint(hu + sigma * Z))`` to
+    int16 for a standard normal ``Z``, as an inverse-CDF table: entry ``j``
+    of the ``_QUANTILES`` int16 entries is the smallest ``k`` with
+    ``P(HU <= k) > (j + 0.5) / _QUANTILES``, so a uniform uint16 draw is a
+    voxel's HU at 2**-16 resolution.  Every entry is ``rint(hu)`` (ties to
+    even) when ``sigma`` is 0.
 
-
-def _draw_ahead(rng, sizes, free: queue.SimpleQueue, ready: queue.SimpleQueue) -> None:
-    """The noise thread: for each slab, take a free buffer, fill its first
-    ``sizes[i]`` planes and pass it on, until the sizes or a ``None``
-    buffer end it.  An exception is passed on in place of a buffer."""
-    try:
-        for m in sizes:
-            buf = free.get()
-            if buf is None:
-                return
-            _fill_noise(rng, buf[:m])
-            ready.put(buf)
-    except BaseException as e:  # the consumer re-raises it
-        ready.put(e)
-
-
-@contextmanager
-def _noise_slabs(rng, sizes, plane, ahead: bool) -> Iterator[Iterator[np.ndarray]]:
-    """An iterator over standard-normal slabs of ``sizes[i]`` planes of
-    shape ``plane``, drawn from ``rng`` in order, so they hold the numbers
-    of one whole draw; without ``rng`` the slabs hold zeros.  A slab is
-    valid, and the caller's to write into, until the next one is taken.
-
-    With ``ahead``, ``rng`` and any slab to draw, a helper thread owns ``rng`` and draws each
-    slab while the one before it is in use, into two alternating buffers (the
-    draw releases the GIL); the thread is joined on exit, also on an error.
-    Otherwise each slab is drawn, into one buffer, when it is taken.
+    ``P(HU <= k)`` is ``erfc((hu - k - 0.5) / (sigma * sqrt 2)) / 2`` below
+    32767 and 1 at it, and ``ceil(_QUANTILES * P - 0.5)`` quantiles lie
+    below it, exactly: scaling by a power of two rounds nothing, and
+    subtracting 0.5 is exact when the product is at least 0.5 and leaves a
+    negative result, which counts none, otherwise.  No quantile lies more
+    than 5 sigma from ``hu`` (``2**16 * Phi(-5)`` is below 0.5; the table's
+    support is about ``hu`` ± 4.33 sigma), so only the integers in that
+    span, clipped to int16, are stepped: at most 65,536 of them.
     """
-    shape = (max(sizes, default=0), *plane)
-    if not (ahead and rng is not None and sizes):
-        buf = np.empty(shape)
-        yield (_fill_noise(rng, buf[:m]) for m in sizes)
-        return
-    free, ready = queue.SimpleQueue(), queue.SimpleQueue()
-    for _ in range(2):
-        free.put(np.empty(shape))
-    helper = threading.Thread(
-        target=_draw_ahead, args=(rng, sizes, free, ready), name="phantom-noise", daemon=True
-    )
-    helper.start()
-
-    def slabs():
-        for m in sizes:
-            buf = ready.get()
-            if isinstance(buf, BaseException):
-                raise buf
-            yield buf[:m]
-            free.put(buf)
-
-    try:
-        yield slabs()
-    finally:
-        free.put(None)
-        helper.join()
+    if sigma == 0:
+        return np.full(_QUANTILES, np.clip(np.rint(hu), -32768, 32767), dtype=np.int16)
+    lo = math.floor(min(max(hu - 5.0 * sigma, -32768), 32767))
+    hi = math.ceil(min(max(hu + 5.0 * sigma, -32768), 32767))
+    scale = sigma * math.sqrt(2.0)
+    below = np.fromiter(
+        (math.ceil(_QUANTILES // 2 * math.erfc((hu - k - 0.5) / scale) - 0.5)
+         for k in range(lo, hi)),
+        dtype=np.int64, count=hi - lo)
+    counts = np.diff(below, prepend=0, append=_QUANTILES)
+    return np.repeat(np.arange(lo, hi + 1, dtype=np.int16), counts)
 
 
-def _slab_planes(dims: Sequence[int], ahead: bool) -> int:
-    """Planes per x-slab when filling a phantom of ``dims``: about
-    ``_SLAB_VOXELS // 2`` voxels, at least one plane and at most ``dims[0]``;
-    at most ``_AHEAD_SLAB_PLANES`` when the noise is drawn ``ahead`` into two
-    buffers."""
-    step = min(dims[0], max(1, _SLAB_VOXELS // 2 // (dims[1] * dims[2])))
-    return min(step, _AHEAD_SLAB_PLANES) if ahead else step
-
-
-def generate_phantom(cfg: RunConfig, volume_id: str = "phantom", *, overlap: bool = False):
+def generate_phantom(cfg: RunConfig, volume_id: str = "phantom"):
     """Draw a phantom and its ground-truth lesion list from the
     ``phantom_*``, vessel and aneurysm fields of ``cfg``: a
     :class:`Phantom`, whose voxels are filled only when asked for, and the
     lesions.
 
-    Deterministic given ``cfg.seed``, and independent of ``overlap``.
-    Lesion annotations carry a size-class label (from the physical
-    diameter) and the index of the vessel they attach to.  Raises if
-    lesions are asked for without vessels, if a vessel does not fit the
-    dims, or if the requested lesions cannot be placed without overlap
-    after bounded retries.
+    Deterministic given ``cfg.seed``.  Lesion annotations carry a
+    size-class label (from the physical diameter) and the index of the
+    vessel they attach to.  Raises if lesions are asked for without
+    vessels, if a vessel does not fit the dims, or if the requested lesions
+    cannot be placed without overlap after bounded retries.
 
     Every draw for vessels and lesions is made here; a fill then makes the
-    phantom in x-slabs of about ``_SLAB_VOXELS // 2`` voxels.  Each slab is
-    painted into a slab-sized uint8 tissue-label canvas, and its tissue HU
-    is added into its scaled noise slab in place, through a block of
-    ``_BLOCK_CELLS`` float64 values: ``z * sigma + hu`` has the bits of
-    ``hu + z * sigma``, as IEEE addition commutes.  Each block is rounded,
-    clipped and cast into an int16 slab, the one handed on.  So its noise
-    slab(s), the canvas and the int16 slab are all a fill holds that scale
-    with the volume, and the whole phantom too when it fills ``values``.
-    With ``overlap`` and noise, a helper thread draws each noise slab while
-    the one before it is painted, filled and taken; it pays only where a
-    core is spare.  Its two slabs are cut to at most
-    ``_AHEAD_SLAB_PLANES`` planes (:func:`_slab_planes`), so a 128x96 plane
-    takes 16-plane slabs, not 21; inline, one slab keeps the larger size,
-    whose fewer, longer x-runs fill faster.
+    phantom in z-slabs of at most ``_SLAB_VOXELS`` voxels
+    (:func:`~ctadet.volume._slab_planes`), in file order.  For each slab it
+    draws one uint16 per voxel, x fastest, and looks each voxel's HU up in
+    its tissue's table (:func:`_hu_table`): the background table for the
+    whole slab, in blocks of ``_BLOCK_CELLS`` voxels, then the vessel table
+    and then the aneurysm table at the voxels of their balls
+    (:func:`_ball_voxels`).  Slabs of an even voxel count draw what one
+    whole-volume draw would, as numpy's uint16 draw takes two from each
+    32-bit word.  So the int16 slab, its draw and the three 128 KiB tables
+    are all a fill holds that scale with the volume, and the whole phantom
+    too when it fills ``values``.  A noise-free phantom draws nothing.
     """
     if cfg.n_aneurysms > 0 and cfg.n_vessels == 0:
         raise ValueError("aneurysms attach to vessels; need n_vessels >= 1")
@@ -289,20 +241,20 @@ def generate_phantom(cfg: RunConfig, volume_id: str = "phantom", *, overlap: boo
             )
 
     noise = rng if cfg.phantom_noise_sigma > 0 else None  # a noise-free phantom draws nothing
-    return Phantom(cfg, volume_id, vessels, lesions, noise, overlap and noise is not None), lesions
+    return Phantom(cfg, volume_id, vessels, lesions, noise), lesions
 
 
 class Phantom:
     """A drawn phantom, with a :class:`~ctadet.volume.Volume`'s ``dims``,
     ``spacing``, ``volume_id`` and ``cranial_axis``, whose voxels are
-    filled when asked for: slab by slab by :meth:`x_slabs`, which
+    filled when asked for: slab by slab by :meth:`z_slabs`, which
     :func:`~ctadet.volume.write_volume` writes as it goes, or whole by
     ``values``.  Each fill starts from a copy of the noise generator as it
     was after the vessel and lesion draws, so every fill gives the same
     voxels.
     """
 
-    def __init__(self, cfg: RunConfig, volume_id: str, vessels, lesions, noise_rng, ahead: bool):
+    def __init__(self, cfg: RunConfig, volume_id: str, vessels, lesions, noise_rng):
         self.dims = tuple(int(d) for d in cfg.phantom_dims)
         self.spacing = _checked_spacing(cfg.phantom_spacing)
         self.volume_id = volume_id
@@ -311,54 +263,46 @@ class Phantom:
         self._vessels = vessels
         self._lesions = lesions
         self._noise_rng = noise_rng
-        self._ahead = ahead
 
     @cached_property
     def values(self) -> np.ndarray:
         """The whole int16 phantom, Fortran-ordered, filled on first read."""
-        # the phantom, then the noise buffers, then the slab buffers: with the
-        # slab buffers first, glibc's heap placement kept a 128x128x96 synth
-        # worker's peak about 3 MiB higher
+        # the phantom before the fill's buffers: with the slab buffers
+        # first, glibc's heap placement kept a 128x128x96 synth worker's
+        # peak about 3 MiB higher
         values = np.empty(self.dims, dtype=np.int16, order="F")
-        x = 0
-        for slab in self.x_slabs():
-            values[x : x + len(slab)] = slab
-            x += len(slab)
+        z = 0
+        for slab in self.z_slabs():
+            values[:, :, z : z + slab.shape[2]] = slab
+            z += slab.shape[2]
         return values
 
-    def x_slabs(self) -> Iterator[np.ndarray]:
-        """The phantom's int16 x-slabs in x order, each valid until the
-        next one is taken."""
-        cfg, dims = self._cfg, self.dims
-        # x-slabs in C order draw the same noise numbers as one whole-volume draw
-        step = _slab_planes(dims, self._ahead)
-        starts = range(0, dims[0], step)
-        sizes = [min(step, dims[0] - x) for x in starts]
-        hu = np.array([cfg.background_hu, cfg.vessel_hu, cfg.aneurysm_hu], dtype=np.float64)
+    def z_slabs(self) -> Iterator[np.ndarray]:
+        """The phantom's int16 z-slabs in z order, Fortran-ordered, each
+        valid until the next one is taken."""
+        cfg, (nx, ny, nz) = self._cfg, self.dims
+        planes = _slab_planes(self.dims)
+        background, vessel, aneurysm = (
+            _hu_table(hu, cfg.phantom_noise_sigma)
+            for hu in (cfg.background_hu, cfg.vessel_hu, cfg.aneurysm_hu))
         rng = copy.deepcopy(self._noise_rng)
-        with _noise_slabs(rng, sizes, dims[1:], self._ahead) as noise:
-            # tissue labels index `hu`: 0 background, 1 vessel, 2 aneurysm
-            canvas = np.empty((step, *dims[1:]), dtype=np.uint8)
-            tissue = np.empty(min(_BLOCK_CELLS, canvas.size))
-            hu_slab = np.empty(canvas.shape, dtype=np.int16)  # what is handed on
-            for x, m in zip(starts, sizes):
-                labels = canvas[:m]
-                labels.fill(0)
-                for path, radius in self._vessels:
-                    _paint_balls(labels, path, radius, 1, x)
-                for lesion in self._lesions:
-                    _paint_balls(labels, lesion.box.center, lesion.box.diameter / 2.0, 2, x)
-                slab = next(noise)
-                slab *= cfg.phantom_noise_sigma
-                flat, flat_labels = slab.reshape(-1), labels.reshape(-1)
-                flat_hu = hu_slab[:m].reshape(-1)
-                for i in range(0, flat.size, tissue.size):
-                    block = flat[i : i + tissue.size]
-                    block += np.take(hu, flat_labels[i : i + tissue.size],
-                                     out=tissue[: block.size], mode="clip")
-                    np.clip(np.rint(block, out=block), -32768, 32767, out=block)
-                    flat_hu[i : i + block.size] = block
-                yield hu_slab[:m]
+        slab = np.empty(nx * ny * planes, dtype=np.int16)  # what is handed on
+        # noise-free, each table holds one value, so any draws do
+        quiet = np.zeros(slab.size, np.uint16) if rng is None else None
+        for z0 in range(0, nz, planes):
+            shape = (nx, ny, min(planes, nz - z0))
+            n = math.prod(shape)
+            draws = quiet[:n] if rng is None else rng.integers(0, _QUANTILES, n, np.uint16)
+            hu = slab[:n]
+            for i in range(0, n, _BLOCK_CELLS):  # take's index scratch is 8 bytes a voxel
+                np.take(background, draws[i : i + _BLOCK_CELLS], out=hu[i : i + _BLOCK_CELLS])
+            for path, radius in self._vessels:
+                for idx in _ball_voxels(shape, path, radius, z0):
+                    hu[idx] = vessel[draws[idx]]
+            for lesion in self._lesions:
+                for idx in _ball_voxels(shape, lesion.box.center, lesion.box.diameter / 2.0, z0):
+                    hu[idx] = aneurysm[draws[idx]]
+            yield hu.reshape(shape, order="F")
 
 
 def oracle_detect(

@@ -9,6 +9,7 @@ kernels replaced, kept to pin those kernels bit for bit.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -256,11 +257,34 @@ def paint_ball_reference(vol, center, radius, value):
     region[d2 <= radius * radius] = value
 
 
+@functools.lru_cache(maxsize=None)
+def hu_table_reference(hu, sigma):
+    """A tissue's inverse-CDF HU table built by a search per quantile:
+    entry ``j`` is the first int16 ``k`` whose ``P(HU <= k)`` exceeds
+    ``(j + 0.5) / 2**16``, searched over the CDF at every int16.  The CDF
+    of ``clip(rint(hu + sigma * Z))`` is the package's expression, which
+    defines the noise, and 1 at 32767; ``rint(hu)`` everywhere at sigma 0.
+    Read-only, as it is shared between calls."""
+    import numpy as np
+
+    if sigma == 0:
+        table = np.full(1 << 16, np.clip(np.rint(hu), -32768, 32767), dtype=np.int16)
+    else:
+        scale = sigma * math.sqrt(2.0)
+        cdf = [0.5 * math.erfc((hu - k - 0.5) / scale) for k in range(-32768, 32767)] + [1.0]
+        quantiles = (np.arange(1 << 16) + 0.5) / (1 << 16)
+        table = (np.searchsorted(cdf, quantiles, side="right") - 32768).astype(np.int16)
+    table.flags.writeable = False
+    return table
+
+
 def generate_phantom_reference(cfg, volume_id="phantom"):
-    """The float64-canvas phantom builder that slab-wise filling replaced:
-    paint HU into a whole float64 volume one ball at a time, add one
-    whole-volume noise draw, then round, clip and cast.  It shares only
-    the unchanged placement helpers with the package."""
+    """The phantom by whole-volume steps: paint each voxel's tissue (0
+    background, 1 vessel, 2 aneurysm) into a float64 volume one ball at a
+    time, draw every voxel's uint16 in one call, x fastest, and look each
+    voxel's HU up in its tissue's :func:`hu_table_reference`.  A noise-free
+    phantom draws nothing.  It shares only the unchanged placement helpers
+    with the package."""
     import numpy as np
 
     from ctadet.anchors import BoundingBox, Lesion
@@ -269,14 +293,14 @@ def generate_phantom_reference(cfg, volume_id="phantom"):
 
     rng = np.random.default_rng(cfg.seed)
     dims = tuple(int(d) for d in cfg.phantom_dims)
-    vol = np.full(dims, cfg.background_hu, dtype=np.float64)
+    tissue = np.zeros(dims, dtype=np.float64)
     vessels = []
     for _ in range(cfg.n_vessels):
         radius = rng.uniform(*cfg.vessel_radius_range)
         vessels.append((vessel_path_reference(rng, dims, margin=2.0 + radius), radius))
     for path, radius in vessels:
         for point in path:
-            paint_ball_reference(vol, point, radius, cfg.vessel_hu)
+            paint_ball_reference(tissue, point, radius, 1.0)
     lesions = []
     for _ in range(cfg.n_aneurysms):
         for _attempt in range(200):
@@ -300,10 +324,15 @@ def generate_phantom_reference(cfg, volume_id="phantom"):
         else:
             raise ValueError("could not place the lesions")
     for lesion in lesions:
-        paint_ball_reference(vol, lesion.box.center, lesion.box.diameter / 2.0, cfg.aneurysm_hu)
+        paint_ball_reference(tissue, lesion.box.center, lesion.box.diameter / 2.0, 2.0)
+    n = dims[0] * dims[1] * dims[2]
     if cfg.phantom_noise_sigma > 0:
-        vol = vol + rng.normal(0.0, cfg.phantom_noise_sigma, dims)
-    values = np.clip(np.rint(vol), -32768, 32767).astype(np.int16)
+        draws = rng.integers(0, 1 << 16, n, dtype=np.uint16).reshape(dims, order="F")
+    else:
+        draws = np.zeros(dims, dtype=np.uint16)
+    tables = np.stack([hu_table_reference(hu, cfg.phantom_noise_sigma)
+                       for hu in (cfg.background_hu, cfg.vessel_hu, cfg.aneurysm_hu)])
+    values = tables[tissue.astype(np.intp), draws]
     return Volume(values, cfg.phantom_spacing, volume_id, cranial_axis="+z"), lesions
 
 

@@ -27,7 +27,7 @@ GOLDEN_CONFIG = """\
  "detector_tp_prob_range": [0.5, 1.0], "seed": 5}
 """
 
-GOLDEN_DIGEST = "0e5a9d93719a309c2f4acd0bcbbd40b2e360b878ba12faeac5b14202d7c17018"
+GOLDEN_DIGEST = "bd7dfda6b9d0caf95f721b909b675d44e07fe5f98857f637fdfdff8aec237805"
 
 
 def _file_listing(root: Path) -> str:

@@ -4,8 +4,8 @@ Each command runs as a fresh ``python -m ctadet.cli`` process, and its peak
 resident set size comes from the ``os.wait4`` rusage of that process, so
 this test process and its imports do not count.  Every command has the same
 fixed budget of 60 MiB for the interpreter, numpy and the pipeline's small
-buffers, and no per-voxel allowance: ``synth`` writes each x-slab of the
-phantom into z-regions of the file as it is filled, ``detect`` maps the raw
+buffers, and no per-voxel allowance: ``synth`` appends each z-slab of the
+phantom to the file as it is filled, ``detect`` maps the raw
 file read-only and its oracle scorer reads no voxel, and ``reduce``'s
 reference classifier drops the mapping's pages whenever the patches it has
 read span more than a few MiB of the file.  ``reduce`` is held to that

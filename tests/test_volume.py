@@ -5,11 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ctadet import volume
 from ctadet.config import RunConfig
 from ctadet.volume import (
-    _REGION_VOXELS,
     PatchSpec,
     _mapping,
+    _slab_planes,
     Volume,
     extract_patch,
     normalize_hu,
@@ -166,7 +167,7 @@ class TestRoundtrip:
         (-40000, np.int32, "HU values [-40000, 9] exceed the int16 range"),
     ], ids=["half", "nan", "-inf", "float-range", "int32-range"])
     def test_bad_value_in_a_later_region_refused(self, tmp_path, bad, dtype, message):
-        # 64-plane z-regions of a 64x64 plane: the bad voxel sits in the third
+        # 64-plane pieces of a 64x64 plane: the bad voxel sits in the third
         values = np.zeros((64, 64, 160), dtype)
         values[0, 0, 0], values[1, 1, 1], values[5, 6, 150] = -7, 9, bad
         with pytest.raises(ValueError) as err:
@@ -175,16 +176,16 @@ class TestRoundtrip:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("sizes,message", [
-        ((2, 1), "x-slabs cover 3 of 4 planes"),
-        ((3, 2), "x-slab (2, 2, 3) at x = 3 does not fit dims (4, 2, 3)"),
+        ((2, 1), "z-slabs cover 3 of 4 planes"),
+        ((3, 2), "z-slab (2, 3, 2) at z = 3 does not fit dims (2, 3, 4)"),
     ], ids=["short", "long"])
-    def test_slabs_that_miss_the_x_range_refused(self, tmp_path, sizes, message):
+    def test_slabs_that_miss_the_z_range_refused(self, tmp_path, sizes, message):
         class Slabs:
-            dims, spacing, volume_id, cranial_axis = (4, 2, 3), (1.0, 1.0, 1.0), "s", "+z"
+            dims, spacing, volume_id, cranial_axis = (2, 3, 4), (1.0, 1.0, 1.0), "s", "+z"
 
-            def x_slabs(self):
+            def z_slabs(self):
                 for m in sizes:
-                    yield np.zeros((m, 2, 3), np.int16)
+                    yield np.zeros((2, 3, m), np.int16, order="F")
 
         with pytest.raises(ValueError) as err:
             write_volume(Slabs(), tmp_path / "s")
@@ -192,12 +193,12 @@ class TestRoundtrip:
         assert list(tmp_path.iterdir()) == []
 
     def test_float_volume_checked_in_region_pieces(self, tmp_path):
-        # the int16 checks of a float64 volume (12 MiB) run on one region's
-        # piece at a time: their scratch is a bool per piece voxel beside
-        # the writer's two int16 region buffers, not whole-volume temporaries
+        # the int16 checks of a float64 volume (12 MiB) run on one piece of
+        # at most a slab at a time: their scratch is a bool per piece voxel
+        # beside the piece's int16 copy, not whole-volume temporaries
         dims = (128, 128, 96)
         v = Volume(make_volume(dims).values.astype(np.float64), (1, 1, 1), "f", "+z")
-        region = dims[0] * dims[1] * min(dims[2], _REGION_VOXELS // (dims[0] * dims[1]))
+        piece = dims[0] * dims[1] * _slab_planes(dims)
         tracemalloc.start()
         try:
             write_volume(v, tmp_path / "f")
@@ -205,8 +206,36 @@ class TestRoundtrip:
         finally:
             tracemalloc.stop()
         assert np.array_equal(read_volume(tmp_path / "f").values, v.values)
-        budget = 2 * 2 * region + region + (256 << 10)  # and numpy's casting buffers
+        budget = 2 * piece + piece + (256 << 10)  # and numpy's casting buffers
         assert peak <= budget, f"traced peak {peak / 2**20:.2f} MiB > {budget / 2**20:.2f} MiB"
+
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_writes_are_small(self, tmp_path, monkeypatch, order):
+        # small writes make small page-cache folios, so reduce maps no more
+        # of the file than it reads
+        sizes = []
+
+        class Recording:
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                sizes.append(len(memoryview(data).cast("B")))
+                return self.f.write(data)
+
+        monkeypatch.setattr(volume, "open", lambda path, mode: Recording(open(path, mode)),
+                            raising=False)
+        values = np.asarray(make_volume((130, 70, 40)).values, order=order)
+        write_volume(Volume(values, (1, 1, 1), "w", "+z"), tmp_path / "w")
+        assert max(sizes) <= volume._WRITE_BYTES and len(sizes) > 10
+        monkeypatch.undo()
+        assert np.array_equal(read_volume(tmp_path / "w").values, values)
 
 
 def _write_pair(tmp_path, raw_bytes=16, **header):
