@@ -8,7 +8,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
-from .anchors import BoundingBox, BoxBounds, box_iou, cube_bounds, overlapping_pairs
+from .anchors import BoundingBox, BoxBounds, box_iou, cube_bounds
 from .config import RunConfig
 
 if TYPE_CHECKING:  # eval reads candidates without loading the volume code
@@ -115,23 +115,57 @@ class CandidateArrays:
         ]
 
 
-def _greedy_keep(bounds: BoxBounds, iou_thresh: float) -> np.ndarray:
+def _greedy_keep(bounds: BoxBounds, iou_thresh: float, block: int = 1 << 15) -> np.ndarray:
     """Which cubes greedy NMS keeps when they come in priority order: each
     kept cube suppresses every later one whose IoU with it is not at or
-    below ``iou_thresh``.  :func:`box_iou` runs only on the pairs that
-    :func:`overlapping_pairs` finds, since every other pair has IoU 0."""
+    below ``iou_thresh``.
+
+    A sweep over the cubes sorted by lower x bound finds each cube's
+    partners on x with one ``searchsorted``; y and z filter them in blocks
+    of about ``block`` pairs, which :func:`box_iou` scores at once, and only
+    the suppressing pairs are kept, so memory is O(n + block + suppressing
+    pairs).  Every other pair has IoU 0, but a cube whose volume is 0 or
+    inf pairs with every cube, since its IoU can be NaN.
+    """
     n = len(bounds.volume)
     if not iou_thresh >= 0:  # every IoU is >= 0 or NaN: the first suppresses all
         return np.arange(n) < 1
-    first, later = overlapping_pairs(bounds)
-    hit = ~(box_iou(bounds.take(later), bounds.take(first)) <= iou_thresh)
-    removed = [False] * n
-    # pairs come in order of ``first``, so a cube's own fate is settled
-    # before the pairs in which it would suppress
-    for a, b in zip(first[hit].tolist(), later[hit].tolist()):
-        if not removed[a]:
-            removed[b] = True
-    return ~np.array(removed, dtype=bool)
+    degenerate = ~((bounds.volume > 0) & (bounds.volume < np.inf))[:, None]
+    lo = np.where(degenerate, -np.inf, bounds.lo)
+    order = np.argsort(lo[:, 0], kind="stable")
+    lo = lo[order].T.copy()
+    hi = np.where(degenerate, np.inf, bounds.hi)[order].T.copy()
+    # the partners of sorted cube r on x are the cubes r + 1 .. end - 1,
+    # which start before it ends and, a cube having positive extent, end
+    # after it starts
+    first = np.arange(1, n + 1)
+    count = np.maximum(np.searchsorted(lo[0], hi[0]) - first, 0)
+    end = np.cumsum(count)
+    pairs = [np.empty((2, 0), dtype=np.int64)]
+    a = 0
+    while a < n:
+        b = max(a + 1, int(np.searchsorted(end, end[a] - count[a] + block, side="right")))
+        starts = end[a:b] - count[a:b]
+        rows = np.repeat(np.arange(a, b), count[a:b])
+        cols = np.arange(starts[0], end[b - 1]) + np.repeat(first[a:b] - starts, count[a:b])
+        for ax in (1, 2):
+            overlap = (lo[ax, cols] < hi[ax, rows]) & (lo[ax, rows] < hi[ax, cols])
+            rows, cols = rows[overlap], cols[overlap]
+        pair = np.sort(order[np.stack((rows, cols))], axis=0)
+        hit = ~(box_iou(bounds.take(pair[1]), bounds.take(pair[0])) <= iou_thresh)
+        pairs.append(pair[:, hit])
+        a = b
+    head, later = np.concatenate(pairs, axis=1)
+    by_head = np.argsort(head, kind="stable")
+    head, later = head[by_head], later[by_head]
+    # heads come in priority order, so a cube's own fate is settled before
+    # it would suppress; each head's later partners are one run
+    edge = np.flatnonzero(np.diff(head, prepend=-1, append=n)).tolist()
+    removed = np.zeros(n, dtype=bool)
+    for s, e in zip(edge, edge[1:]):
+        if not removed[head[s]]:
+            removed[later[s:e]] = True
+    return ~removed
 
 
 def nms(

@@ -19,7 +19,6 @@ from ctadet.anchors import (
     decode,
     encode,
     iou3d,
-    overlapping_pairs,
 )
 from oracles import (
     anchor_grid_reference,
@@ -172,25 +171,6 @@ class TestBoxKernel:
         boxes, _, want = case
         for i in range(0, len(boxes), 30):
             assert [iou3d(boxes[i], b) for b in boxes] == want[i].tolist()
-
-    @pytest.mark.parametrize("block", [1, 64, 1 << 15])
-    def test_overlapping_pairs(self, case, block):
-        boxes, bounds, want = case
-        i, j = overlapping_pairs(bounds, block)
-        assert (np.diff(i) >= 0).all() and (i < j).all()
-        ext = np.minimum(bounds.hi[:, None], bounds.hi) - np.maximum(bounds.lo[:, None], bounds.lo)
-        overlap = np.triu((ext > 0).all(axis=-1), 1)
-        assert sorted(zip(i.tolist(), j.tolist())) == sorted(zip(*np.nonzero(overlap)))
-        assert (want[np.triu(~overlap, 1)] == 0.0).all()  # no other pair has IoU
-
-    def test_overlapping_pairs_of_degenerate_cubes(self):
-        # volume 0 (underflow) and inf (overflow): box_iou can be NaN
-        boxes = [BoundingBox((0.0, 0.0, 0.0), 1.0), BoundingBox((50.0, 0.0, 0.0), 1e-120),
-                 BoundingBox((-40.0, 9.0, 9.0), 1e110), BoundingBox((80.0, 80.0, 80.0), 2.0)]
-        with np.errstate(over="ignore"):
-            i, j = overlapping_pairs(box_bounds(boxes))
-        assert sorted(zip(i.tolist(), j.tolist())) == [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
-        assert overlapping_pairs(box_bounds([]))[0].shape == (0,)
 
     def test_contains_closed_boundaries(self, case):
         boxes, bounds, _ = case

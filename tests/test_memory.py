@@ -6,7 +6,10 @@ this test process and its imports do not count.  Every command has the same
 fixed budget of 60 MiB for the interpreter, numpy and the pipeline's small
 buffers, and no per-voxel allowance: ``synth`` appends each z-slab of the
 phantom to the file as it is filled, ``detect`` maps the raw
-file read-only and its oracle scorer reads no voxel, and ``reduce``'s
+file read-only and its oracle scorer reads no voxel (``detect`` is also
+held to the budget on a default scan with a plugin scorer at the density
+of an image-driven first stage, where NMS keeps only the pairs that
+suppress), and ``reduce``'s
 reference classifier drops the mapping's pages whenever the patches it has
 read span more than a few MiB of the file.  ``reduce`` is held to that
 budget also on a file written in one ``write``, whose page cache may hold
@@ -44,6 +47,29 @@ def factory(volume, lesions, cfg):
         return [[float((p.values > 0.15).mean()) for p in ps.patches]
                 for ps in batch.patch_sets()]
     return classify
+"""
+
+# a detector plugin at the density of an image-driven first stage: p = 0.5
+# and zero offsets for every anchor centred within 8 voxels, on each axis,
+# of one of nine points, which on a default scan's four tiles gives 6,912
+# rows above the floor and 2,255,360 pairs of them that overlap
+DENSE_DETECTOR = """
+import numpy as np
+
+POINTS = [(x, y, 48.0) for x in (40.0, 64.0, 88.0) for y in (40.0, 64.0, 88.0)]
+
+class Scorer:
+    def score(self, volume, tile, grid):
+        center = grid.position + tile.origin
+        near = np.zeros(len(grid), dtype=bool)
+        for point in POINTS:
+            near |= (np.abs(center - point) <= 8.0).all(axis=1)
+        preds = np.zeros((len(grid), 5))
+        preds[near, 0] = 0.5
+        return preds
+
+def factory(volume, lesions, cfg, seed):
+    return Scorer()
 """
 
 
@@ -96,6 +122,16 @@ def scan(tmp_path_factory):
 def test_synth_and_detect_within_budget(scan):
     _, synth, detect = scan
     assert synth <= FIXED_MIB, f"synth peaked at {synth:.1f} MiB"
+    assert detect <= FIXED_MIB, f"detect peaked at {detect:.1f} MiB"
+
+
+def test_detect_within_budget_at_proposal_density(tmp_path):
+    RunConfig(n_volumes=1).to_file(tmp_path / "config.json")
+    (tmp_path / "dense_detector.py").write_text(DENSE_DETECTOR)
+    _peak_mib(["synth", "--config", "config.json", "--out", "data"], tmp_path)
+    detect = _peak_mib(["detect", "--config", "config.json", "--manifest", "data/manifest.json",
+                        "--out", "cand", "--detector", "dense_detector:factory"], tmp_path)
+    assert (tmp_path / "cand" / "vol-0000.cand.jsonl").read_text()
     assert detect <= FIXED_MIB, f"detect peaked at {detect:.1f} MiB"
 
 

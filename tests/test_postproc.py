@@ -1,13 +1,17 @@
+import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
-from ctadet.anchors import BoundingBox, iou3d
+from ctadet import postproc
+from ctadet.anchors import BoundingBox, cube_bounds, iou3d
 from ctadet.postproc import (
     CandidateArrays,
     CandidateDetection,
     Stage,
+    _greedy_keep,
     _sort_key,
     merge_tiles,
     nms,
@@ -213,6 +217,88 @@ class TestPrunedNms:
             cands, iou3d_reference, _sort_key, iou_thresh, 0.05
         )
         assert 0 < len(kept) < len(cands)
+
+
+@pytest.fixture(params=[1, 64, 1 << 15])
+def block(request, monkeypatch):
+    """NMS sweeping its pairs in blocks of about this many."""
+    monkeypatch.setattr(postproc, "_greedy_keep", partial(_greedy_keep, block=request.param))
+    return request.param
+
+
+class TestNmsBlocks:
+    """The kernel scores the pairs it finds in blocks; where a block ends
+    must not change which candidates are kept."""
+
+    @pytest.mark.parametrize("iou_thresh", [0.0, 0.25])
+    def test_equals_greedy_reference(self, block, iou_thresh):
+        rng = np.random.default_rng(500)
+        cands = crowded_candidates(rng, 500, 12)
+        cands = [cands[i] for i in rng.permutation(len(cands))]
+        kept = nms(cands, iou_thresh, 0.05)
+        assert kept == greedy_nms_reference(cands, iou3d_reference, _sort_key, iou_thresh, 0.05)
+        assert 0 < len(kept) < len(cands)
+
+    @pytest.mark.parametrize("iou_thresh", [0.0, 0.25])
+    def test_degenerate_cubes_pair_with_every_cube(self, block, iou_thresh):
+        # volume 0 (underflow) and inf (overflow): box_iou with them is 0 or
+        # NaN however far apart, and a NaN suppresses
+        rng = np.random.default_rng(13)
+        cands = random_candidates(rng, 40, span=40.0)
+        for k, d in enumerate([1e-120, 1e110] * 3):
+            cands.append(cand(tuple(rng.uniform(0, 40, 3)), d, 0.95 - k / 10))
+        with np.errstate(over="ignore", invalid="ignore"):
+            kept = nms(cands, iou_thresh, 0.0)
+            assert kept == greedy_nms_reference(cands, iou3d, _sort_key, iou_thresh, 0.0)
+        # the first of each kind suppresses the others of its kind alone
+        assert [c for c in kept if c.box.diameter in (1e-120, 1e110)] == cands[40:42]
+
+
+def clustered_arrays(rng, n_clusters, per_cluster, sigma):
+    """Detector rows packed like an image-driven first stage's: around each
+    of ``n_clusters`` points, ``per_cluster`` cubes of the three anchor
+    sizes, each scaled by up to e^0.2 either way, with centres spread by
+    ``sigma`` and tied probabilities."""
+    n = n_clusters * per_cluster
+    points = rng.uniform((16, 16, 16), (112, 112, 80), (n_clusters, 3))
+    center = np.repeat(points, per_cluster, axis=0) + rng.normal(0.0, sigma, (n, 3))
+    scale = rng.integers(3, size=n)
+    diameter = np.array([5.0, 10.0, 20.0])[scale] * np.exp(rng.uniform(-0.2, 0.2, n))
+    probability = rng.integers(2, 21, n) / 20.0
+    return CandidateArrays.detected(center, diameter, probability, scale)
+
+
+def overlapping_pair_count(bounds, chunk=256):
+    """How many pairs of the cubes overlap by a positive extent on every
+    axis, counted ``chunk`` rows at a time."""
+    lo, hi, n = bounds.lo.T, bounds.hi.T, len(bounds.volume)
+    total = 0
+    for a in range(0, n, chunk):
+        rows = slice(a, a + chunk)
+        overlap = np.ones((min(chunk, n - a), n), dtype=bool)
+        for ax in range(3):
+            overlap &= (lo[ax, rows, None] < hi[ax]) & (lo[ax] < hi[ax, rows, None])
+        total += int(np.triu(overlap, a + 1).sum())
+    return total
+
+
+class TestNmsAtDensity:
+    """At the density of an image-driven first stage, NMS holds only the
+    pairs that suppress, not every pair that overlaps."""
+
+    def test_memory_stays_far_below_the_pairs(self):
+        table = clustered_arrays(np.random.default_rng(0), 20, 335, 3.0)
+        assert len(table) == 6700
+        assert overlapping_pair_count(cube_bounds(table.center, table.diameter)) >= 1_000_000
+        tracemalloc.start()
+        try:
+            kept = nms(table, 0.25, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 << 20, f"NMS traced {peak / (1 << 20):.1f} MiB"
+        # the keep count of the kernel that listed every overlapping pair
+        assert len(kept) == 1163
 
 
 class TestMergeTiles:

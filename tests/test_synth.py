@@ -765,6 +765,30 @@ class TestOracleDetect:
         b = oracle_detect(self.truth(), cfg, 9, self.DIMS)
         assert a == b
 
+    @pytest.mark.parametrize("jitter", [0.0, 0.3, 0.99])
+    def test_diameter_jitter_bounds(self, jitter):
+        cfg = RunConfig(detector_diameter_jitter=jitter)
+        ratios = []
+        for seed in range(40):
+            cands = oracle_detect(self.truth(), cfg, seed, self.DIMS)
+            assert oracle_detect(self.truth(), cfg, seed, self.DIMS) == cands
+            for c, box in zip(cands, self.truth(), strict=True):
+                assert c.box.center == box.center
+                lo, hi = box.diameter * (1 - jitter), box.diameter * (1 + jitter)
+                assert max(lo, 0.1) <= c.box.diameter <= hi
+                ratios.append(c.box.diameter / box.diameter)
+        if jitter:
+            assert min(ratios) < 1.0 < max(ratios)
+        else:
+            assert set(ratios) == {1.0}
+
+    def test_diameter_jitter_clamped(self):
+        cfg = RunConfig(detector_diameter_jitter=1.0)
+        cands = [oracle_detect([BoundingBox((30.0, 30.0, 30.0), 0.2)], cfg, seed, self.DIMS)
+                 for seed in range(40)]
+        diameters = [c.box.diameter for [c] in cands]
+        assert min(diameters) == 0.1 and max(diameters) > 0.2
+
     def test_poisson_false_positive_rate(self):
         total = 0
         n_volumes = 1000
